@@ -5,7 +5,8 @@ Commands: eval, factor, ivt, zeros, mult, track-zeros, track-extremes, and
 ``example`` (named experiment fixtures: nilpotent-signs, nilpotent-roots,
 hahn-signs, double-zero).  Exit code 0 means every asserted property held;
 1 means an assertion failed (a machine-readable failure record is in the
-report); 4 means the computation errored out.
+report); 4 means the run raised an error of any kind, I/O and a malformed
+``LCIVT_MAX_TERMS`` included.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import csv
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dsl import ParseError, parse_exponent, parse_literal, parse_series
+from .dsl import parse_exponent, parse_literal, parse_series
 from .errors import LcivtError
 from .hensel import Factorization, poly_eval, weierstrass_factor
 from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
@@ -502,7 +504,9 @@ def main(argv=None):
     cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields and v is not None})
     try:
         report = run(cfg)
-    except (LcivtError, ParseError, ValueError, ZeroDivisionError) as exc:
+    except Exception as exc:  # every error, typed or not, is exit code 4
+        if not isinstance(exc, LcivtError):
+            traceback.print_exc(file=sys.stderr)
         err = Report(config=cfg.echo(), results=None,
                      failures=[{"error": type(exc).__name__, "message": str(exc)}])
         emit_report(err, cfg.output)

@@ -1,7 +1,10 @@
 """Constructive lifting over the valuation ring: distinguished roots and the
 monic-polynomial x unit-series factorization of a restricted series.
 
-Polynomials here are dense lists of LcNumber by ascending power.
+Polynomials here are dense lists of LcNumber by ascending power, and the
+``poly_*`` helpers are the library's arithmetic for them.  They skip only
+exact zeros and never trim: ``== 0`` on a truncated number raises
+TruncationError, and trimming would shorten the reported unit factor.
 """
 
 from __future__ import annotations

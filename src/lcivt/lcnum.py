@@ -33,10 +33,15 @@ _GEOMETRIC_CAP = 10000
 
 
 def max_terms_cap():
+    """The LCIVT_MAX_TERMS cap on stored terms per number, read on every call."""
+    raw = os.environ.get("LCIVT_MAX_TERMS", "1000000")
     try:
-        return int(os.environ.get("LCIVT_MAX_TERMS", "1000000"))
+        cap = int(raw)
     except ValueError:
-        return 1000000
+        cap = 0
+    if cap < 1:
+        raise ValueError("LCIVT_MAX_TERMS must be a positive integer, got %r" % raw)
+    return cap
 
 
 class Exponent:
@@ -711,32 +716,3 @@ def eps_n(index, power=1):
     if index == 0:
         return LcNumber.one(HAHN)
     return LcNumber.monomial(Exponent.hahn({index: Fraction(power)}), 1)
-
-
-def make(mode, terms, cutoff=None):
-    """Canonicalized number from (Exponent, coefficient) pairs."""
-    return LcNumber(mode, terms, cutoff)
-
-
-def compare(a, b):
-    return a.compare(b)
-
-
-def valuation(a):
-    return a.valuation()
-
-
-def standard_part(a):
-    return a.standard_part()
-
-
-def classify(a):
-    return a.classify()
-
-
-def invert(a, cutoff):
-    return a.invert(cutoff)
-
-
-def nth_root(a, n, cutoff):
-    return a.nth_root(n, cutoff)

@@ -1,9 +1,16 @@
-"""Dense univariate polynomial arithmetic over an exact ordered field.
+"""Dense univariate polynomials over the exact fields.
 
-Coefficients must support +, -, *, /, exact equality with 0, and comparison
-against 0 (directly or through a ``sign()`` method).  ``fractions.Fraction``
-and ``RealAlgebraic`` both qualify.  A polynomial is a plain list of
-coefficients by ascending power with no trailing zero; ``[]`` is zero.
+The library has two coefficient domains, told apart by their zero test.  The
+exact fields, ``fractions.Fraction`` and ``RealAlgebraic``, decide ``== 0``;
+they are served here.  A polynomial is a plain list of coefficients by
+ascending power with no trailing zero; ``[]`` is zero.  Coefficients must
+support +, -, *, /, exact equality with 0, and comparison against 0 (directly
+or through a ``sign()`` method).
+
+Truncated ``LcNumber`` coefficients cannot decide ``== 0``, so their lists are
+served by the ``poly_*`` helpers in ``hensel``, which skip only exact zeros
+and never trim.  ``pshift`` needs only ring operations (+ and *), so it serves
+both domains.
 """
 
 from __future__ import annotations
@@ -65,12 +72,6 @@ def pmul(a, b):
     return trim(out)
 
 
-def pscale(a, c):
-    if c == 0:
-        return []
-    return trim([x * c for x in a])
-
-
 def pdivmod(a, b):
     """Exact field division with remainder; b must be nonzero."""
     if not b:
@@ -112,6 +113,19 @@ def peval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def pshift(p, c):
+    """p(x + c) by repeated synthetic division; ring operations only.
+
+    Leaves a trimmed input trimmed and never tests a coefficient for zero.
+    """
+    out = list(p)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] = out[j] + out[j + 1] * c
+    return out
 
 
 def monic(a):
@@ -256,3 +270,22 @@ def clear_denominators(p):
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
+
+
+def render(p, var):
+    """Signed sum of the nonzero terms of p in ``var``, highest power first."""
+    parts = []
+    for i in range(len(p) - 1, -1, -1):
+        c = p[i]
+        if c == 0:
+            continue
+        if i == 0:
+            term = str(abs(c))
+        else:
+            xs = var if i == 1 else "%s^%d" % (var, i)
+            term = xs if abs(c) == 1 else "%s*%s" % (abs(c), xs)
+        if not parts:
+            parts.append(term if c > 0 else "-" + term)
+        else:
+            parts.append(("+" if c > 0 else "-") + term)
+    return "".join(parts) if parts else "0"

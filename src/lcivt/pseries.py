@@ -21,41 +21,12 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateError, ResourceCapError, TruncationError
+from .hensel import poly_deriv, poly_mul, poly_sub
 from .lcnum import LC, Exponent, LcNumber
-from .polys import cauchy_bound, trim
+from .polys import cauchy_bound, pderiv, peval, pmul, pshift, render, trim
 from .realalg import RealAlgebraic
 
 _SCAN_CAP = 100000
-
-
-def _fpoly_eval(p, n):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * n + c
-    return acc
-
-
-def _fpoly_compose_shift(p, s):
-    """p(n + s) as a Fraction-poly in n."""
-    out = []
-    for c in reversed(p):
-        # out = out * (n + s) + c
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, x in enumerate(out):
-            new[i + 1] += x
-            new[i] += x * s
-        new[0] += c
-        out = trim(new)
-    return out
-
-
-def _fpoly_mul_linear(p, a, b):
-    """p(n) * (a*n + b)."""
-    out = [Fraction(0)] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] += c * a
-        out[i] += c * b
-    return trim(out)
 
 
 def _index_beyond_roots(p):
@@ -121,7 +92,7 @@ class PolySeries(PSeries):
         return max(len(self.coeffs) - 1, 0)
 
     def derivative(self):
-        return PolySeries(self.mode, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return PolySeries(self.mode, poly_deriv(self.coeffs))
 
     def dsl_lines(self):
         if not self.coeffs:
@@ -158,7 +129,7 @@ class TermRuleSeries(PSeries):
     def _exponent(self, n):
         kind, payload = self.expo
         if kind == "poly":
-            return Exponent.lc(_fpoly_eval(payload, n))
+            return Exponent.lc(peval(payload, n))
         idx = n + payload
         if idx == 0:
             return Exponent.zero(self.mode)
@@ -168,7 +139,7 @@ class TermRuleSeries(PSeries):
         m = n - self.offset
         if m < 0:
             return self._zero()
-        pref = _fpoly_eval(self.prefactor, m)
+        pref = peval(self.prefactor, m)
         if pref == 0:
             return self._zero()
         if self.sign_base == -1 and m % 2 == 1:
@@ -207,22 +178,21 @@ class TermRuleSeries(PSeries):
         if kind != "poly":
             return None
         # valuation(a_j) >= expo(j - offset) wherever the coefficient is nonzero
-        return _fpoly_compose_shift(list(payload), Fraction(-self.offset))
+        return pshift(payload, -self.offset)
 
     def finite_degree(self):
         return 0 if not self.prefactor else None
 
     def derivative(self):
         if self.offset > 0:
-            pref = _fpoly_mul_linear(self.prefactor, Fraction(1), Fraction(self.offset))
+            pref = pmul(self.prefactor, [self.offset, 1])
             return TermRuleSeries(self.mode, self.sign_base, pref, self.expo, self.offset - 1)
-        pref = _fpoly_compose_shift(self.prefactor, Fraction(1))
-        pref = _fpoly_mul_linear(pref, Fraction(1), Fraction(1))
+        pref = pmul(pshift(self.prefactor, 1), [1, 1])
         if self.sign_base == -1:
             pref = [-c for c in pref]
         kind, payload = self.expo
         if kind == "poly":
-            expo = ("poly", _fpoly_compose_shift(list(payload), Fraction(1)))
+            expo = ("poly", pshift(payload, 1))
         else:
             expo = ("seq", payload + 1)
         return TermRuleSeries(self.mode, self.sign_base, pref, expo, 0)
@@ -232,33 +202,15 @@ class TermRuleSeries(PSeries):
         if len(self.prefactor) <= 1:
             parts.append("scale=%s" % (self.prefactor[0] if self.prefactor else 0))
         else:
-            parts.append("prefactor=%s" % _render_npoly(self.prefactor))
+            parts.append("prefactor=%s" % render(self.prefactor, "n"))
         kind, payload = self.expo
         if kind == "poly":
-            parts.append("expo=%s" % _render_npoly(payload))
+            parts.append("expo=%s" % render(payload, "n"))
         else:
             parts.append("expo=seq(n%+d)" % payload if payload else "expo=seq(n)")
         if self.offset:
             parts.append("offset=%d" % self.offset)
         return ["term: " + " ".join(parts)]
-
-
-def _render_npoly(p):
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = str(abs(c))
-        else:
-            ns = "n" if i == 1 else "n^%d" % i
-            term = ns if abs(c) == 1 else "%s*%s" % (abs(c), ns)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+" if c > 0 else "-") + term)
-    return "".join(parts) if parts else "0"
 
 
 class RatFunSeries(PSeries):
@@ -350,38 +302,11 @@ class RatFunSeries(PSeries):
 
     def derivative(self):
         num, den = self.num, self.den
-        dnum = [num[i] * i for i in range(1, len(num))]
-        dden = [den[i] * i for i in range(1, len(den))]
-        new_num = _list_sub(_list_mul(dnum, den), _list_mul(num, dden))
-        new_den = _list_mul(den, den)
-        return RatFunSeries(self.mode, new_num, new_den)
+        new_num = poly_sub(poly_mul(poly_deriv(num), den), poly_mul(num, poly_deriv(den)))
+        return RatFunSeries(self.mode, new_num, poly_mul(den, den))
 
     def dsl_lines(self):
         return ["ratfun: (%s) / (%s)" % (render_xpoly(self.num), render_xpoly(self.den))]
-
-
-def _list_mul(a, b):
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            p = x * y
-            out[i + j] = p if out[i + j] is None else out[i + j] + p
-    return [c for c in out]
-
-
-def _list_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        if i < len(a) and i < len(b):
-            out.append(a[i] - b[i])
-        elif i < len(a):
-            out.append(a[i])
-        else:
-            out.append(-b[i])
-    return out
 
 
 class SumSeries(PSeries):
@@ -483,7 +408,7 @@ class PolyMulSeries(PSeries):
         return di + max(len(self.poly) - 1, 0)
 
     def derivative(self):
-        dpoly = [self.poly[i] * i for i in range(1, len(self.poly))]
+        dpoly = poly_deriv(self.poly)
         left = PolyMulSeries(dpoly, self.inner) if dpoly else None
         right = PolyMulSeries(self.poly, self.inner.derivative())
         return right if left is None else SumSeries(left, right)
@@ -593,7 +518,7 @@ class SubstitutedSeries(PSeries):
         while len(vert) < 2:
             vert.append(Fraction(0))
         vert[1] += vk_eff.data
-        dvert = trim([vert[i] * i for i in range(1, len(vert))])
+        dvert = pderiv(vert)
         if not dvert or dvert[-1] < 0:
             raise CertificateError(
                 "no convergence certificate for this substituted series")

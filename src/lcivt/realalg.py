@@ -50,13 +50,6 @@ def _factor_int_poly(coeffs):
     return tuple(out)
 
 
-def _int_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 class _Generator:
     """Irreducible integer polynomial with an interval isolating one real root."""
 
@@ -70,14 +63,10 @@ class _Generator:
     def refine(self):
         mid = (self.lo + self.hi) / 2
         # irreducible of degree >= 2 has no rational root, so mid is safe
-        if sgn(_int_eval(self.minpoly, self.lo)) * sgn(_int_eval(self.minpoly, mid)) < 0:
+        if sgn(peval(self.minpoly, self.lo)) * sgn(peval(self.minpoly, mid)) < 0:
             self.hi = mid
         else:
             self.lo = mid
-
-    def refine_below(self, width):
-        while self.hi - self.lo > width:
-            self.refine()
 
 
 def _iadd(a, b):
@@ -365,10 +354,8 @@ class RealAlgebraic:
                     continue
                 alive.append([ffac, fac, rlo, rhi])
             if len(alive) == 1:
-                ffac, fac, rlo, rhi = alive[0]
-                if len(fac) == 2:
-                    return RealAlgebraic.from_rational(Fraction(-fac[0], fac[1]))
-                return RealAlgebraic._from_rep(_Generator(fac, rlo, rhi), (0, 1))
+                _, fac, rlo, rhi = alive[0]
+                return _root_of(fac, rlo, rhi)
             roots = alive
             refine()
             for entry in roots:
@@ -433,7 +420,7 @@ class RealAlgebraic:
         while hi - lo > Fraction(1, 16):
             self._gen.refine()
             lo, hi = self.isolating_interval()
-        return "root(%s, %s, %s)" % (_render_int_poly(poly), lo, hi)
+        return "root(%s, %s, %s)" % (polys.render(poly, "x"), lo, hi)
 
     def __repr__(self):
         return "RealAlgebraic(%s)" % self
@@ -445,24 +432,6 @@ def _coerce(v):
     if isinstance(v, (int, Fraction)):
         return RealAlgebraic.from_rational(v)
     return NotImplemented
-
-
-def _render_int_poly(poly):
-    parts = []
-    for i in range(len(poly) - 1, -1, -1):
-        c = poly[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = str(abs(c))
-        else:
-            xs = "x" if i == 1 else "x^%d" % i
-            term = xs if abs(c) == 1 else "%d*%s" % (abs(c), xs)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+" if c > 0 else "-") + term)
-    return "".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------- resultants
@@ -533,12 +502,30 @@ def _minpoly_of_rep(gen, rep):
     cand = _resultant_y(B, A) if len(B) > len(A) else _resultant_y(A, B)
     factors = _factor_int_poly(tuple(clear_denominators(cand)))
     while True:
-        lo, hi = _interval_eval(rep, gen.lo, gen.hi)
-        hits = [f for f in factors if count_roots_open([Fraction(c) for c in f], lo, hi) > 0]
-        total = sum(count_roots_open([Fraction(c) for c in f], lo, hi) for f in hits)
-        if total == 1:
-            return hits[0]
+        fac = _sole_factor(factors, *_interval_eval(rep, gen.lo, gen.hi))
+        if fac is not None:
+            return fac
         gen.refine()
+
+
+def _sole_factor(factors, lo, hi):
+    """The factor owning the only root of the product in (lo, hi), or None
+    when the interval holds no root or several."""
+    found = None
+    for fac in factors:
+        n = count_roots_open([Fraction(c) for c in fac], lo, hi)
+        if n > 1 or (n and found is not None):
+            return None
+        if n:
+            found = fac
+    return found
+
+
+def _root_of(fac, lo, hi):
+    """The root of irreducible integer ``fac`` isolated by (lo, hi)."""
+    if len(fac) == 2:
+        return RealAlgebraic.from_rational(Fraction(-fac[0], fac[1]))
+    return RealAlgebraic._from_rep(_Generator(fac, lo, hi), (0, 1))
 
 
 def _cross_binop(a, b, op):
@@ -578,34 +565,11 @@ def _cross_binop(a, b, op):
     rb = b._plain_refiner()
     while True:
         lo, hi = op_interval()
-        counts = [(f, count_roots_open([Fraction(c) for c in f], lo, hi)) for f in factors]
-        total = sum(c for _, c in counts)
-        if total == 1:
-            fac = next(f for f, c in counts if c == 1)
-            if len(fac) == 2:
-                return RealAlgebraic.from_rational(Fraction(-fac[0], fac[1]))
-            return RealAlgebraic._from_rep(_Generator(fac, lo, hi), (0, 1))
-        if total == 0:
-            # value is rational and was cancelled out of every factor list
-            mid_lo, mid_hi = lo, hi
-            g = _int_gcd_root(cand, mid_lo, mid_hi)
-            if g is not None:
-                return RealAlgebraic.from_rational(g)
+        fac = _sole_factor(factors, lo, hi)
+        if fac is not None:
+            return _root_of(fac, lo, hi)
         ra()
         rb()
-
-
-def _int_gcd_root(cand, lo, hi):
-    """Rational root of cand inside (lo, hi), if the interval pins one."""
-    c = trim([Fraction(v) for v in cand])
-    if not c:
-        return None
-    for fac in _factor_int_poly(tuple(clear_denominators(c))):
-        if len(fac) == 2:
-            r = Fraction(-fac[0], fac[1])
-            if lo < r < hi:
-                return r
-    return None
 
 
 # ------------------------------------------------------------------ module API
@@ -688,7 +652,6 @@ def algebraic_roots(coeffs, interval=None):
                 out.append((r, mult))
             continue
         # eliminate the generator: C(z) = Res_t(minpoly(t), sum rep_i(t) z^i)
-        A = [[Fraction(c)] if c else [] for c in gen.minpoly]
         B = []
         for c in factor:
             if c._frac is not None:
@@ -714,22 +677,11 @@ def algebraic_roots(coeffs, interval=None):
         cand_factors = _factor_int_poly(tuple(clear_denominators(cand_fr)))
         intervals = _isolate_generic(factor)
         for lo, hi in intervals:
-            while True:
-                hits = [
-                    (f, count_roots_open([Fraction(c) for c in f], lo, hi))
-                    for f in cand_factors
-                ]
-                total = sum(c for _, c in hits)
-                if total == 1:
-                    fac = next(f for f, c in hits if c == 1)
-                    if len(fac) == 2:
-                        out.append((RealAlgebraic.from_rational(Fraction(-fac[0], fac[1])), mult))
-                    else:
-                        out.append(
-                            (RealAlgebraic._from_rep(_Generator(fac, lo, hi), (0, 1)), mult)
-                        )
-                    break
+            fac = _sole_factor(cand_factors, lo, hi)
+            while fac is None:
                 lo, hi = _shrink_around_root(factor, lo, hi)
+                fac = _sole_factor(cand_factors, lo, hi)
+            out.append((_root_of(fac, lo, hi), mult))
     if interval is not None:
         ilo, ihi = interval
         out = [(r, m) for r, m in out if r.compare(ilo) >= 0 and r.compare(ihi) <= 0]

@@ -24,6 +24,7 @@ from .hensel import (
     weierstrass_factor,
 )
 from .lcnum import LC, Exponent, LcNumber
+from .polys import pshift
 from .pseries import evaluate, normalize, partial_sum, transform_interval
 from .realalg import RealAlgebraic, algebraic_roots
 
@@ -138,15 +139,6 @@ def _char_poly(coeffs, lam, i1, v1, i2):
     return chi
 
 
-def _poly_shift(coeffs, c):
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] = out[j] + out[j + 1] * c
-    return out
-
-
 class _Stall(Exception):
     pass
 
@@ -225,7 +217,7 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
                     continue
                 except _Stall:
                     pass
-            shifted = _poly_shift(coeffs, point)
+            shifted = pshift(coeffs, point)
             _roots_rec(shifted, cutoff, acc + point, lam, out, depth_budget - 1)
 
     if merged_mult > 0:

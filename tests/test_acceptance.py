@@ -127,17 +127,26 @@ def _random_normalized(rng):
     return PolySeries(LC, coeffs), pivot
 
 
-_FACTORIZATIONS = []
+@pytest.fixture(scope="module")
+def factorizations():
+    """(normalized series, planted pivot, S = P*B) for 200 random series.
 
-
-def test_criterion_4_factorization_residuals():
+    Criteria 4 and 5 share these, so either can run without the other.
+    """
     rng = random.Random(20260808)
     cut = E(30)
-    failures = 0
+    out = []
     for _ in range(200):
         s, pivot = _random_normalized(rng)
         ns = normalize(s, 12, cut)
-        fact = weierstrass_factor(ns, 12, cut)
+        out.append((ns, pivot, weierstrass_factor(ns, 12, cut)))
+    return out
+
+
+def test_criterion_4_factorization_residuals(factorizations):
+    cut = E(30)
+    failures = 0
+    for ns, pivot, fact in factorizations:
         series = [ns.coeff(n, cut) for n in range(13)]
         ok = all(c.is_zero_below(cut) for c in fact.residual(series))
         ok &= ns.N == pivot
@@ -145,17 +154,15 @@ def test_criterion_4_factorization_residuals():
                   for a, b in zip(fact.p_coeffs, series))
         if not ok:
             failures += 1
-        _FACTORIZATIONS.append(fact)
     report(4, failures == 0,
            "200 random factorizations: residual valuation >= 30, st(P) = st(S_N); "
            "%d failures" % failures)
 
 
-def test_criterion_5_unit_positivity():
-    assert _FACTORIZATIONS, "criterion 4 must run first"
+def test_criterion_5_unit_positivity(factorizations):
     grid = (1, F(5, 4), F(3, 2), F(7, 4), 2)
     failures = 0
-    for fact in _FACTORIZATIONS:
+    for _, _, fact in factorizations:
         for q in grid:
             st = fact.unit_value(num(q)).standard_part()
             if not (st - 1).is_zero:

@@ -146,6 +146,31 @@ def test_term_cap_env(capsys, monkeypatch):
     assert payload["failures"][0]["error"] == "ResourceCapError"
 
 
+def test_malformed_term_cap_env_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "abc")
+    code, payload = run_json(capsys, "eval", "--inline", "poly: 1, 1", "--at", "1")
+    assert code == 4
+    assert payload["failures"][0]["error"] == "ValueError"
+    assert "LCIVT_MAX_TERMS" in payload["failures"][0]["message"]
+
+
+def test_missing_series_file_is_an_error(capsys, tmp_path):
+    code = cli.main(["eval", "--series", str(tmp_path / "absent.dsl"), "--at", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out)["failures"][0]["error"] == "FileNotFoundError"
+    assert "Traceback" in captured.err
+
+
+def test_double_zero_example(capsys):
+    code, payload = run_json(capsys, "example", "double-zero", "--n-list", "5,10")
+    assert code == 0
+    assert payload["certificates"]["target_kind"] == "min"
+    assert [r["n"] for r in payload["results"]] == [5, 10]
+    assert [r["matched_kind"] for r in payload["results"]] == ["min", "min"]
+    assert [r["extreme_distance_valuation"] for r in payload["results"]] == ["5", "10"]
+
+
 def test_hahn_example_signs(capsys):
     code, payload = run_json(capsys, "example", "hahn-signs", "--h", "5")
     assert code == 0

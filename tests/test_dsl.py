@@ -99,6 +99,8 @@ def test_series_round_trips():
         ("poly: -1, 1, eps", LC),
         ("term: sign=(-1)^n scale=1 expo=n^2", LC),
         ("term: sign=(-1)^n scale=1 expo=seq(n)", HAHN),
+        ("term: sign=(+1)^n prefactor=n^2-3*n+1/2 expo=1/2*n^2+n offset=2", LC),
+        ("term: sign=(-1)^n prefactor=2*n+1 expo=seq(n+1) offset=1", HAHN),
         ("ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)", LC),
         ("poly: 1, eps\npolymul: 1, -2, 1", LC),
         ("poly: 0, 1\npoly: 1\nsum:\nscale: eps\nsubst: h=1 k=-1", LC),

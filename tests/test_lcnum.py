@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcivt.errors import ResourceCapError, TruncationError
-from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, max_terms_cap
 from lcivt.realalg import RealAlgebraic
 
 from conftest import E, L
@@ -270,3 +270,12 @@ def test_term_cap(monkeypatch):
     monkeypatch.setenv("LCIVT_MAX_TERMS", "3")
     with pytest.raises(ResourceCapError):
         LcNumber(LC, [(E(i), 1) for i in range(5)])
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+def test_term_cap_rejects_malformed_values(monkeypatch, raw):
+    monkeypatch.setenv("LCIVT_MAX_TERMS", raw)
+    with pytest.raises(ValueError, match="LCIVT_MAX_TERMS"):
+        max_terms_cap()
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "7")
+    assert max_terms_cap() == 7

@@ -132,6 +132,14 @@ def test_derivative_examples():
         assert (ds.coeff(n) - expect).is_exact_zero
 
 
+@pytest.mark.parametrize("offset", [0, 2])
+def test_term_rule_derivative_shifts_coefficients(offset):
+    s = TermRuleSeries(LC, -1, [1, F(1, 2), 3], ("poly", [1, F(-1, 3), 1]), offset)
+    d = s.derivative()
+    for n in range(8):
+        assert (d.coeff(n) - s.coeff(n + 1) * (n + 1)).is_exact_zero
+
+
 def test_derivative_respects_sum():
     s = alternating_square_series()
     t = geometric_tail_ratfun()
@@ -320,3 +328,12 @@ def test_substituted_coeff_needs_cutoff():
     v = t.coeff(0, E(5))
     # T(0) = S(eps) = sum (-1)^n eps^(n^2+n) = 1 - eps^2 + O(eps^5)
     assert (v - (LcNumber.one(LC) - eps(2))).is_zero_below(E(5))
+
+
+def test_substituted_tail_uses_exact_valuation_polynomial():
+    # h = eps^-6 dominates k = 2, so the tail certificate needs the inner
+    # series' exact valuation polynomial, shifted by its offset
+    inner = TermRuleSeries(LC, -1, [1], ("poly", [0, 0, 1]), offset=2)
+    s = SubstitutedSeries(inner, eps(-6), L("2"))
+    assert inner.exact_val_poly() == [4, -4, 1]
+    assert s.tail_index(E(0), E(5)) == 13

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcivt.polys import peval, pshift
 from lcivt.realalg import (
     RealAlgebraic,
     algebraic_roots,
@@ -164,3 +165,9 @@ def test_render_formats():
     assert str(RealAlgebraic(-2)) == "-2"
     text = str(sqrt2())
     assert text.startswith("root(x^2-2, ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, max_size=6), rationals, rationals)
+def test_pshift_is_a_taylor_shift(p, c, x):
+    assert peval(pshift(p, c), x) == peval(p, x + c)
