@@ -151,9 +151,18 @@ class Factorization:
         return len(self.p_coeffs) - 1
 
     def residual(self, series_coeffs):
+        """S - P*B up to the cap, certified only below ``achieved_cutoff``.
+
+        P and B are multiplied with every coefficient truncated at the
+        cutoff.  That keeps the verdict of ``is_zero_below(achieved_cutoff)``:
+        a coefficient of negative valuation makes its products' cutoff
+        markers fall below the cutoff, which fails the check.
+        """
         mode = self.p_coeffs[0].mode
         upto = self.degree_cap + 1
-        pb = poly_mul(self.p_coeffs, self.b_coeffs)
+        cut = self.achieved_cutoff
+        pb = poly_mul([c.truncate(cut) for c in self.p_coeffs],
+                      [c.truncate(cut) for c in self.b_coeffs])
         pb = (pb + [LcNumber.zero(mode)] * upto)[:upto]
         s = (list(series_coeffs) + [LcNumber.zero(mode)] * upto)[:upto]
         return poly_sub(s, pb)

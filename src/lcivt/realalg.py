@@ -6,6 +6,12 @@ rational isolating interval and ``rep`` is a rational polynomial of smaller
 degree.  Keeping generators irreducible makes zero-testing trivial (a nonzero
 rep can never vanish at alpha) and keeps inversion a plain extended-Euclid.
 
+Every value built from other values (a minimal polynomial, mixed-field sums
+and products, n-th roots, roots of polynomials with algebraic coefficients)
+is chosen by one rule, ``_select_root``: factor an integer polynomial that
+vanishes at the target, then narrow a rational enclosure of the target until
+exactly one factor has exactly one root in it.
+
 No floating point is used anywhere; interval refinement is exact rational
 bisection.
 """
@@ -13,7 +19,7 @@ bisection.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import comb
 
 from . import polys
@@ -103,14 +109,14 @@ def _poly_invert_mod(rep, m):
 class RealAlgebraic:
     """An exact real algebraic number."""
 
-    __slots__ = ("_frac", "_gen", "_rep", "_plain")
+    __slots__ = ("_frac", "_gen", "_rep", "_minpoly")
 
     def __init__(self, value=0):
         v = _coerce(value)
         self._frac = v._frac
         self._gen = v._gen
         self._rep = v._rep
-        self._plain = v._plain
+        self._minpoly = v._minpoly
 
     @staticmethod
     def from_rational(q):
@@ -123,7 +129,7 @@ class RealAlgebraic:
         self._frac = q
         self._gen = None
         self._rep = None
-        self._plain = None
+        self._minpoly = None
         return self
 
     @staticmethod
@@ -135,7 +141,7 @@ class RealAlgebraic:
         self._frac = None
         self._gen = gen
         self._rep = tuple(rep)
-        self._plain = None
+        self._minpoly = None
         return self
 
     # ------------------------------------------------------------------ basics
@@ -151,7 +157,7 @@ class RealAlgebraic:
         if self._frac is not None:
             return sgn(self._frac)
         while True:
-            lo, hi = _interval_eval(self._rep, self._gen.lo, self._gen.hi)
+            lo, hi = self.bounds()
             if lo > 0:
                 return 1
             if hi < 0:
@@ -167,6 +173,12 @@ class RealAlgebraic:
         if self._frac is not None:
             return (self._frac, self._frac)
         return _interval_eval(self._rep, self._gen.lo, self._gen.hi)
+
+    def refine(self):
+        """Narrow the generator bracket that ``bounds`` reads; a no-op for a
+        rational."""
+        if self._gen is not None:
+            self._gen.refine()
 
     # -------------------------------------------------------------- arithmetic
 
@@ -277,10 +289,8 @@ class RealAlgebraic:
                 return -1
             if bhi < alo:
                 return 1
-            if a._gen is not None:
-                a._gen.refine()
-            if b._gen is not None:
-                b._gen.refine()
+            a.refine()
+            b.refine()
         return (a - b).sign()
 
     def __eq__(self, other):
@@ -318,96 +328,29 @@ class RealAlgebraic:
             if n % 2 == 0:
                 raise ValueError("even root of a negative value")
             return -(-self).nth_root(n)
-        poly, plo, phi = self._plain_view()
-        cand = [Fraction(0)] * (n * (len(poly) - 1) + 1)
-        for i, c in enumerate(poly):
-            cand[n * i] = Fraction(c)
-        factors = _factor_int_poly(tuple(clear_denominators(cand)))
-        refine = self._plain_refiner()
-        while True:
-            plo, phi = self._plain_bounds()
-            if plo > 0:
-                break
-            refine()
-        hi_x = max(Fraction(1), phi) + 1
-        roots = []
-        for fac in factors:
-            ffac = [Fraction(c) for c in fac]
-            for rlo, rhi in isolate_roots(ffac, Fraction(0), hi_x):
-                roots.append([ffac, fac, rlo, rhi])
-        while True:
-            plo, phi = self._plain_bounds()
-            alive = []
-            for ffac, fac, rlo, rhi in roots:
-                if rlo < 0:
-                    mid = (rlo + rhi) / 2
-                    while peval(ffac, mid) == 0:
-                        mid = (mid + rhi) / 2
-                    if count_roots_open(ffac, mid, rhi):
-                        rlo = mid
-                    else:
-                        rhi = mid
-                    if rlo < 0:
-                        continue
-                pw = (rlo ** n, rhi ** n)
-                if pw[1] < plo or pw[0] > phi:
-                    continue
-                alive.append([ffac, fac, rlo, rhi])
-            if len(alive) == 1:
-                _, fac, rlo, rhi = alive[0]
-                return _root_of(fac, rlo, rhi)
-            roots = alive
-            refine()
-            for entry in roots:
-                ffac, fac, rlo, rhi = entry
-                mid = (rlo + rhi) / 2
-                while peval(ffac, mid) == 0:
-                    mid = (mid + rhi) / 2
-                if count_roots_open(ffac, rlo, mid):
-                    entry[3] = mid
-                else:
-                    entry[2] = mid
+        return algebraic_roots([-self] + [0] * (n - 1) + [1])[-1][0]
 
     # ------------------------------------------------------------ plain access
 
-    def _plain_view(self):
-        """(integer defining poly, lo, hi) for this value; cached."""
-        if self._frac is not None:
-            q = self._frac
-            return ((-q.numerator, q.denominator), q - 1, q + 1)
-        if self._plain is None:
-            if self._rep == (0, 1):
-                self._plain = (self._gen.minpoly, None)
-            else:
-                self._plain = (_minpoly_of_rep(self._gen, self._rep), None)
-        poly = self._plain[0]
-        lo, hi = self._plain_bounds()
-        return (poly, lo, hi)
-
-    def _plain_bounds(self):
-        if self._frac is not None:
-            return (self._frac, self._frac)
-        if self._rep == (0, 1):
-            return (self._gen.lo, self._gen.hi)
-        return _interval_eval(self._rep, self._gen.lo, self._gen.hi)
-
-    def _plain_refiner(self):
-        if self._frac is not None:
-            return lambda: None
-        return self._gen.refine
-
     def defining_polynomial(self):
-        poly, _, _ = self._plain_view()
-        return tuple(poly)
+        """The integer minimal polynomial (ascending coefficients); cached."""
+        if self._frac is not None:
+            return (-self._frac.numerator, self._frac.denominator)
+        if self._minpoly is None:
+            if self._rep == (0, 1):
+                self._minpoly = self._gen.minpoly
+            else:
+                self._minpoly = _minpoly_of_rep(self._gen, self._rep)
+        return self._minpoly
 
     def isolating_interval(self):
-        poly, lo, hi = self._plain_view()
         if self._frac is not None:
-            return (lo, hi)
-        ffac = [Fraction(c) for c in poly]
+            return (self._frac - 1, self._frac + 1)
+        ffac = [Fraction(c) for c in self.defining_polynomial()]
+        lo, hi = self.bounds()
         while count_roots_open(ffac, lo, hi) != 1:
             self._gen.refine()
-            lo, hi = self._plain_bounds()
+            lo, hi = self.bounds()
         return (lo, hi)
 
     # --------------------------------------------------------------- rendering
@@ -415,7 +358,7 @@ class RealAlgebraic:
     def __str__(self):
         if self._frac is not None:
             return str(self._frac)
-        poly, _, _ = self._plain_view()
+        poly = self.defining_polynomial()
         lo, hi = self.isolating_interval()
         while hi - lo > Fraction(1, 16):
             self._gen.refine()
@@ -500,12 +443,26 @@ def _minpoly_of_rep(gen, rep):
         else:
             B.append([-Fraction(c)] if c else [])
     cand = _resultant_y(B, A) if len(B) > len(A) else _resultant_y(A, B)
+    fac, _, _ = _select_root(
+        cand, lambda: _interval_eval(rep, gen.lo, gen.hi), gen.refine)
+    return fac
+
+
+def _select_root(cand, enclose, refine):
+    """(factor, lo, hi): the irreducible factor of the rational polynomial
+    ``cand`` that owns the only root in the enclosure (lo, hi).
+
+    ``enclose()`` returns a rational interval around the target, a root of
+    ``cand``; ``refine()`` narrows it.  Refines until one factor has exactly
+    one root in the enclosure and no other factor has any.
+    """
     factors = _factor_int_poly(tuple(clear_denominators(cand)))
     while True:
-        fac = _sole_factor(factors, *_interval_eval(rep, gen.lo, gen.hi))
+        lo, hi = enclose()
+        fac = _sole_factor(factors, lo, hi)
         if fac is not None:
-            return fac
-        gen.refine()
+            return fac, lo, hi
+        refine()
 
 
 def _sole_factor(factors, lo, hi):
@@ -530,8 +487,8 @@ def _root_of(fac, lo, hi):
 
 def _cross_binop(a, b, op):
     """Arithmetic between values over unrelated generators, via resultants."""
-    pa, alo, ahi = a._plain_view()
-    pb, blo, bhi = b._plain_view()
+    pa = a.defining_polynomial()
+    pb = b.defining_polynomial()
     if (len(pa) - 1) * (len(pb) - 1) > _MAX_ALG_DEGREE:
         raise ArithmeticError("algebraic degree cap exceeded in mixed-field arithmetic")
     A = [[Fraction(c)] if c else [] for c in pa]
@@ -553,23 +510,14 @@ def _cross_binop(a, b, op):
         for j in range(n + 1):
             bk = pb[n - j]
             B.append(([Fraction(0)] * (n - j) + [Fraction(bk)]) if bk else [])
-    cand = _resultant_y(A, B)
-    factors = _factor_int_poly(tuple(clear_denominators(cand)))
+    combine = _iadd if op == "add" else _imul
 
-    def op_interval():
-        x = a._plain_bounds()
-        y = b._plain_bounds()
-        return _iadd(x, y) if op == "add" else _imul(x, y)
+    def refine():
+        a.refine()
+        b.refine()
 
-    ra = a._plain_refiner()
-    rb = b._plain_refiner()
-    while True:
-        lo, hi = op_interval()
-        fac = _sole_factor(factors, lo, hi)
-        if fac is not None:
-            return _root_of(fac, lo, hi)
-        ra()
-        rb()
+    return _root_of(*_select_root(
+        _resultant_y(A, B), lambda: combine(a.bounds(), b.bounds()), refine))
 
 
 # ------------------------------------------------------------------ module API
@@ -588,29 +536,17 @@ def isolate_real_roots(p, interval=None):
         return []
     out = []
     for factor, mult in yun_decomposition(p):
-        ints = clear_denominators(factor)
-        for irr in _factor_int_poly(tuple(ints)):
-            if len(irr) == 2:
-                out.append((RealAlgebraic.from_rational(Fraction(-irr[0], irr[1])), mult))
-                continue
-            firr = [Fraction(c) for c in irr]
-            for lo, hi in isolate_roots(firr):
-                out.append((RealAlgebraic._from_rep(_Generator(irr, lo, hi), (0, 1)), mult))
+        for irr in _factor_int_poly(tuple(clear_denominators(factor))):
+            for lo, hi in isolate_roots([Fraction(c) for c in irr]):
+                out.append((_root_of(irr, lo, hi), mult))
     if interval is not None:
         lo, hi = interval
         out = [(r, m) for r, m in out if r.compare(lo) >= 0 and r.compare(hi) <= 0]
-    out.sort(key=_SortKey)
+    out.sort(key=_ROOT_ORDER)
     return out
 
 
-class _SortKey:
-    __slots__ = ("item",)
-
-    def __init__(self, item):
-        self.item = item
-
-    def __lt__(self, other):
-        return self.item[0].compare(other.item[0]) < 0
+_ROOT_ORDER = cmp_to_key(lambda x, y: x[0].compare(y[0]))
 
 
 def sign_at(coeffs, x):
@@ -627,7 +563,7 @@ def compare(a, b):
     return RealAlgebraic(a).compare(b)
 
 
-def algebraic_roots(coeffs, interval=None):
+def algebraic_roots(coeffs):
     """Real roots with multiplicity of a poly with RealAlgebraic coefficients.
 
     Coefficients may mix rationals with members of one common extension field.
@@ -638,7 +574,7 @@ def algebraic_roots(coeffs, interval=None):
     if not cs:
         raise ValueError("indeterminate roots: zero polynomial")
     if all(c.is_rational for c in cs):
-        return isolate_real_roots([c.as_fraction() for c in cs], interval)
+        return isolate_real_roots([c.as_fraction() for c in cs])
     gens = {id(c._gen): c._gen for c in cs if c._gen is not None}
     if len(gens) > 1:
         raise ArithmeticError("coefficients span several unrelated extension fields")
@@ -671,21 +607,17 @@ def algebraic_roots(coeffs, interval=None):
                     entry[zi] = Fraction(b[ti])
             Bt.append(trim(entry))
         cand = _resultant_y(At, Bt)
-        cand_fr = [Fraction(c) for c in trim(cand)]
-        if not cand_fr:
+        if not trim(cand):
             raise ArithmeticError("degenerate elimination for algebraic coefficients")
-        cand_factors = _factor_int_poly(tuple(clear_denominators(cand_fr)))
-        intervals = _isolate_generic(factor)
-        for lo, hi in intervals:
-            fac = _sole_factor(cand_factors, lo, hi)
-            while fac is None:
-                lo, hi = _shrink_around_root(factor, lo, hi)
-                fac = _sole_factor(cand_factors, lo, hi)
+        for lo, hi in _isolate_generic(factor):
+            box = [lo, hi]
+
+            def shrink():
+                box[:] = _shrink_around_root(factor, *box)
+
+            fac, lo, hi = _select_root(cand, lambda: box, shrink)
             out.append((_root_of(fac, lo, hi), mult))
-    if interval is not None:
-        ilo, ihi = interval
-        out = [(r, m) for r, m in out if r.compare(ilo) >= 0 and r.compare(ihi) <= 0]
-    out.sort(key=_SortKey)
+    out.sort(key=_ROOT_ORDER)
     return out
 
 

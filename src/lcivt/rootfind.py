@@ -235,17 +235,27 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
 def _window_prune(lo, hi):
     """(val_lo, val_hi, sign) admissible for roots in [lo, hi], or None.
 
-    Only same-sign windows with decidable endpoint valuations prune; the
-    final membership filter still runs either way.
+    A root in the window has valuation at least that of the endpoint with
+    the larger magnitude; a window with 0 as an endpoint fixes the sign but
+    sets no upper valuation bound, and one with 0 inside fixes neither.
+    Windows whose endpoint signs are undecidable do not prune; the final
+    membership filter still runs either way.
     """
     try:
         slo, shi = lo.sign(), hi.sign()
+        if slo < 0 < shi:
+            wide = lo if lo.compare(-hi) < 0 else hi
+            return (wide.valuation(), None, None)
     except TruncationError:
         return None
     if slo > 0 and shi > 0:
         return (hi.valuation(), lo.valuation(), 1)
     if slo < 0 and shi < 0:
         return (lo.valuation(), hi.valuation(), -1)
+    if slo == 0 and shi > 0:
+        return (hi.valuation(), None, 1)
+    if slo < 0 and shi == 0:
+        return (lo.valuation(), None, -1)
     return None
 
 

@@ -172,9 +172,6 @@ def test_criterion_5_unit_positivity(factorizations):
            "%d failures" % failures)
 
 
-_PLANTED = []
-
-
 def _random_planted_root(rng):
     """Valuation-zero expansion with <= 5 terms and standard part in [9/8, 15/8]."""
     c = num(F(rng.randint(9, 15), 8))
@@ -192,21 +189,31 @@ def _random_unit(rng):
     return PolySeries(LC, coeffs)
 
 
-def test_criterion_6_planted_root_recovery():
+@pytest.fixture(scope="module")
+def planted():
+    """(series, planted root c*, ivt root report) for 100 planted roots.
+
+    Criteria 6 and 10 share these, so either can run without the other.
+    """
     rng = random.Random(60608)
     cut = E(25)
-    need = E(23)  # cutoff - 2
-    failures = 0
+    out = []
     for _ in range(100):
         c_star = _random_planted_root(rng)
         s = PolyMulSeries([-c_star, ONE], _random_unit(rng))
-        rep = ivt_root(s, ONE, num(2), cut)
+        out.append((s, c_star, ivt_root(s, ONE, num(2), cut)))
+    return out
+
+
+def test_criterion_6_planted_root_recovery(planted):
+    need = E(23)  # cutoff - 2
+    failures = 0
+    for _, c_star, rep in planted:
         diff = rep.root - c_star
         ok = diff.is_zero_below(need) or (
             diff.terms and diff.terms[0][0].compare(need) >= 0)
         if not ok:
             failures += 1
-        _PLANTED.append((s, rep))
     report(6, failures == 0,
            "100 planted roots recovered with valuation(c - c*) >= 23; "
            "%d failures" % failures)
@@ -313,12 +320,11 @@ def test_criterion_9_algebra_law_suite():
            "%d failures" % failures)
 
 
-def test_criterion_10_multiplicities():
+def test_criterion_10_multiplicities(planted):
     t = double_zero_series()
     ok = multiplicity_at(t, ONE, E(12)) == 2
-    assert _PLANTED, "criterion 6 must run first"
     failures = 0
-    for s, rep in _PLANTED:
+    for s, _, rep in planted:
         if multiplicity_at(s, rep.root, E(12)) != 1:
             failures += 1
     report(10, ok and failures == 0,

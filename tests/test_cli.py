@@ -87,6 +87,34 @@ def test_track_zeros_csv(capsys):
     assert lines[2].split(",")[-1] == "inf"
 
 
+def test_track_zeros_bracket_at_zero(capsys):
+    # a bracket with endpoint 0 still prunes the root branches outside it;
+    # unpruned, the hahn request failed with a ResourceCapError
+    code, payload = run_json(
+        capsys, "track-zeros", "--mode", "hahn", "--inline",
+        "ratfun: (2 - 2*eps[1]*X - eps[2]*X) / (1 - eps[1]*X)\npolymul: -2, 5",
+        "--interval=-1/10,11/15", "--n-list", "1,3,5", "--cutoff", "1:6")
+    assert code == 0
+    for record in payload["results"]:
+        assert [item["location"] for item in record["items"]] == ["2/5 + O(eps[1]^10)"]
+    code, payload = run_json(
+        capsys, "track-zeros", "--inline",
+        "ratfun: (3 - 3*eps*X - eps^2*X) / (1 - eps*X)\npolymul: -1, 3",
+        "--interval=0,7/12", "--n-list", "1,2,3", "--cutoff", "8")
+    assert code == 0
+    got = [(r["n"], i["location"], i["distance_valuation"])
+           for r in payload["results"] for i in r["items"]]
+    assert got == [
+        (1, "1/3 - 1/27*eps^2 + 1/243*eps^4 - 1/2187*eps^6 + 1/19683*eps^8"
+            " - 1/177147*eps^10 + O(eps^12)", "2"),
+        (2, "1/3 - 1/81*eps^3 - 1/729*eps^5 + 2/2187*eps^6 - 1/6561*eps^7"
+            " + 5/19683*eps^8 - 2/19683*eps^9 + 1/19683*eps^10"
+            " - 22/531441*eps^11 + O(eps^12)", "3"),
+        (3, "1/3 - 1/243*eps^4 - 1/2187*eps^6 - 1/6561*eps^7 + 2/19683*eps^8"
+            " - 2/59049*eps^9 + 5/177147*eps^10 + 5/531441*eps^11 + O(eps^12)", "4"),
+    ]
+
+
 def test_track_extremes_command(capsys):
     src = "ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)\npolymul: 1, -2, 1"
     code, payload = run_json(

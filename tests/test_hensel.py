@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -169,6 +170,9 @@ def test_residual_contract_randomized():
         series = [ns.coeff(n, cut) for n in range(15)]
         for c in fact.residual(series):
             assert c.is_zero_below(cut)
+        # an error just below the cutoff still fails the certificate
+        bad = replace(fact, p_coeffs=[fact.p_coeffs[0] + eps(13)] + fact.p_coeffs[1:])
+        assert not all(c.is_zero_below(cut) for c in bad.residual(series))
         # degree property: deg P = pivot
         assert len(fact.p_coeffs) - 1 == ns.N
         # standard parts of P match the pivot partial sum

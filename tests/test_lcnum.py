@@ -197,6 +197,11 @@ def test_nth_root_examples(lc_one):
     assert r.is_exact and str(r) == "eps"
     c = L("8").nth_root(3, E(9))
     assert c.is_exact and str(c) == "2"
+    # irrational leading coefficient: sqrt(2) + eps/(2 sqrt(2)) + ...
+    a = L("2") + eps()
+    r = a.nth_root(2, E(4))
+    assert r.terms[0][1].defining_polynomial() == (-2, 0, 1)
+    assert (r.pow_int(2) - a).is_zero_below(E(4))
     with pytest.raises(ValueError):
         (-lc_one).nth_root(2, E(3))
 

@@ -83,6 +83,15 @@ def test_nth_roots():
     with pytest.raises(ValueError):
         RealAlgebraic(-2).nth_root(2)
     assert RealAlgebraic(-8).nth_root(3).as_fraction() == -2
+    cbrt2 = RealAlgebraic(2).nth_root(3)
+    assert cbrt2.defining_polynomial() == (-2, 0, 0, 1)
+    assert (cbrt2 ** 3).as_fraction() == 2
+    sixth = sqrt2().nth_root(3)
+    assert sixth.defining_polynomial() == (-2, 0, 0, 0, 0, 0, 1)
+    assert (sixth ** 3 - sqrt2()).is_zero
+    neg = (-sqrt2()).nth_root(3)
+    assert neg.sign() == -1
+    assert (neg ** 3 + sqrt2()).is_zero
 
 
 def test_cross_field_arithmetic():
