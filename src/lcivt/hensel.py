@@ -1,6 +1,14 @@
 """Constructive lifting over the valuation ring: distinguished roots and the
 monic-polynomial x unit-series factorization of a restricted series.
 
+The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
+start from P = S[:pivot+1], B = 1; each round a split rule turns the
+residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q.  Two
+rules share the loop: ``weierstrass_factor`` splits the least exponent
+slice of the residual in the residue field, and
+``weierstrass_factor_batched`` divides the whole residual by P; the second
+is the independent reference that the first must agree with.
+
 Polynomials here are dense lists of LcNumber by ascending power, and the
 ``poly_*`` helpers are the library's arithmetic for them.  They skip only
 exact zeros and never trim: ``== 0`` on a truncated number raises
@@ -172,15 +180,16 @@ class Factorization:
 
 
 def _extract_series(ns, degree_cap, cutoff):
-    mode = ns.mode
-    zero = Exponent.zero(mode)
+    pivot = ns.N
+    if pivot > degree_cap:
+        raise ValueError("degree cap below the normalization pivot")
+    zero = Exponent.zero(ns.mode)
     ncut = ns.tail_index(zero, cutoff)
     if ncut > degree_cap + 1:
         raise CertificateError(
             "degree cap too small: coefficients beyond it are not certified "
             "below the cutoff")
     s = [ns.coeff(n, cutoff) for n in range(degree_cap + 1)]
-    pivot = ns.N
     for n, c in enumerate(s):
         v = c.val_lb()
         if v is not None and v.compare(zero) < 0:
@@ -192,97 +201,64 @@ def _extract_series(ns, degree_cap, cutoff):
     return s
 
 
-def _check_residual(fact, s):
+def _lift(ns, degree_cap, cutoff, split):
+    """The correction loop: ``split(resid, p)`` gives (Q, R), and after
+    P += R, B += Q the residual is S - P*B = resid - Q*P - R*(B + Q)."""
+    mode, pivot = ns.mode, ns.N
+    s = _extract_series(ns, degree_cap, cutoff)
+    p = list(s[: pivot + 1])
+    b = [LcNumber.one(mode)]
+    resid = [c.truncate(cutoff) for c in [LcNumber.zero(mode)] * (pivot + 1) + s[pivot + 1:]]
+    for _ in range(_LIFT_CAP):
+        if all(not c.terms for c in resid):
+            break
+        q, rem = split(resid, p)
+        b = poly_add(b, q)
+        resid = poly_sub(poly_sub(resid, poly_mul(q, p, cutoff)), poly_mul(rem, b, cutoff))
+        resid = [c.truncate(cutoff) for c in resid[: degree_cap + 1]]
+        p = poly_add(p, rem)
+    else:
+        left = [c.terms[0][0] for c in resid if c.terms]
+        if left:
+            raise ResourceCapError(
+                "factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
+                "least residual exponent reached %s" % (_LIFT_CAP, cutoff, min(left)))
+    fact = Factorization(p, b, cutoff, degree_cap)
     for n, c in enumerate(fact.residual(s)):
-        if not c.is_zero_below(fact.achieved_cutoff):
-            raise CertificateError(
-                "residual coefficient %d not certified below the cutoff" % n)
+        if not c.is_zero_below(cutoff):
+            raise CertificateError("residual coefficient %d not certified below the cutoff" % n)
+    return fact
 
 
 def weierstrass_factor(ns, degree_cap, cutoff):
     """Split a normalized restricted series into monic polynomial x unit.
 
-    Lifting runs slice by slice: each round takes the least support exponent
-    gamma of the residual, divides the gamma-slice by P modulo the maximal
-    ideal (a residue-field polynomial division), and sends the remainder
-    (degree < pivot) to P and the quotient to B; the division defect,
-    Q*(st(P) - P), rejoins the residual at a strictly larger exponent.
-    Every round pushes the least residual exponent up by at least the first
-    slice's exponent, so the loop reaches the cutoff or trips the cap
-    (reachable cutoffs always terminate; hahn-mode cutoffs beyond the
-    reachable range cannot).
+    Slice rule: divide the residual's slice at its least exponent gamma by
+    st(P) in the residue field; Q and R are quotient and remainder as
+    monomials at gamma.  The slice cancels, so every round raises the least
+    residual exponent by at least the first slice's exponent, and the loop
+    reaches the cutoff or trips the cap (reachable cutoffs always
+    terminate; hahn-mode cutoffs beyond the reachable range cannot).
     """
     from .polys import pdivmod as real_pdivmod
 
     mode = ns.mode
-    pivot = ns.N
-    if pivot > degree_cap:
-        raise ValueError("degree cap below the normalization pivot")
-    s = _extract_series(ns, degree_cap, cutoff)
-    one = LcNumber.one(mode)
-    p = list(s[: pivot + 1])
-    b = [one]
-    resid = [LcNumber.zero(mode)] * (pivot + 1) + list(s[pivot + 1:])
-    resid = [c.truncate(cutoff) for c in resid]
-    pbar = [c.standard_part() for c in p]
+    pbar = []
 
-    for _ in range(_LIFT_CAP):
-        exps = [c.terms[0][0] for c in resid if c.terms]
-        if not exps:
-            break
-        gamma = min(exps)
-        slice_res = [c.coeff_at(gamma) for c in resid]
-        qbar, rbar = real_pdivmod(slice_res, pbar)
-        q = [LcNumber.zero(mode) if c == 0 else LcNumber.monomial(gamma, c)
-             for c in qbar]
-        rem = [LcNumber.zero(mode) if c == 0 else LcNumber.monomial(gamma, c)
-               for c in rbar]
-        slice_poly = [LcNumber.zero(mode) if c.is_zero
-                      else LcNumber.monomial(gamma, c) for c in slice_res]
-        # S - (P + rem)(B + Q) = (resid - slice) + Q*(st(P) - P) - rem*(B - 1 + Q)
-        mtail = [LcNumber.from_scalar(mode, sc) - pc for sc, pc in zip(pbar, p)]
-        defect = poly_mul(q, mtail, cutoff)
-        correction = poly_add(b, q)
-        correction[0] = correction[0] - one
-        delta = poly_mul(rem, correction, cutoff)
-        resid = poly_add(poly_sub(poly_sub(resid, slice_poly), delta), defect)
-        resid = [c.truncate(cutoff) for c in resid[: degree_cap + 1]]
-        p = poly_add(p, rem + [LcNumber.zero(mode)] * (pivot + 1 - len(rem)))[: pivot + 1]
-        b = poly_add(b, q)[: degree_cap - pivot + 1]
-    else:
-        raise ResourceCapError("factorization lifting did not reach the cutoff")
+    def slice_split(resid, p):
+        if not pbar:
+            # R has positive valuation, so st(P) never changes
+            pbar.extend(c.standard_part() for c in p)
+        gamma = min(c.terms[0][0] for c in resid if c.terms)
+        qbar, rbar = real_pdivmod([c.coeff_at(gamma) for c in resid], pbar)
+        return tuple([LcNumber.zero(mode) if c == 0 else LcNumber.monomial(gamma, c) for c in cs]
+                     for cs in (qbar, rbar))
 
-    fact = Factorization(p, b, cutoff, degree_cap)
-    _check_residual(fact, s)
-    return fact
+    return _lift(ns, degree_cap, cutoff, slice_split)
 
 
 def weierstrass_factor_batched(ns, degree_cap, cutoff):
-    """Alternate lift schedule for the uniqueness check: consume the whole
-    residual each round instead of one exponent slice."""
-    mode = ns.mode
-    pivot = ns.N
-    if pivot > degree_cap:
-        raise ValueError("degree cap below the normalization pivot")
-    s = _extract_series(ns, degree_cap, cutoff)
-    one = LcNumber.one(mode)
-    p = list(s[: pivot + 1])
-    b = [one]
-    resid = [LcNumber.zero(mode)] * (pivot + 1) + list(s[pivot + 1:])
-    resid = [c.truncate(cutoff) for c in resid]
-    for _ in range(_LIFT_CAP):
-        if all(not c.terms for c in resid):
-            break
-        q, rem = poly_divmod_monic(resid, p, cutoff)
-        correction = poly_add(b, q)
-        correction[0] = correction[0] - one
-        delta = poly_mul(rem, correction, cutoff)
-        resid = [(-c).truncate(cutoff) for c in
-                 (delta + [LcNumber.zero(mode)] * (degree_cap + 1 - len(delta)))[: degree_cap + 1]]
-        p = poly_add(p, rem + [LcNumber.zero(mode)] * (pivot + 1 - len(rem)))[: pivot + 1]
-        b = poly_add(b, q)[: degree_cap - pivot + 1]
-    else:
-        raise ResourceCapError("factorization lifting did not reach the cutoff")
-    fact = Factorization(p, b, cutoff, degree_cap)
-    _check_residual(fact, s)
-    return fact
+    """Alternate split rule for the uniqueness check: divide the whole
+    residual by P each round instead of one exponent slice."""
+    return _lift(ns, degree_cap, cutoff,
+                 lambda resid, p: poly_divmod_monic(resid, p, cutoff))

@@ -51,14 +51,19 @@ class Exponent:
     as a sorted tuple of (index, coeff) pairs; comparison looks at the
     largest index where two exponents differ, so that i*exp(eps_n) stays
     below exp(eps_{n+1}) for every integer i.
+
+    ``key`` is a plain Python value whose native order is the value-group
+    order: the rational itself in lc mode; in hahn mode the pairs highest
+    index first, with the index negated under a negative coefficient so
+    that it sorts below an absent index, closed by a (0, 0) sentinel.
     """
 
-    __slots__ = ("mode", "data")
+    __slots__ = ("mode", "data", "key")
 
     def __init__(self, mode, data):
         self.mode = mode
         if mode == LC:
-            self.data = Fraction(data)
+            self.data = self.key = Fraction(data)
         elif mode == HAHN:
             items = data.items() if isinstance(data, dict) else data
             cleaned = tuple(sorted((int(i), Fraction(c)) for i, c in items if c != 0))
@@ -66,6 +71,7 @@ class Exponent:
                 if i < 1:
                     raise ValueError("hahn exponent indices start at 1")
             self.data = cleaned
+            self.key = tuple((i if c > 0 else -i, c) for i, c in reversed(cleaned)) + ((0, 0),)
         else:
             raise ValueError("unknown mode %r" % mode)
 
@@ -77,7 +83,7 @@ class Exponent:
     def _mk_lc(q):
         e = object.__new__(Exponent)
         e.mode = LC
-        e.data = q
+        e.data = e.key = q
         return e
 
     @staticmethod
@@ -136,14 +142,7 @@ class Exponent:
 
     def compare(self, other):
         self._check(other)
-        if self.mode == LC:
-            return (self.data > other.data) - (self.data < other.data)
-        a, b = dict(self.data), dict(other.data)
-        for i in sorted(set(a) | set(b), reverse=True):
-            ca, cb = a.get(i, 0), b.get(i, 0)
-            if ca != cb:
-                return 1 if ca > cb else -1
-        return 0
+        return (self.key > other.key) - (self.key < other.key)
 
     def __eq__(self, other):
         return isinstance(other, Exponent) and self.mode == other.mode and self.data == other.data
@@ -364,56 +363,54 @@ class LcNumber:
         if other is None:
             return NotImplemented
         cut = _min_cut(self.cutoff, other.cutoff)
-        if self.mode == LC:
-            # two-pointer merge of the sorted term lists
-            ta, tb = self.terms, other.terms
-            na, nb = len(ta), len(tb)
-            cutq = cut.data if cut is not None else None
-            out = []
-            i = j = 0
-            while i < na and j < nb:
-                ea, ca = ta[i]
-                eb, cb = tb[j]
-                qa, qb = ea.data, eb.data
-                if qa < qb:
-                    if cutq is not None and qa >= cutq:
-                        i = na
-                        break
-                    out.append(ta[i])
-                    i += 1
-                elif qb < qa:
-                    if cutq is not None and qb >= cutq:
-                        j = nb
-                        break
-                    out.append(tb[j])
-                    j += 1
-                else:
-                    if cutq is not None and qa >= cutq:
-                        i, j = na, nb
-                        break
-                    fa, fb = ca._frac, cb._frac
-                    if fa is not None and fb is not None:
-                        s = fa + fb
-                        if s:
-                            out.append((ea, RealAlgebraic._rat(s)))
-                    else:
-                        s = ca + cb
-                        if not s.is_zero:
-                            out.append((ea, s))
-                    i += 1
-                    j += 1
-            while i < na:
-                if cutq is not None and ta[i][0].data >= cutq:
+        # two-pointer merge of the sorted term lists, ordered by exponent key
+        ta, tb = self.terms, other.terms
+        na, nb = len(ta), len(tb)
+        cutq = cut.key if cut is not None else None
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            ea, ca = ta[i]
+            eb, cb = tb[j]
+            qa, qb = ea.key, eb.key
+            if qa < qb:
+                if cutq is not None and qa >= cutq:
+                    i = na
                     break
                 out.append(ta[i])
                 i += 1
-            while j < nb:
-                if cutq is not None and tb[j][0].data >= cutq:
+            elif qb < qa:
+                if cutq is not None and qb >= cutq:
+                    j = nb
                     break
                 out.append(tb[j])
                 j += 1
-            return LcNumber._build(LC, out, cut)
-        return LcNumber(self.mode, list(self.terms) + list(other.terms), cut)
+            else:
+                if cutq is not None and qa >= cutq:
+                    i, j = na, nb
+                    break
+                fa, fb = ca._frac, cb._frac
+                if fa is not None and fb is not None:
+                    s = fa + fb
+                    if s:
+                        out.append((ea, RealAlgebraic._rat(s)))
+                else:
+                    s = ca + cb
+                    if not s.is_zero:
+                        out.append((ea, s))
+                i += 1
+                j += 1
+        while i < na:
+            if cutq is not None and ta[i][0].key >= cutq:
+                break
+            out.append(ta[i])
+            i += 1
+        while j < nb:
+            if cutq is not None and tb[j][0].key >= cutq:
+                break
+            out.append(tb[j])
+            j += 1
+        return LcNumber._build(self.mode, out, cut)
 
     __radd__ = __add__
 

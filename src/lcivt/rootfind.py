@@ -28,7 +28,8 @@ from .polys import pshift
 from .pseries import evaluate, normalize, partial_sum, transform_interval
 from .realalg import RealAlgebraic, algebraic_roots
 
-_BRANCH_CAP = 10000
+# Below Python's default recursion limit of 1000, so the cap fires first.
+_BRANCH_CAP = 200
 
 
 def default_exponent(mode, q):
@@ -172,7 +173,9 @@ def _newton_simple(coeffs, x0, cutoff):
 
 def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
     if depth_budget <= 0:
-        raise ResourceCapError("root expansion recursion exceeded its cap")
+        raise ResourceCapError(
+            "root expansion went deeper than _BRANCH_CAP = %d levels at cutoff %s"
+            % (_BRANCH_CAP, cutoff))
     mode = acc.mode
     if all(c.is_exact_zero for c in coeffs):
         raise ValueError("indeterminate roots: zero polynomial")

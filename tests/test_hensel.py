@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from lcivt.errors import CertificateError
+from lcivt import hensel
+from lcivt.errors import CertificateError, ResourceCapError
 from lcivt.hensel import (
     n_poly_root,
     poly_divmod_monic,
@@ -13,7 +14,7 @@ from lcivt.hensel import (
     weierstrass_factor,
     weierstrass_factor_batched,
 )
-from lcivt.lcnum import LC, LcNumber, eps
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps
 from lcivt.pseries import PolySeries, normalize
 
 from conftest import E, L
@@ -128,35 +129,58 @@ def test_factor_quadratic_with_infinitesimal_cubic_tail():
     assert resid.is_zero_below(E(5))
 
 
-def test_lift_schedules_agree():
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_lift_schedules_agree(mode):
     rng = random.Random(7)
+    cut = E(12) if mode == LC else Exponent.hahn({1: 12})
     for _ in range(10):
-        coeffs = _random_normalized_coeffs(rng, pivot_max=3, tail_deg=8)
-        s = PolySeries(LC, coeffs)
-        ns = normalize(s, 10, E(12))
-        f1 = weierstrass_factor(ns, 10, E(12))
-        f2 = weierstrass_factor_batched(ns, 10, E(12))
+        coeffs = _random_normalized_coeffs(rng, pivot_max=3, tail_deg=8, mode=mode)
+        s = PolySeries(mode, coeffs)
+        ns = normalize(s, 10, cut)
+        f1 = weierstrass_factor(ns, 10, cut)
+        f2 = weierstrass_factor_batched(ns, 10, cut)
         assert len(f1.p_coeffs) == len(f2.p_coeffs)
         for a, b in zip(f1.p_coeffs, f2.p_coeffs):
-            assert (a - b).is_zero_below(E(12))
+            assert (a - b).is_zero_below(cut)
 
 
-def _random_normalized_coeffs(rng, pivot_max=4, tail_deg=12):
+def _exponent(mode, q, rng):
+    """eps^q in lc mode; eps[1]^q in hahn mode, sometimes times eps[2]
+    (which lies below every power of eps[1])."""
+    if mode == LC:
+        return E(q)
+    return Exponent.hahn({1: q, 2: 1} if rng.random() < 0.3 else {1: q})
+
+
+def _random_normalized_coeffs(rng, pivot_max=4, tail_deg=12, mode=LC):
     pivot = rng.randint(0, pivot_max)
     coeffs = []
     for _ in range(pivot):
         if rng.random() < 0.5:
-            coeffs.append(LcNumber.from_scalar(LC, F(rng.randint(-4, 4), rng.randint(1, 3))))
+            coeffs.append(LcNumber.from_scalar(mode, F(rng.randint(-4, 4), rng.randint(1, 3))))
         else:
-            coeffs.append(LcNumber.monomial(E(rng.randint(0, 3)), rng.randint(-3, 3)))
-    coeffs.append(LcNumber.one(LC))
+            coeffs.append(LcNumber.monomial(_exponent(mode, rng.randint(0, 3), rng),
+                                            rng.randint(-3, 3)))
+    coeffs.append(LcNumber.one(mode))
     for _ in range(pivot + 1, tail_deg + 1):
         if rng.random() < 0.4:
-            coeffs.append(LcNumber.monomial(E(F(rng.randint(1, 6), rng.choice((1, 2)))),
-                                            rng.randint(-3, 3)))
+            q = F(rng.randint(1, 6), rng.choice((1, 2)))
+            coeffs.append(LcNumber.monomial(_exponent(mode, q, rng), rng.randint(-3, 3)))
         else:
-            coeffs.append(LcNumber.zero(LC))
+            coeffs.append(LcNumber.zero(mode))
     return coeffs
+
+
+def test_lift_cap_names_itself(monkeypatch):
+    one = LcNumber.one(LC)
+    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
+    monkeypatch.setattr(hensel, "_LIFT_CAP", 2)
+    with pytest.raises(ResourceCapError) as err:
+        weierstrass_factor(ns, 4, E(6))
+    msg = str(err.value)
+    assert "_LIFT_CAP = 2" in msg
+    assert "cutoff 6" in msg
+    assert "least residual exponent reached 3/2" in msg
 
 
 def test_residual_contract_randomized():

@@ -65,6 +65,21 @@ def test_compare_truncated_undecidable():
     assert (a + eps()).compare(b) == 1
 
 
+hahn_exponents = st.dictionaries(st.integers(1, 4), small_fractions(5, 3), max_size=4).map(
+    Exponent.hahn)
+
+
+@given(hahn_exponents, hahn_exponents)
+def test_hahn_compare_matches_definition(a, b):
+    # oracle: the sign of the coefficient difference at the largest index
+    # where the two exponents differ
+    da, db = dict(a.data), dict(b.data)
+    diff = [i for i in range(1, 5) if da.get(i, 0) != db.get(i, 0)]
+    want = 0 if not diff else (1 if da.get(diff[-1], 0) > db.get(diff[-1], 0) else -1)
+    assert a.compare(b) == want
+    assert b.compare(a) == -want
+
+
 def test_hahn_axiom_grid():
     # eps_n^i > eps_{n+1} and eps_1*eps_n > eps_{n+1}
     for n in range(1, 4):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from lcivt import rootfind
+from lcivt.errors import ResourceCapError
 from lcivt.hensel import poly_eval, poly_mul
 from lcivt.lcnum import LC, LcNumber, eps
 from lcivt.pseries import (
@@ -118,6 +120,16 @@ def test_deep_pair_merges_unresolved():
     assert len(hits) == 1
     assert hits[0].multiplicity == 2
     assert hits[0].unresolved
+
+
+def test_branch_cap_names_itself(monkeypatch):
+    # (X - 1)^2 - eps^2 has a double residue root, so its roots 1 +- eps
+    # sit one level below the first
+    p = [ONE - eps(2), -2 * ONE, ONE]
+    assert sorted(str(h.value) for h in poly_roots(p, E(6))) == ["1 + eps", "1 - eps"]
+    monkeypatch.setattr(rootfind, "_BRANCH_CAP", 1)
+    with pytest.raises(ResourceCapError, match=r"_BRANCH_CAP = 1 levels at cutoff 6"):
+        poly_roots(p, E(6))
 
 
 # -------------------------------------------------------------------- ivt_root
