@@ -2,6 +2,7 @@
 """Run the four named experiments and write reports under out/.
 
 Usage: python3 scripts/run_experiments.py [--out DIR]
+lcivt is imported from the checkout's src/, so no install is needed.
 Exit code 0 iff every experiment's asserted properties hold.
 """
 
@@ -11,7 +12,10 @@ import json
 import pathlib
 import sys
 
-from lcivt.cli import RunConfig, emit_report, run
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from lcivt.cli import RunConfig, emit_report, run  # noqa: E402
 
 
 def main():

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import Exponent, LcNumber
+from .lcnum import Exponent, LcNumber, poly_product
 
 _LIFT_CAP = 20000
 
@@ -37,18 +37,13 @@ def poly_deriv(coeffs):
 
 
 def poly_mul(a, b, cutoff=None):
+    """a*b, every coefficient truncated at ``cutoff``: one call of the
+    product kernel ``lcnum.poly_product``.  When every coefficient of a and
+    b is rational, as in lifting, it sums integer numerators over one
+    denominator per operand; otherwise Fraction and RealAlgebraic values."""
     if not a or not b:
         return []
-    mode = a[0].mode
-    out = [LcNumber.zero(mode) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x.is_exact_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    if cutoff is not None:
-        out = [c.truncate(cutoff) for c in out]
-    return out
+    return poly_product(a, b, cutoff)
 
 
 def poly_add(a, b):

@@ -14,6 +14,15 @@ truncation marker: either exact, or "all terms below the cutoff are correct,
 terms at or above it are unspecified".  Every operation computes the tightest
 cutoff it can certify; queries the stored terms do not decide raise
 TruncationError instead of guessing.
+
+Every product goes through one kernel, ``poly_product``: the coefficients of
+a polynomial product, each accumulated once into one dict below a cutoff
+fixed up front.  ``LcNumber.__mul__`` is its 1x1 case and
+``hensel.poly_mul`` one call of it.  When every coefficient of both operands
+is rational (the lifting of S = P*B), the kernel sums integer numerators over
+one common denominator per operand, the idea of FLINT's ``fmpq_poly``; any
+algebraic coefficient sends the whole product down the Fraction and
+RealAlgebraic path.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 
 from .errors import ResourceCapError, TruncationError
 from .realalg import RealAlgebraic
@@ -195,28 +206,13 @@ class Exponent:
 
 
 def _min_cut(a, b):
-    """Minimum of two cutoffs where None means +infinity."""
+    """Minimum of two cutoffs (Exponents, or the product kernel's grid
+    integers) where None means +infinity."""
     if a is None:
         return b
     if b is None:
         return a
-    return a if a.compare(b) <= 0 else b
-
-
-def _common_den(ta, tb, cut):
-    """lcm of the exponent denominators of two lc-mode term lists."""
-    from math import gcd
-
-    d = 1 if cut is None else cut.data.denominator
-    for e, _ in ta:
-        dd = e.data.denominator
-        if dd != 1:
-            d = d * dd // gcd(d, dd)
-    for e, _ in tb:
-        dd = e.data.denominator
-        if dd != 1:
-            d = d * dd // gcd(d, dd)
-    return d
+    return a if a <= b else b
 
 
 @dataclass(frozen=True)
@@ -268,23 +264,6 @@ class LcNumber:
         out.terms = tuple(sorted_terms)
         out.cutoff = cutoff
         return out
-
-    @staticmethod
-    def _from_scaled_dict(acc, den, cutoff):
-        """acc maps scaled-integer exponent -> coefficient (grid 1/den).
-
-        Coefficients may be raw Fractions (hot paths) or RealAlgebraic.
-        """
-        terms = []
-        for q, c in sorted(acc.items()):
-            if isinstance(c, Fraction):
-                if c:
-                    terms.append((Exponent._mk_lc(Fraction(q, den)), RealAlgebraic._rat(c)))
-            elif not c.is_zero:
-                terms.append((Exponent._mk_lc(Fraction(q, den)), c))
-        if len(terms) > max_terms_cap():
-            raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
-        return LcNumber._build(LC, terms, cutoff)
 
     @staticmethod
     def from_scalar(mode, value):
@@ -434,49 +413,13 @@ class LcNumber:
         return other + (-self)
 
     def __mul__(self, other):
+        """The 1x1 case of the product kernel ``poly_product``: integer
+        coefficient sums when both numbers have only rational coefficients,
+        Fraction and RealAlgebraic sums otherwise."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cut = None
-        if self.cutoff is not None:
-            vb = other.val_lb()
-            if vb is not None:
-                cut = self.cutoff + vb
-        if other.cutoff is not None:
-            va = self.val_lb()
-            if va is not None:
-                cut = _min_cut(cut, other.cutoff + va)
-        if self.mode == LC:
-            den = _common_den(self.terms, other.terms, cut)
-            cqi = None if cut is None else cut.data.numerator * (den // cut.data.denominator)
-            ai = [(e.data.numerator * (den // e.data.denominator),
-                   c._frac if c._frac is not None else c) for e, c in self.terms]
-            bi = [(e.data.numerator * (den // e.data.denominator),
-                   c._frac if c._frac is not None else c) for e, c in other.terms]
-            acc = {}
-            get = acc.get
-            for qa, ca in ai:
-                lim = None if cqi is None else cqi - qa
-                for qb, cb in bi:
-                    if lim is not None and qb >= lim:
-                        break  # both term lists are sorted by exponent
-                    qi = qa + qb
-                    prod = ca * cb
-                    ent = get(qi)
-                    acc[qi] = prod if ent is None else ent + prod
-            return LcNumber._from_scaled_dict(acc, den, cut)
-        acc = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = ea + eb
-                if cut is not None and e.compare(cut) >= 0:
-                    continue
-                prod = ca * cb
-                if e in acc:
-                    acc[e] = acc[e] + prod
-                else:
-                    acc[e] = prod
-        return LcNumber(self.mode, acc.items(), cut)
+        return poly_product((self,), (other,))[0]
 
     __rmul__ = __mul__
 
@@ -566,10 +509,14 @@ class LcNumber:
     def invert(self, cutoff):
         """y with self*y = 1 + O(cutoff); exact for exact monomials.
 
-        Leading-term division plus a geometric tail, so y itself is correct
-        below cutoff - valuation(self).  In hahn mode a cutoff out of the
-        geometric increments' reach raises ResourceCapError up front (no
-        multiple of a low-index increment passes a higher-index cutoff).
+        Leading-term division, then Newton's iteration y <- y*(2 - u*y) for
+        the inverse of the unit u = self/leading term, which doubles the
+        precision each round; y itself is correct below cutoff -
+        valuation(self).  The caps are those of the geometric series in
+        m = u - 1: in hahn mode a cutoff that no multiple of val(m) reaches
+        raises ResourceCapError up front (no multiple of a low-index
+        increment passes a higher-index cutoff), and so does one needing
+        more than _GEOMETRIC_CAP powers of m.
         """
         if not self.terms:
             raise (ZeroDivisionError("inverse of zero") if self.cutoff is None else
@@ -578,25 +525,31 @@ class LcNumber:
         lead_inv = LcNumber.monomial(-e, c.inverse())
         if len(self.terms) == 1 and self.cutoff is None:
             return lead_inv
-        mhat = self * lead_inv - 1  # valuation > 0
-        vm = mhat.val_lb()
-        acc = LcNumber.one(self.mode)
-        if mhat.cutoff is not None:
-            acc = acc.truncate(mhat.cutoff)  # input truncation caps the accuracy
-        if vm is not None and mhat.terms:
+        unit = self * lead_inv  # u = 1 + m, val(m) > 0
+        prec = _min_cut(unit.cutoff, cutoff)  # input truncation caps the accuracy
+        y = LcNumber.one(self.mode)
+        if len(unit.terms) > 1:
+            vm = unit.terms[1][0]
             rounds = vm.min_multiple_at_least(cutoff)
             if rounds is None:
                 raise ResourceCapError(
                     "inversion cutoff unreachable in this value group")
             if rounds > _GEOMETRIC_CAP:
                 raise ResourceCapError("inversion did not reach the cutoff")
-            pw = LcNumber.one(self.mode)
-            for _ in range(rounds + 1):
-                pw = (pw * (-mhat)).truncate(cutoff)
-                if not pw.terms:
-                    break
-                acc = acc + pw
-        return (acc * lead_inv).truncate(cutoff - e)
+            # u and y are exact, y = 1/u + O(reached) has no terms from
+            # reached on, and u*y = 1 + d with val(d) >= reached; then
+            # y*(2 - u*y) = y - y*d is 1/u + O(2*reached), and y*d starts
+            # where y ends
+            u = LcNumber._build(self.mode, unit.terms, None)
+            reached = vm
+            while reached.compare(prec) < 0:
+                reached = _min_cut(reached.scale(2), prec)
+                uy = poly_product((u,), (y,), reached)[0]
+                d = LcNumber._build(self.mode, uy.terms[1:], None)
+                yd = poly_product((y,), (d,), reached)[0]
+                y = LcNumber._build(self.mode, y.terms + (-yd).terms, None)
+        y = LcNumber._build(self.mode, y.terms, prec)
+        return (y * lead_inv).truncate(cutoff - e)
 
     def div(self, other, cutoff):
         """self/other with the quotient certified below ``cutoff``."""
@@ -662,6 +615,137 @@ class LcNumber:
 
     def __repr__(self):
         return "LcNumber(%s)" % self
+
+
+# ------------------------------------------------------------ product kernel
+
+
+def _is_zero(v):
+    return not v if isinstance(v, Fraction) else v.is_zero
+
+
+def poly_product(a, b, cutoff=None):
+    """Every coefficient of the polynomial product a*b, each built once.
+
+    ``a`` and ``b`` are nonempty sequences of same-mode LcNumber by
+    ascending power.  Coefficient k sums the term products of the pairs
+    a[i], b[k-i] in which neither number is an exact zero.  Its cutoff is
+    fixed before any term is formed: the least over those pairs of what one
+    product certifies, cut(x) + val(y) and cut(y) + val(x), capped at
+    ``cutoff``; only term products below it are accumulated, into one dict.
+
+    lc exponents are integers on one grid 1/den, den the lcm of every
+    exponent and cutoff denominator; hahn exponents stay Exponent keys.
+    When every coefficient of a and b is rational, the coefficients are
+    integer numerators over one common denominator per operand, and each
+    output coefficient becomes one Fraction.  Otherwise the Fraction and
+    RealAlgebraic products are summed pair by pair and then merged, in the
+    grouping of a sum of separate products: an algebraic sum's
+    representation, and so its rendering, depends on that grouping.
+    """
+    mode = a[0].mode
+    lc = mode == LC
+    den = cutoff.data.denominator if lc and cutoff is not None else 1
+    rational = True
+    cdens = []
+    for poly in (a, b):
+        cden = 1
+        for x in poly:
+            if lc and x.cutoff is not None:
+                den = lcm(den, x.cutoff.data.denominator)
+            for e, c in x.terms:
+                if lc:
+                    den = lcm(den, e.data.denominator)
+                if c._frac is None:
+                    rational = False
+                else:
+                    cden = lcm(cden, c._frac.denominator)
+        cdens.append(cden)
+    da, db = cdens
+    # per number: (terms, valuation bound, cutoff) on the grid
+    operands = []
+    for poly, cden in ((a, da), (b, db)):
+        enc = []
+        for x in poly:
+            terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
+                      c._frac.numerator * (cden // c._frac.denominator) if rational
+                      else c if c._frac is None else c._frac)
+                     for e, c in x.terms]
+            cut = x.cutoff
+            if lc and cut is not None:
+                cut = cut.data.numerator * (den // cut.data.denominator)
+            enc.append((terms, terms[0][0] if terms else cut, cut))
+        operands.append(enc)
+    ta, tb = operands
+    cap = cutoff
+    if lc and cap is not None:
+        cap = cap.data.numerator * (den // cap.data.denominator)
+    exps = {}
+    max_terms = None  # read when a number first has more than one term
+    out = []
+    for k in range(len(ta) + len(tb) - 1):
+        cut = cap
+        pairs = []
+        for i in range(max(0, k - len(tb) + 1), min(k, len(ta) - 1) + 1):
+            tx, vx, cx = ta[i]
+            ty, vy, cy = tb[k - i]
+            if vx is None or vy is None:
+                continue  # an exact zero
+            pairs.append((tx, ty))
+            if cx is not None:
+                cut = _min_cut(cut, cx + vy)
+            if cy is not None:
+                cut = _min_cut(cut, cy + vx)
+        acc = {}
+        for tx, ty in pairs:
+            part = acc if rational else {}
+            get = part.get
+            for qa, ca in tx:
+                for qb, cb in ty:
+                    q = qa + qb
+                    if cut is not None and q >= cut:
+                        break  # both term lists are sorted by exponent
+                    prod = ca * cb
+                    ent = get(q)
+                    part[q] = prod if ent is None else ent + prod
+            if part is acc:
+                continue
+            for q, v in part.items():
+                if _is_zero(v):
+                    continue
+                ent = acc.get(q)
+                if ent is None:
+                    acc[q] = v
+                    continue
+                v = ent + v
+                if _is_zero(v):
+                    del acc[q]
+                else:
+                    acc[q] = v
+        terms = []
+        for q in sorted(acc, key=None if lc else attrgetter("key")):
+            v = acc[q]
+            if rational:
+                if not v:
+                    continue
+                v = RealAlgebraic._rat(Fraction(v, da * db))
+            elif isinstance(v, Fraction):
+                v = RealAlgebraic._rat(v)
+            if lc:
+                e = exps.get(q)
+                if e is None:
+                    e = exps[q] = Exponent._mk_lc(Fraction(q, den))
+                q = e
+            terms.append((q, v))
+        if len(terms) > 1:
+            if max_terms is None:
+                max_terms = max_terms_cap()
+            if len(terms) > max_terms:
+                raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+        if lc and cut is not None:
+            cut = Exponent._mk_lc(Fraction(cut, den))
+        out.append(LcNumber._build(mode, terms, cut))
+    return out
 
 
 def _render_eps_power(exp):

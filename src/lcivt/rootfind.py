@@ -160,8 +160,9 @@ def _newton_simple(coeffs, x0, cutoff):
         target = cutoff + (vd if vd.sign() > 0 else Exponent.zero(x.mode))
         r = full.truncate(target)
         if not r.terms:
-            rv_lb = full.val_lb()
-            return x.truncate(cutoff), rv_lb
+            # the residual is known below r.cutoff only, so x is certified
+            # below r.cutoff - vd
+            return x.truncate(cutoff).truncate(r.cutoff - vd), full.val_lb()
         rv = r.terms[0][0]
         if last is not None and rv.compare(last) <= 0:
             raise _Stall

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcivt import lcnum
 from lcivt.errors import ResourceCapError, TruncationError
+from lcivt.hensel import poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, max_terms_cap
 from lcivt.realalg import RealAlgebraic
 
@@ -176,6 +178,65 @@ def test_invert_round_trip(a):
     assert (a * inv - 1).is_zero_below(cut)
 
 
+def geometric_invert(x, cutoff):
+    """The inverse by leading-term division and the geometric series
+    1 - m + m^2 - ..., one power of m per round."""
+    e, c = x.terms[0]
+    lead_inv = LcNumber.monomial(-e, c.inverse())
+    if len(x.terms) == 1 and x.cutoff is None:
+        return lead_inv
+    mhat = x * lead_inv - 1
+    acc = LcNumber.one(x.mode)
+    if mhat.cutoff is not None:
+        acc = acc.truncate(mhat.cutoff)
+    if mhat.terms:
+        rounds = mhat.terms[0][0].min_multiple_at_least(cutoff)
+        if rounds is None:
+            raise ResourceCapError("inversion cutoff unreachable in this value group")
+        if rounds > lcnum._GEOMETRIC_CAP:
+            raise ResourceCapError("inversion did not reach the cutoff")
+        pw = LcNumber.one(x.mode)
+        for _ in range(rounds + 1):
+            pw = (pw * (-mhat)).truncate(cutoff)
+            if not pw.terms:
+                break
+            acc = acc + pw
+    return (acc * lead_inv).truncate(cutoff - e)
+
+
+def outcome(f, *args):
+    """A result's terms and cutoff, or the type and message it raised."""
+    try:
+        y = f(*args)
+    except (ResourceCapError, TruncationError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return y.terms, y.cutoff
+
+
+@given(st.one_of(lc_numbers(5).map(lambda x: (x, Exponent.lc)),
+                 hahn_numbers(4).map(lambda x: (x, Exponent.hahn))),
+       st.data())
+@settings(max_examples=120, deadline=None)
+def test_invert_matches_geometric_series(x_exp, data):
+    x, exp = x_exp
+    point = small_fractions(12, 3) if x.mode == LC else st.dictionaries(
+        st.integers(1, 3), small_fractions(6, 2), max_size=2)
+    trunc = data.draw(st.none() | point)
+    if trunc is not None:
+        x = x.truncate(exp(trunc))
+    if not x.terms:
+        return
+    cutoff = exp(data.draw(point))
+    assert outcome(x.invert, cutoff) == outcome(geometric_invert, x, cutoff)
+
+
+def test_invert_keeps_geometric_cap():
+    x = LcNumber.one(LC) + eps(F(1, 20000))
+    for f in (x.invert, lambda c: geometric_invert(x, c)):
+        with pytest.raises(ResourceCapError, match="did not reach the cutoff"):
+            f(E(1))
+
+
 def test_invert_errors():
     with pytest.raises(ZeroDivisionError):
         LcNumber.zero(LC).invert(E(3))
@@ -299,3 +360,74 @@ def test_term_cap_rejects_malformed_values(monkeypatch, raw):
         max_terms_cap()
     monkeypatch.setenv("LCIVT_MAX_TERMS", "7")
     assert max_terms_cap() == 7
+
+
+# ------------------------------------------------------------- product kernel
+
+
+SQRT = {m: RealAlgebraic(m).nth_root(2) for m in (2, 3)}
+
+
+def kernel_exponents(mode):
+    if mode == LC:
+        return small_fractions(6, 3).map(Exponent.lc)
+    return st.dictionaries(st.integers(1, 3), small_fractions(4, 2),
+                           max_size=2).map(Exponent.hahn)
+
+
+def kernel_numbers(mode):
+    """Exact or truncated values, exact zeros included, with rational or
+    sqrt(m) coefficients and negative and fractional exponents."""
+    coeff = st.tuples(small_fractions(6, 3), st.sampled_from((1, 1, 2, 3))).map(
+        lambda qm: qm[0] * SQRT[qm[1]] if qm[1] > 1 else RealAlgebraic(qm[0]))
+    terms = st.lists(st.tuples(kernel_exponents(mode), coeff), max_size=3)
+    return st.builds(lambda ts, cut: LcNumber(mode, ts, cut),
+                     terms, st.none() | kernel_exponents(mode))
+
+
+def pairwise_mul(x, y):
+    """x*y one term pair at a time: the per-product loop the kernel replaced."""
+    cut = None
+    if x.cutoff is not None and y.val_lb() is not None:
+        cut = x.cutoff + y.val_lb()
+    if y.cutoff is not None and x.val_lb() is not None:
+        c = y.cutoff + x.val_lb()
+        cut = c if cut is None or c < cut else cut
+    acc = {}
+    for ea, ca in x.terms:
+        for eb, cb in y.terms:
+            e = ea + eb
+            if cut is None or e < cut:
+                acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+    return LcNumber(x.mode, acc.items(), cut)
+
+
+def pairwise_poly_mul(a, b, cutoff=None):
+    out = [LcNumber.zero(a[0].mode) for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x.is_exact_zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + pairwise_mul(x, y)
+    return out if cutoff is None else [c.truncate(cutoff) for c in out]
+
+
+def same_number(x, y):
+    return (x.mode == y.mode and x.cutoff == y.cutoff
+            and [e for e, _ in x.terms] == [e for e, _ in y.terms]
+            and all(cx.is_rational == cy.is_rational and cx == cy
+                    for (_, cx), (_, cy) in zip(x.terms, y.terms)))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_kernel_matches_pairwise_products(mode, data):
+    polys = st.lists(kernel_numbers(mode), min_size=1, max_size=3)
+    a, b = data.draw(polys), data.draw(polys)
+    cutoff = data.draw(kernel_exponents(mode))
+    for got, want in ((poly_mul(a, b), pairwise_poly_mul(a, b)),
+                      (poly_mul(a, b, cutoff), pairwise_poly_mul(a, b, cutoff)),
+                      ([a[0] * b[0]], [pairwise_mul(a[0], b[0])])):
+        assert len(got) == len(want)
+        assert all(same_number(g, w) for g, w in zip(got, want))

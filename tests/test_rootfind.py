@@ -132,6 +132,22 @@ def test_branch_cap_names_itself(monkeypatch):
         poly_roots(p, E(6))
 
 
+def test_newton_root_precision_follows_truncated_coefficients():
+    # c0 = 1 + eps + eps^6 agrees with the truncated c0 below eps^6, and that
+    # polynomial's root near 1 + eps is 1 + eps - eps^5 + ...: with a
+    # derivative of valuation 1 the root is certified below eps^5 only
+    cut = E(6)
+    c1 = (-(2 * ONE + eps())).truncate(cut)
+    hits = poly_roots([(ONE + eps()).truncate(cut), c1, ONE], cut)
+    resolved = [h for h in hits if not h.unresolved]
+    assert [str(h.value) for h in resolved] == ["1 + eps + O(eps^5)"]
+    exact = poly_roots([ONE + eps() + eps(6), -(2 * ONE + eps()), ONE], E(8))
+    deep = [h.value for h in exact if not (h.value - ONE).is_zero_below(E(2))]
+    assert len(deep) == 1
+    assert (deep[0] - resolved[0].value).is_zero_below(E(5))
+    assert not (deep[0] - (ONE + eps())).is_zero_below(E(6))
+
+
 # -------------------------------------------------------------------- ivt_root
 
 
