@@ -5,8 +5,8 @@ Commands: eval, factor, ivt, zeros, mult, track-zeros, track-extremes, and
 ``example`` (named experiment fixtures: nilpotent-signs, nilpotent-roots,
 hahn-signs, double-zero).  Exit code 0 means every asserted property held;
 1 means an assertion failed (a machine-readable failure record is in the
-report); 4 means the run raised an error of any kind, I/O and a malformed
-``LCIVT_MAX_TERMS`` included.
+report); 4 means the run raised an error of any kind, I/O, a malformed
+``LCIVT_MAX_TERMS`` and a command line the parser rejects included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dsl import parse_exponent, parse_literal, parse_series
-from .errors import LcivtError
+from .errors import LcivtError, UsageError
 from .hensel import Factorization, poly_eval, weierstrass_factor
 from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
 from .pseries import (
@@ -442,8 +442,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise UsageError, so that a usage error exits 4, not argparse's 2."""
+        self.print_usage(sys.stderr)
+        raise UsageError("%s: error: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcivt",
         description="Exact root finding for power series over non-Archimedean "
                     "ordered fields.")
@@ -498,11 +505,11 @@ def run(cfg):
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields and v is not None})
+    cfg = RunConfig(command=None)  # what a usage error echoes
     try:
+        ns = build_parser().parse_args(argv)
+        cfg = RunConfig(**{k: v for k, v in vars(ns).items()
+                           if k in RunConfig.__dataclass_fields__ and v is not None})
         report = run(cfg)
     except Exception as exc:  # every error, typed or not, is exit code 4
         if not isinstance(exc, LcivtError):

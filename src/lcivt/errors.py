@@ -18,3 +18,7 @@ class CertificateError(LcivtError):
 
 class ResourceCapError(LcivtError):
     """An iteration or term-count cap was hit before the cutoff was reached."""
+
+
+class UsageError(LcivtError):
+    """A command line the CLI's argument parser rejects."""

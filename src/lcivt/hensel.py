@@ -1,6 +1,9 @@
 """Constructive lifting over the valuation ring: distinguished roots and the
 monic-polynomial x unit-series factorization of a restricted series.
 
+``newton_root`` is the library's one Newton iteration: ``n_poly_root``,
+``LcNumber.nth_root`` and ``rootfind.poly_roots`` lift their roots with it.
+
 The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
 start from P = S[:pivot+1], B = 1; each round a split rule turns the
 residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q.  Two
@@ -23,6 +26,7 @@ from .errors import CertificateError, ResourceCapError
 from .lcnum import Exponent, LcNumber, poly_product
 
 _LIFT_CAP = 20000
+_NEWTON_CAP = 200
 
 
 def poly_eval(coeffs, x):
@@ -86,11 +90,46 @@ def poly_divmod_monic(num, den, cutoff=None):
     return q, num[:dd]
 
 
+def newton_root(coeffs, x0, cutoff):
+    """Newton's iteration x <- x - f(x)/f'(x) toward the simple root of f
+    seeded at x0: the library's one Newton loop.
+
+    Returns (root, f(root).val_lb()), the bound None when f(root) is exactly
+    zero; or None when f'(x) vanishes below the cutoff, the residual's
+    valuation stops rising, or _NEWTON_CAP steps pass.  With vd = val f'(x)
+    the residual r is truncated at cutoff + max(vd, 0); truncated
+    coefficients leave it known below r.cutoff only, so the root is
+    certified below r.cutoff - vd.
+    """
+    dcoeffs = poly_deriv(coeffs)
+    x = x0
+    last = None
+    for _ in range(_NEWTON_CAP):
+        full = poly_eval(coeffs, x)
+        if full.is_exact_zero:
+            return x, None
+        d = poly_eval(dcoeffs, x)
+        if not d.terms:
+            return None
+        vd = d.terms[0][0]
+        target = cutoff + (vd if vd.sign() > 0 else Exponent.zero(x.mode))
+        r = full.truncate(target)
+        if not r.terms:
+            return x.truncate(cutoff).truncate(r.cutoff - vd), full.val_lb()
+        rv = r.terms[0][0]
+        if last is not None and rv.compare(last) <= 0:
+            return None
+        last = rv
+        upd = x - r * d.invert(target - rv)
+        x = upd if upd.cutoff is None else upd.truncate(cutoff)
+    return None
+
+
 def n_poly_root(coeffs, cutoff):
     """Root in the maximal ideal of a distinguished monic polynomial.
 
     Requires: coefficients in the valuation ring, constant term
-    infinitesimal, linear coefficient a unit.  Newton iteration from 0; the
+    infinitesimal, linear coefficient a unit.  ``newton_root`` from 0; the
     unit linear coefficient makes every step contract, so two runs with
     different iteration counts agree below the cutoff.
     """
@@ -112,27 +151,14 @@ def n_poly_root(coeffs, cutoff):
     if v1 is None or v1.compare(zero) != 0:
         raise ValueError("linear coefficient must be a unit")
 
-    if c0.is_exact_zero:
-        return LcNumber.zero(mode)
-    dcoeffs = poly_deriv(coeffs)
-    x = LcNumber.zero(mode)
-    last = None
-    for _ in range(256):
-        full = poly_eval(coeffs, x)
-        if full.is_exact_zero:
-            return x
-        r = full.truncate(cutoff)
-        if not r.terms:
-            return x.truncate(cutoff)
-        rv = r.terms[0][0]
-        if last is not None and rv.compare(last) <= 0:
-            raise ResourceCapError("distinguished-root iteration stalled")
-        last = rv
-        d = poly_eval(dcoeffs, x)
-        corr = full * d.invert(cutoff)
-        upd = x - corr
-        x = upd if upd.cutoff is None else upd.truncate(cutoff)
-    raise ResourceCapError("distinguished-root iteration did not reach the cutoff")
+    if len(coeffs) == 2:
+        return -c0  # exact: the Newton step truncates at the cutoff
+    hit = newton_root(coeffs, LcNumber.zero(mode), cutoff)
+    if hit is None:
+        raise ResourceCapError(
+            "distinguished-root iteration stalled or hit _NEWTON_CAP = %d steps "
+            "before the cutoff %s" % (_NEWTON_CAP, cutoff))
+    return hit[0]
 
 
 @dataclass

@@ -564,7 +564,8 @@ class LcNumber:
         """y with y**n = self + O(adjusted cutoff) and y correct below cutoff.
 
         The leading coefficient is the exact real n-th root and the leading
-        exponent is valuation/n; the tail is produced by Newton iteration.
+        exponent is valuation/n; the tail is ``hensel.newton_root`` on
+        X**n - self seeded at that leading monomial.
         """
         if n < 1:
             raise ValueError("root index must be positive")
@@ -580,22 +581,15 @@ class LcNumber:
         y = LcNumber.monomial(root_exp, c.nth_root(n))
         if len(self.terms) == 1 and self.cutoff is None:
             return y
-        target = cutoff + root_exp.scale(n - 1)
-        y = y.truncate(cutoff)
-        last_resid_val = None
-        for _ in range(256):
-            resid = (y.pow_int(n) - self).truncate(target)
-            if not resid.terms:
-                break
-            rv = resid.terms[0][0]
-            if last_resid_val is not None and rv.compare(last_resid_val) <= 0:
-                raise ResourceCapError("nth_root stalled before the cutoff")
-            last_resid_val = rv
-            deriv = y.pow_int(n - 1) * n
-            y = (y - resid * deriv.invert(target - rv)).truncate(cutoff)
-        else:
-            raise ResourceCapError("nth_root did not reach the cutoff")
-        return y
+        from .hensel import _NEWTON_CAP, newton_root  # hensel imports lcnum
+
+        zero = LcNumber.zero(self.mode)
+        hit = newton_root([-self] + [zero] * (n - 1) + [LcNumber.one(self.mode)], y, cutoff)
+        if hit is None:
+            raise ResourceCapError(
+                "nth_root stalled or hit _NEWTON_CAP = %d steps before the cutoff %s"
+                % (_NEWTON_CAP, cutoff))
+        return hit[0]
 
     # --------------------------------------------------------------- rendering
 

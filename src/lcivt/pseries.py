@@ -584,21 +584,6 @@ class NormalizedSeries(PSeries):
         return self.inner.dsl_lines() + ["# normalized: pivot=%d scale=%s" %
                                          (self.N, self.d.render())]
 
-    def validate(self, up_to=None):
-        """Check the normalization invariants on computed coefficients."""
-        zero = Exponent.zero(self.mode)
-        hi = up_to if up_to is not None else self.tail_index(zero, zero, strict=True)
-        assert self.coeff(self.N).is_exact and self.coeff(self.N) == 1
-        for n in range(hi):
-            c = self.coeff(n)
-            v = c.val_lb()
-            if v is None:
-                continue
-            assert v.compare(zero) >= 0, "coefficient %d outside the valuation ring" % n
-            if n > self.N:
-                assert v.compare(zero) > 0, "coefficient %d above pivot not infinitesimal" % n
-        return True
-
 
 # ------------------------------------------------------------------ operations
 

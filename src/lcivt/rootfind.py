@@ -18,11 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateError, ResourceCapError, TruncationError
-from .hensel import (
-    poly_deriv,
-    poly_eval,
-    weierstrass_factor,
-)
+from .hensel import newton_root, poly_deriv, poly_eval, weierstrass_factor
 from .lcnum import LC, Exponent, LcNumber
 from .polys import pshift
 from .pseries import evaluate, normalize, partial_sum, transform_interval
@@ -140,38 +136,6 @@ def _char_poly(coeffs, lam, i1, v1, i2):
     return chi
 
 
-class _Stall(Exception):
-    pass
-
-
-def _newton_simple(coeffs, x0, cutoff):
-    """Newton iteration toward the unique root seeded at x0; None on stall."""
-    dcoeffs = poly_deriv(coeffs)
-    x = x0
-    last = None
-    for _ in range(200):
-        full = poly_eval(coeffs, x)
-        if full.is_exact_zero:
-            return x, None
-        d = poly_eval(dcoeffs, x)
-        if not d.terms:
-            raise _Stall
-        vd = d.terms[0][0]
-        target = cutoff + (vd if vd.sign() > 0 else Exponent.zero(x.mode))
-        r = full.truncate(target)
-        if not r.terms:
-            # the residual is known below r.cutoff only, so x is certified
-            # below r.cutoff - vd
-            return x.truncate(cutoff).truncate(r.cutoff - vd), full.val_lb()
-        rv = r.terms[0][0]
-        if last is not None and rv.compare(last) <= 0:
-            raise _Stall
-        last = rv
-        upd = x - r * d.invert(target - rv)
-        x = upd if upd.cutoff is None else upd.truncate(cutoff)
-    raise _Stall
-
-
 def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
     if depth_budget <= 0:
         raise ResourceCapError(
@@ -212,15 +176,12 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
             if prune is not None and prune[2] is not None and z0.sign() != prune[2]:
                 continue
             point = LcNumber.monomial(lam, z0)
-            if m0 == 1:
-                try:
-                    x, rv = _newton_simple(coeffs, point, cutoff)
-                    full = acc + x
-                    out.append(RootHit(full, 1, full.is_exact and rv is None,
-                                       False, rv))
-                    continue
-                except _Stall:
-                    pass
+            hit = newton_root(coeffs, point, cutoff) if m0 == 1 else None
+            if hit is not None:
+                x, rv = hit
+                full = acc + x
+                out.append(RootHit(full, 1, full.is_exact and rv is None, False, rv))
+                continue
             shifted = pshift(coeffs, point)
             _roots_rec(shifted, cutoff, acc + point, lam, out, depth_budget - 1)
 
@@ -493,14 +454,18 @@ def multiplicity_at(s, c, cutoff, radius=None):
     cross-checked against derivative vanishing."""
     if not isinstance(c, LcNumber):
         c = LcNumber.from_scalar(s.mode, c)
-    feas = cutoff
-    value = None
-    for _ in range(8):
-        try:
-            value = evaluate(s, c, feas)
-            break
-        except TruncationError:
-            feas = feas.scale(Fraction(1, 2))
+
+    def value_at(series, cut):
+        """(value at c, the cutoff it holds to): ``cut`` halved on each
+        TruncationError, at most 8 tries; the value is None when all fail."""
+        for _ in range(8):
+            try:
+                return evaluate(series, c, cut), cut
+            except TruncationError:
+                cut = cut.scale(Fraction(1, 2))
+        return None, cut
+
+    value, feas = value_at(s, cutoff)
     if value is None or not value.is_zero_below(feas):
         raise ValueError("not a certified root of the series")
     if radius is None:
@@ -537,14 +502,7 @@ def multiplicity_at(s, c, cutoff, radius=None):
     deriv = s
     for j in range(1, mult + 1):
         deriv = deriv.derivative()
-        dv = None
-        dcut = feas
-        for _ in range(8):
-            try:
-                dv = evaluate(deriv, c, dcut)
-                break
-            except TruncationError:
-                dcut = dcut.scale(Fraction(1, 2))
+        dv, dcut = value_at(deriv, feas)
         if dv is None:
             raise CertificateError("derivative check not decidable")
         if j < mult:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lcivt import cli
 
 
@@ -223,3 +225,25 @@ def test_text_output(capsys):
     assert code == 0
     assert "value: 1 + eps + O(eps^4)" in out
     assert "ok: True" in out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["ivt", "--inline", "poly: -1, 1"], "required: --interval"),
+    (["nope"], "invalid choice: 'nope'"),
+    (["eval", "--mode", "weird", "--inline", "poly: 1", "--at", "1"], "argument --mode"),
+], ids=["missing-flag", "unknown-command", "bad-mode"])
+def test_usage_error_is_exit_4_with_a_record(capsys, argv, text):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    failure = json.loads(captured.out)["failures"][0]
+    assert failure["error"] == "UsageError"
+    assert text in failure["message"]
+    assert captured.err.startswith("usage: lcivt")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lcivt")

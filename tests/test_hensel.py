@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcivt import hensel
 from lcivt.errors import CertificateError, ResourceCapError
@@ -72,6 +73,44 @@ def test_root_uniqueness_across_runs():
     other = (-binomial_sqrt(-4 * eps(), 8) - 1) * F(1, 2)
     assert other.valuation() == E(0)
     assert shallow.valuation().sign() > 0
+
+
+def test_root_precision_follows_truncated_coefficients():
+    # c0 = O(eps^4) may complete to eps^4, whose root is -eps^4 + ...
+    one = LcNumber.one(LC)
+    got = n_poly_root([LcNumber.zero(LC).truncate(E(4)), one, one], E(8))
+    assert str(got) == "0 + O(eps^4)"
+
+
+def ring_elements(lead):
+    """lead + c1*eps + c2*eps^2 + c3*eps^3 with small integers c_k."""
+    return st.tuples(lead, st.lists(st.integers(-3, 3), min_size=3, max_size=3)).map(
+        lambda lt: sum((eps(k) * c for k, c in enumerate(lt[1], 1) if c),
+                       LcNumber.from_scalar(LC, lt[0])))
+
+
+def distinguished_polys():
+    """Monic of degree 2..4 with c0 infinitesimal and c1 a unit."""
+    return st.integers(0, 2).flatmap(lambda k: st.tuples(
+        ring_elements(st.just(0)), ring_elements(st.sampled_from([-2, -1, 1, 2])),
+        st.lists(ring_elements(st.integers(-3, 3)), min_size=k, max_size=k),
+    ).map(lambda p: [p[0], p[1], *p[2], LcNumber.one(LC)]))
+
+
+@given(distinguished_polys(), st.integers(1, 5),
+       st.lists(ring_elements(st.integers(-3, 3)), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_truncated_root_agrees_with_every_completion(coeffs, t, g):
+    # the root of f truncated at eps^t is certified only as far as every
+    # completion of f shares it: f itself and f + eps^t * g
+    cut = E(t + 4)
+    one = LcNumber.one(LC)
+    root = n_poly_root([c.truncate(E(t)) for c in coeffs[:-1]] + [one], cut)
+    other = [c + eps(t) * gc for c, gc in zip(coeffs[:-1], g)] + [one]
+    # f'(root) is a unit, so the root is known exactly as far as f
+    assert root.cutoff == E(t)
+    for completion in (coeffs, other):
+        assert (n_poly_root(completion, cut) - root).is_zero_below(root.cutoff)
 
 
 def test_precondition_errors():
@@ -181,6 +220,15 @@ def test_lift_cap_names_itself(monkeypatch):
     assert "_LIFT_CAP = 2" in msg
     assert "cutoff 6" in msg
     assert "least residual exponent reached 3/2" in msg
+
+
+def test_newton_cap_names_itself(monkeypatch):
+    one = LcNumber.one(LC)
+    monkeypatch.setattr(hensel, "_NEWTON_CAP", 1)
+    with pytest.raises(ResourceCapError, match=r"_NEWTON_CAP = 1 steps before the cutoff 8"):
+        n_poly_root([eps(), one, one], E(8))
+    with pytest.raises(ResourceCapError, match=r"_NEWTON_CAP = 1 steps before the cutoff 8"):
+        (one + eps()).nth_root(2, E(8))
 
 
 def test_residual_contract_randomized():

@@ -282,6 +282,12 @@ def test_nth_root_examples(lc_one):
         (-lc_one).nth_root(2, E(3))
 
 
+def test_nth_root_precision_follows_truncated_input():
+    # eps^2 + O(eps^5) may complete to eps^2 + eps^5, whose root is
+    # eps + eps^4/2 + ...: with y' = 2*eps the root is certified below eps^4
+    assert str(eps(2).truncate(E(5)).nth_root(2, E(9))) == "eps + O(eps^4)"
+
+
 @given(lc_numbers(), st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_nth_root_round_trip(a, n):
