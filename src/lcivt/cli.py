@@ -23,7 +23,7 @@ from fractions import Fraction
 from .dsl import parse_exponent, parse_literal, parse_series
 from .errors import LcivtError, UsageError
 from .hensel import Factorization, poly_eval, weierstrass_factor
-from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
+from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, max_terms_cap
 from .pseries import (
     PolyMulSeries,
     RatFunSeries,
@@ -510,6 +510,7 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
         cfg = RunConfig(**{k: v for k, v in vars(ns).items()
                            if k in RunConfig.__dataclass_fields__ and v is not None})
+        max_terms_cap()  # read once, so a malformed value fails every command
         report = run(cfg)
     except Exception as exc:  # every error, typed or not, is exit code 4
         if not isinstance(exc, LcivtError):

@@ -6,11 +6,13 @@ monic-polynomial x unit-series factorization of a restricted series.
 
 The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
 start from P = S[:pivot+1], B = 1; each round a split rule turns the
-residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q.  Two
-rules share the loop: ``weierstrass_factor`` splits the least exponent
-slice of the residual in the residue field, and
-``weierstrass_factor_batched`` divides the whole residual by P; the second
-is the independent reference that the first must agree with.
+residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q; the
+new residual, resid - Q*P - R*B, is one call of the sum-of-products kernel
+``lcnum.sum_of_products``.  Two rules share the loop:
+``weierstrass_factor`` splits the least exponent slice of the residual in
+the residue field, and ``weierstrass_factor_batched`` divides the whole
+residual by P; the second is the independent reference that the first
+must agree with.
 
 Polynomials here are dense lists of LcNumber by ascending power, and the
 ``poly_*`` helpers are the library's arithmetic for them.  They skip only
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import Exponent, LcNumber, poly_product
+from .lcnum import Exponent, LcNumber, sum_of_products
 
 _LIFT_CAP = 20000
 _NEWTON_CAP = 200
@@ -41,28 +43,13 @@ def poly_deriv(coeffs):
 
 
 def poly_mul(a, b, cutoff=None):
-    """a*b, every coefficient truncated at ``cutoff``: one call of the
-    product kernel ``lcnum.poly_product``.  When every coefficient of a and
-    b is rational, as in lifting, it sums integer numerators over one
-    denominator per operand; otherwise Fraction and RealAlgebraic values."""
-    if not a or not b:
-        return []
-    return poly_product(a, b, cutoff)
+    """a*b, every coefficient truncated at ``cutoff``: one pair in the
+    kernel ``lcnum.sum_of_products``."""
+    return sum_of_products([(a, b)], cutoff)
 
 
 def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        if i < len(a) and i < len(b):
-            out.append(a[i] + b[i])
-        else:
-            out.append(a[i] if i < len(a) else b[i])
-    return out
-
-
-def poly_sub(a, b):
-    return poly_add(a, [-c for c in b])
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):]) + list(b[len(a):])
 
 
 def poly_divmod_monic(num, den, cutoff=None):
@@ -187,14 +174,11 @@ class Factorization:
         a coefficient of negative valuation makes its products' cutoff
         markers fall below the cutoff, which fails the check.
         """
-        mode = self.p_coeffs[0].mode
-        upto = self.degree_cap + 1
         cut = self.achieved_cutoff
-        pb = poly_mul([c.truncate(cut) for c in self.p_coeffs],
-                      [c.truncate(cut) for c in self.b_coeffs])
-        pb = (pb + [LcNumber.zero(mode)] * upto)[:upto]
-        s = (list(series_coeffs) + [LcNumber.zero(mode)] * upto)[:upto]
-        return poly_sub(s, pb)
+        return sum_of_products(
+            [(series_coeffs, [LcNumber.one(self.p_coeffs[0].mode)]),
+             ([c.truncate(cut) for c in self.p_coeffs], [c.truncate(cut) for c in self.b_coeffs])],
+            length=self.degree_cap + 1, signs=(1, -1))
 
     def unit_value(self, x):
         return poly_eval(self.b_coeffs, x)
@@ -224,19 +208,20 @@ def _extract_series(ns, degree_cap, cutoff):
 
 def _lift(ns, degree_cap, cutoff, split):
     """The correction loop: ``split(resid, p)`` gives (Q, R), and after
-    P += R, B += Q the residual is S - P*B = resid - Q*P - R*(B + Q)."""
+    P += R, B += Q the residual is S - P*B = resid - Q*P - R*(B + Q), one
+    kernel call that forms only the coefficients up to the degree cap."""
     mode, pivot = ns.mode, ns.N
     s = _extract_series(ns, degree_cap, cutoff)
     p = list(s[: pivot + 1])
-    b = [LcNumber.one(mode)]
+    b = one = [LcNumber.one(mode)]
     resid = [c.truncate(cutoff) for c in [LcNumber.zero(mode)] * (pivot + 1) + s[pivot + 1:]]
     for _ in range(_LIFT_CAP):
         if all(not c.terms for c in resid):
             break
         q, rem = split(resid, p)
         b = poly_add(b, q)
-        resid = poly_sub(poly_sub(resid, poly_mul(q, p, cutoff)), poly_mul(rem, b, cutoff))
-        resid = [c.truncate(cutoff) for c in resid[: degree_cap + 1]]
+        resid = sum_of_products([(resid, one), (q, p), (rem, b)], cutoff, degree_cap + 1,
+                                signs=(1, -1, -1))
         p = poly_add(p, rem)
     else:
         left = [c.terms[0][0] for c in resid if c.terms]
@@ -272,7 +257,7 @@ def weierstrass_factor(ns, degree_cap, cutoff):
             pbar.extend(c.standard_part() for c in p)
         gamma = min(c.terms[0][0] for c in resid if c.terms)
         qbar, rbar = real_pdivmod([c.coeff_at(gamma) for c in resid], pbar)
-        return tuple([LcNumber.zero(mode) if c == 0 else LcNumber.monomial(gamma, c) for c in cs]
+        return tuple([LcNumber._build(mode, () if c == 0 else ((gamma, c),), None) for c in cs]
                      for cs in (qbar, rbar))
 
     return _lift(ns, degree_cap, cutoff, slice_split)

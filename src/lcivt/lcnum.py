@@ -15,13 +15,15 @@ terms at or above it are unspecified".  Every operation computes the tightest
 cutoff it can certify; queries the stored terms do not decide raise
 TruncationError instead of guessing.
 
-Every product goes through one kernel, ``poly_product``: the coefficients of
-a polynomial product, each accumulated once into one dict below a cutoff
-fixed up front.  ``LcNumber.__mul__`` is its 1x1 case and
-``hensel.poly_mul`` one call of it.  When every coefficient of both operands
-is rational (the lifting of S = P*B), the kernel sums integer numerators over
-one common denominator per operand, the idea of FLINT's ``fmpq_poly``; any
-algebraic coefficient sends the whole product down the Fraction and
+Every product and every sum of products goes through one kernel,
+``sum_of_products``: each coefficient of a_1*b_1 + a_2*b_2 + ... is
+accumulated once into one dict below a cutoff fixed up front.
+``LcNumber.__mul__`` is its one-pair case, ``hensel.poly_mul`` one call of
+it, and the lifting update, the substituted-series coefficients and the
+rational-function derivative each take one call.  When every coefficient
+is rational (the lifting of S = P*B), the kernel sums integer numerators
+over one common denominator, the idea of FLINT's ``fmpq_poly``; any
+algebraic coefficient sends the whole call down the Fraction and
 RealAlgebraic path.
 """
 
@@ -130,6 +132,8 @@ class Exponent:
 
     def __add__(self, other):
         self._check(other)
+        if not other.data:
+            return self  # values are immutable
         if self.mode == LC:
             return Exponent(LC, self.data + other.data)
         acc = dict(self.data)
@@ -267,19 +271,24 @@ class LcNumber:
 
     @staticmethod
     def from_scalar(mode, value):
-        return LcNumber(mode, [(Exponent.zero(mode), RealAlgebraic(value))])
+        return LcNumber.monomial(Exponent.zero(mode), value)
 
     @staticmethod
     def zero(mode):
-        return LcNumber(mode, [])
+        return LcNumber._build(mode, (), None)
 
     @staticmethod
     def one(mode):
-        return LcNumber(mode, [(Exponent.zero(mode), _ONE)])
+        return LcNumber._build(mode, ((Exponent.zero(mode), _ONE),), None)
 
     @staticmethod
     def monomial(exp, coeff, cutoff=None):
-        return LcNumber(exp.mode, [(exp, coeff)], cutoff)
+        """coeff*eps^exp + O(cutoff), built without the validating
+        constructor: one term is within any term cap."""
+        coeff = coeff if isinstance(coeff, RealAlgebraic) else RealAlgebraic(coeff)
+        if coeff.is_zero or (cutoff is not None and exp.compare(cutoff) >= 0):
+            return LcNumber._build(exp.mode, (), cutoff)
+        return LcNumber._build(exp.mode, ((exp, coeff),), cutoff)
 
     # ------------------------------------------------------------------- state
 
@@ -413,13 +422,13 @@ class LcNumber:
         return other + (-self)
 
     def __mul__(self, other):
-        """The 1x1 case of the product kernel ``poly_product``: integer
+        """One product in the kernel ``sum_of_products``: integer
         coefficient sums when both numbers have only rational coefficients,
         Fraction and RealAlgebraic sums otherwise."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return poly_product((self,), (other,))[0]
+        return sum_of_products([((self,), (other,))])[0]
 
     __rmul__ = __mul__
 
@@ -544,9 +553,9 @@ class LcNumber:
             reached = vm
             while reached.compare(prec) < 0:
                 reached = _min_cut(reached.scale(2), prec)
-                uy = poly_product((u,), (y,), reached)[0]
+                uy = sum_of_products([((u,), (y,))], reached)[0]
                 d = LcNumber._build(self.mode, uy.terms[1:], None)
-                yd = poly_product((y,), (d,), reached)[0]
+                yd = sum_of_products([((y,), (d,))], reached)[0]
                 y = LcNumber._build(self.mode, y.terms + (-yd).terms, None)
         y = LcNumber._build(self.mode, y.terms, prec)
         return (y * lead_inv).truncate(cutoff - e)
@@ -611,38 +620,54 @@ class LcNumber:
         return "LcNumber(%s)" % self
 
 
-# ------------------------------------------------------------ product kernel
+# ---------------------------------------------------- sum-of-products kernel
 
 
-def _is_zero(v):
-    return not v if isinstance(v, Fraction) else v.is_zero
+def _merge(acc, part):
+    """acc += part exponent by exponent, each sum formed as ``acc + part``."""
+    for q, v in part.items():
+        ent = acc.get(q)
+        v = v if ent is None else ent + v
+        if not v if isinstance(v, Fraction) else v.is_zero:
+            acc.pop(q, None)
+        else:
+            acc[q] = v
 
 
-def poly_product(a, b, cutoff=None):
-    """Every coefficient of the polynomial product a*b, each built once.
+def sum_of_products(pairs, cutoff=None, length=None, signs=None):
+    """Every coefficient of s_1*a_1*b_1 + s_2*a_2*b_2 + ..., each built once.
 
-    ``a`` and ``b`` are nonempty sequences of same-mode LcNumber by
-    ascending power.  Coefficient k sums the term products of the pairs
-    a[i], b[k-i] in which neither number is an exact zero.  Its cutoff is
-    fixed before any term is formed: the least over those pairs of what one
-    product certifies, cut(x) + val(y) and cut(y) + val(x), capped at
-    ``cutoff``; only term products below it are accumulated, into one dict.
+    ``pairs`` holds (a, b): sequences of same-mode LcNumber by ascending
+    power; ``signs`` one s_j = +-1 per pair, by default +1.  Pairs with an
+    empty side are dropped; with none left the result is [], otherwise
+    ``length`` coefficients, by default as many as the longest product.
+    Coefficient k sums the term products of every a[i], b[k-i] in which
+    neither number is an exact zero.  Its cutoff is fixed before any term
+    is formed: the least over those pairs of cut(x) + val(y) and
+    cut(y) + val(x), capped at ``cutoff``; only term products below it are
+    accumulated, into one dict.
 
     lc exponents are integers on one grid 1/den, den the lcm of every
     exponent and cutoff denominator; hahn exponents stay Exponent keys.
-    When every coefficient of a and b is rational, the coefficients are
-    integer numerators over one common denominator per operand, and each
-    output coefficient becomes one Fraction.  Otherwise the Fraction and
-    RealAlgebraic products are summed pair by pair and then merged, in the
-    grouping of a sum of separate products: an algebraic sum's
-    representation, and so its rendering, depends on that grouping.
+    When every coefficient is rational, they are integer numerators over
+    one common denominator, the lcm over the pairs of the product of a's
+    and b's denominators, with each pair's sign on its a side; each output
+    coefficient becomes one Fraction.  Otherwise values are summed in the
+    grouping of separate products added in pair order,
+    (s_1*(a_1*b_1) + s_2*(a_2*b_2)) + ..., each product summed over i: an
+    algebraic sum's representation, and so its rendering, depends on it.
     """
-    mode = a[0].mode
+    pairs = [(a, b, s) for (a, b), s in zip(pairs, signs or (1,) * len(pairs)) if a and b]
+    if not pairs:
+        return []
+    mode = pairs[0][0][0].mode
     lc = mode == LC
+    if length is None:
+        length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
     den = cutoff.data.denominator if lc and cutoff is not None else 1
     rational = True
     cdens = []
-    for poly in (a, b):
+    for poly in (poly for a, b, _ in pairs for poly in (a, b)):
         cden = 1
         for x in poly:
             if lc and x.cutoff is not None:
@@ -655,74 +680,74 @@ def poly_product(a, b, cutoff=None):
                 else:
                     cden = lcm(cden, c._frac.denominator)
         cdens.append(cden)
-    da, db = cdens
-    # per number: (terms, valuation bound, cutoff) on the grid
-    operands = []
-    for poly, cden in ((a, da), (b, db)):
+    pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
+    common = lcm(*pair_dens)
+
+    def encode(poly, unit):
+        """Per number: (terms, valuation bound, cutoff) on the grid, with
+        rational coefficients as numerators over ``unit``."""
         enc = []
         for x in poly:
             terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
-                      c._frac.numerator * (cden // c._frac.denominator) if rational
+                      c._frac.numerator * (unit // c._frac.denominator) if rational
                       else c if c._frac is None else c._frac)
                      for e, c in x.terms]
             cut = x.cutoff
             if lc and cut is not None:
                 cut = cut.data.numerator * (den // cut.data.denominator)
             enc.append((terms, terms[0][0] if terms else cut, cut))
-        operands.append(enc)
-    ta, tb = operands
+        return enc
+
+    # a's unit carries the pair's sign and its share of the common denominator
+    operands = [(encode(a, s * da * (common // pden)), encode(b, db), s)
+                for (a, b, s), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
     cap = cutoff
     if lc and cap is not None:
         cap = cap.data.numerator * (den // cap.data.denominator)
     exps = {}
     max_terms = None  # read when a number first has more than one term
     out = []
-    for k in range(len(ta) + len(tb) - 1):
+    for k in range(length):
         cut = cap
-        pairs = []
-        for i in range(max(0, k - len(tb) + 1), min(k, len(ta) - 1) + 1):
-            tx, vx, cx = ta[i]
-            ty, vy, cy = tb[k - i]
-            if vx is None or vy is None:
-                continue  # an exact zero
-            pairs.append((tx, ty))
-            if cx is not None:
-                cut = _min_cut(cut, cx + vy)
-            if cy is not None:
-                cut = _min_cut(cut, cy + vx)
+        contrib = []
+        for ta, tb, s in operands:
+            nums = []
+            for i in range(max(0, k - len(tb) + 1), min(k + 1, len(ta))):
+                tx, vx, cx = ta[i]
+                ty, vy, cy = tb[k - i]
+                if vx is None or vy is None:
+                    continue  # an exact zero
+                nums.append((tx, ty))
+                if cx is not None:
+                    cut = _min_cut(cut, cx + vy)
+                if cy is not None:
+                    cut = _min_cut(cut, cy + vx)
+            contrib.append((nums, s))
         acc = {}
-        for tx, ty in pairs:
-            part = acc if rational else {}
-            get = part.get
-            for qa, ca in tx:
-                for qb, cb in ty:
-                    q = qa + qb
-                    if cut is not None and q >= cut:
-                        break  # both term lists are sorted by exponent
-                    prod = ca * cb
-                    ent = get(q)
-                    part[q] = prod if ent is None else ent + prod
-            if part is acc:
-                continue
-            for q, v in part.items():
-                if _is_zero(v):
-                    continue
-                ent = acc.get(q)
-                if ent is None:
-                    acc[q] = v
-                    continue
-                v = ent + v
-                if _is_zero(v):
-                    del acc[q]
-                else:
-                    acc[q] = v
+        for nums, s in contrib:
+            prod = acc if rational else {}
+            for tx, ty in nums:
+                part = prod if rational else {}
+                get = part.get
+                for qa, ca in tx:
+                    for qb, cb in ty:
+                        q = qa + qb
+                        if cut is not None and q >= cut:
+                            break  # both term lists are sorted by exponent
+                        v = ca * cb
+                        ent = get(q)
+                        part[q] = v if ent is None else ent + v
+                if part is not prod:
+                    _merge(prod, part)
+            if prod is not acc:
+                _merge(acc, prod if s > 0 else {q: -v for q, v in prod.items()})
         terms = []
         for q in sorted(acc, key=None if lc else attrgetter("key")):
             v = acc[q]
             if rational:
                 if not v:
                     continue
-                v = RealAlgebraic._rat(Fraction(v, da * db))
+                v = RealAlgebraic._rat(Fraction(v, common))
             elif isinstance(v, Fraction):
                 v = RealAlgebraic._rat(v)
             if lc:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateError, ResourceCapError, TruncationError
-from .hensel import poly_deriv, poly_mul, poly_sub
-from .lcnum import LC, Exponent, LcNumber
+from .hensel import poly_deriv, poly_mul
+from .lcnum import LC, Exponent, LcNumber, sum_of_products
 from .polys import cauchy_bound, pderiv, peval, pmul, pshift, render, trim
 from .realalg import RealAlgebraic
 
@@ -302,7 +302,8 @@ class RatFunSeries(PSeries):
 
     def derivative(self):
         num, den = self.num, self.den
-        new_num = poly_sub(poly_mul(poly_deriv(num), den), poly_mul(num, poly_deriv(den)))
+        new_num = sum_of_products([(poly_deriv(num), den), (num, poly_deriv(den))],
+                                  signs=(1, -1))
         return RatFunSeries(self.mode, new_num, poly_mul(den, den))
 
     def dsl_lines(self):
@@ -382,13 +383,9 @@ class PolyMulSeries(PSeries):
         self.inner = inner
 
     def coeff(self, n, cutoff=None):
-        acc = self._zero()
-        for k, p in enumerate(self.poly):
-            if k > n or p.is_exact_zero:
-                continue
-            vp = p.val_lb()
-            inner_cut = None if cutoff is None else cutoff - vp
-            acc = acc + p * self.inner.coeff(n - k, inner_cut)
+        pairs = [([p], [self.inner.coeff(n - k, None if cutoff is None else cutoff - p.val_lb())])
+                 for k, p in enumerate(self.poly[: n + 1]) if not p.is_exact_zero]
+        acc = sum_of_products(pairs)[0] if pairs else self._zero()
         return acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
 
     def tail_index(self, xval, target, strict=False):
@@ -466,16 +463,16 @@ class SubstitutedSeries(PSeries):
         else:
             target = cutoff - vh.scale(m) + vk.scale(m)
             n1 = self.inner.tail_index(vk, target)
-        acc = self._zero()
         hm = self._pow(self._hpow, self.h, m)
+        pairs = []
         for n in range(m, max(n1, m)):
             inner_cut = None if cutoff is None else \
                 cutoff - vh.scale(m) - vk.scale(n - m)
             c = self.inner.coeff(n, inner_cut)
-            if c.is_exact_zero:
-                continue
-            term = c * comb(n, m) * hm * self._pow(self._kpow, self.k, n - m)
-            acc = acc + term
+            if not c.is_exact_zero:
+                pairs.append(([c * comb(n, m) * hm], [self._pow(self._kpow, self.k, n - m)]))
+        # T_m = sum over n of (c_n*C(n, m)*h^m)*k^(n-m), in one kernel call
+        acc = sum_of_products(pairs)[0] if pairs else self._zero()
         out = acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
         self._memo[key] = out
         return out

@@ -294,6 +294,8 @@ class RealAlgebraic:
         return (a - b).sign()
 
     def __eq__(self, other):
+        if self._frac is not None and isinstance(other, (int, Fraction)):
+            return self._frac == other
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

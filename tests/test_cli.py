@@ -184,6 +184,15 @@ def test_malformed_term_cap_env_is_an_error(capsys, monkeypatch):
     assert "LCIVT_MAX_TERMS" in payload["failures"][0]["message"]
 
 
+def test_malformed_term_cap_env_fails_commands_without_dsl(capsys, monkeypatch):
+    # the example builds its numbers with trusted constructors and parses no DSL
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "0")
+    code, payload = run_json(capsys, "example", "nilpotent-signs")
+    assert code == 4
+    assert payload["failures"][0]["error"] == "ValueError"
+    assert "LCIVT_MAX_TERMS" in payload["failures"][0]["message"]
+
+
 def test_missing_series_file_is_an_error(capsys, tmp_path):
     code = cli.main(["eval", "--series", str(tmp_path / "absent.dsl"), "--at", "1"])
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -381,10 +382,11 @@ def kernel_exponents(mode):
                            max_size=2).map(Exponent.hahn)
 
 
-def kernel_numbers(mode):
+def kernel_numbers(mode, algebraic=True):
     """Exact or truncated values, exact zeros included, with rational or
     sqrt(m) coefficients and negative and fractional exponents."""
-    coeff = st.tuples(small_fractions(6, 3), st.sampled_from((1, 1, 2, 3))).map(
+    roots = (1, 1, 2, 3) if algebraic else (1,)
+    coeff = st.tuples(small_fractions(6, 3), st.sampled_from(roots)).map(
         lambda qm: qm[0] * SQRT[qm[1]] if qm[1] > 1 else RealAlgebraic(qm[0]))
     terms = st.lists(st.tuples(kernel_exponents(mode), coeff), max_size=3)
     return st.builds(lambda ts, cut: LcNumber(mode, ts, cut),
@@ -425,15 +427,59 @@ def same_number(x, y):
                     for (_, cx), (_, cy) in zip(x.terms, y.terms)))
 
 
+def pairwise_sum_of_products(pairs, cutoff=None, length=None, signs=None):
+    """Each product by the per-pair loop, negated where its sign is -1, the
+    products merged by ``__add__``."""
+    prods = [pairwise_poly_mul(a, b) for a, b in pairs]
+    prods = [p if s > 0 else [-c for c in p] for p, s in zip(prods, signs or [1] * len(prods))]
+    n = max(len(p) for p in prods) if length is None else length
+    out = [LcNumber.zero(pairs[0][0][0].mode) for _ in range(n)]
+    for prod in prods:
+        out = [acc + c for acc, c in zip(out, prod)] + out[len(prod):]
+    return out if cutoff is None else [c.truncate(cutoff) for c in out]
+
+
 @pytest.mark.parametrize("mode", [LC, HAHN])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_product_kernel_matches_pairwise_products(mode, data):
-    polys = st.lists(kernel_numbers(mode), min_size=1, max_size=3)
-    a, b = data.draw(polys), data.draw(polys)
+    # all-rational sums take the integer path, so draw them apart
+    polys = st.lists(kernel_numbers(mode, data.draw(st.booleans())), min_size=1, max_size=3)
+    pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=3))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
+                               max_size=len(pairs)))
     cutoff = data.draw(kernel_exponents(mode))
+    natural = max(len(a) + len(b) - 1 for a, b in pairs)
+    short = data.draw(st.integers(1, natural))
+    a, b = pairs[0]
     for got, want in ((poly_mul(a, b), pairwise_poly_mul(a, b)),
                       (poly_mul(a, b, cutoff), pairwise_poly_mul(a, b, cutoff)),
                       ([a[0] * b[0]], [pairwise_mul(a[0], b[0])])):
         assert len(got) == len(want)
         assert all(same_number(g, w) for g, w in zip(got, want))
+    for kw in ({}, {"cutoff": cutoff, "signs": signs}, {"length": short, "signs": signs},
+               {"cutoff": cutoff, "length": short}):
+        # each side on its own copy of the generators: arithmetic across two
+        # generators refines their brackets, which the new generator's
+        # bracket, and so its rendering, starts from
+        got = lcnum.sum_of_products(copy.deepcopy(pairs), **kw)
+        want = pairwise_sum_of_products(copy.deepcopy(pairs), **kw)
+        assert [str(g) for g in got] == [str(w) for w in want]
+        assert len(got) == len(want)
+        assert all(same_number(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trusted_constructors_match_validating_constructor(mode, data):
+    exp, cut = data.draw(kernel_exponents(mode)), data.draw(st.none() | kernel_exponents(mode))
+    c = data.draw(st.sampled_from([0, 3, F(-1, 2), RealAlgebraic(0), RealAlgebraic(F(2, 3)),
+                                   SQRT[2]]))
+    zero = Exponent.zero(mode)
+    for got, want in ((LcNumber.monomial(exp, c, cut), LcNumber(mode, [(exp, c)], cut)),
+                      (LcNumber.from_scalar(mode, c), LcNumber(mode, [(zero, c)])),
+                      (LcNumber.zero(mode), LcNumber(mode, [])),
+                      (LcNumber.one(mode), LcNumber(mode, [(zero, 1)]))):
+        assert same_number(got, want)
+        assert all(isinstance(v, RealAlgebraic) for _, v in got.terms)

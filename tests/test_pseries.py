@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcivt.errors import CertificateError, TruncationError
+from lcivt.hensel import poly_deriv, poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
 from lcivt.pseries import (
     PolyMulSeries,
@@ -18,6 +20,7 @@ from lcivt.pseries import (
     partial_sum,
     transform_interval,
 )
+from lcivt.realalg import RealAlgebraic
 
 from conftest import E, L
 
@@ -352,3 +355,108 @@ def test_substituted_tail_uses_exact_valuation_polynomial():
     s = SubstitutedSeries(inner, eps(-6), L("2"))
     assert inner.exact_val_poly() == [4, -4, 1]
     assert s.tail_index(E(0), E(5)) == 13
+
+
+# ------------------------------------------------------ sum-of-products call sites
+
+
+def binomial_loop_coeff(t, m, cutoff):
+    """T_m of T(Z) = S(h*Z + k) for k != 0, one binomial term at a time,
+    each product merged into the sum by ``__add__``: the loop that
+    ``SubstitutedSeries.coeff`` replaced by one kernel call."""
+    one = LcNumber.one(t.mode)
+    hpow, kpow = [one], [one]
+    fin = t.inner.finite_degree()
+    vh, vk = t.h.val_lb(), t.k.val_lb()
+    if fin is not None:
+        n1 = fin + 1
+    else:
+        n1 = t.inner.tail_index(vk, cutoff - vh.scale(m) + vk.scale(m))
+    while len(hpow) <= m:
+        hpow.append(hpow[-1] * t.h)
+    acc = LcNumber.zero(t.mode)
+    for n in range(m, max(n1, m)):
+        while len(kpow) <= n - m:
+            kpow.append(kpow[-1] * t.k)
+        inner_cut = None if cutoff is None else cutoff - vh.scale(m) - vk.scale(n - m)
+        c = t.inner.coeff(n, inner_cut)
+        if c.is_exact_zero:
+            continue
+        acc = acc + c * comb(n, m) * hpow[m] * kpow[n - m]
+    return acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
+
+
+def assert_same_rendering(got, want):
+    """str(got) == str(want) once both have been printed: printing refines
+    the shared generator bracket that the rendering reads, so the first
+    print of either can change the other's string."""
+    str(got), str(want)
+    assert str(got) == str(want)
+
+
+SQRT2 = RealAlgebraic(2).nth_root(2)
+
+
+def substitution_cases():
+    """Inners of each rule kind in both modes; rational h and k, a k with a
+    sqrt(2) coefficient, and that k with an h with a sqrt(3) coefficient,
+    whose products mix two generators."""
+    sqrt3 = RealAlgebraic(3).nth_root(2)
+    inners = {
+        LC: {"poly": PolySeries(LC, [L("1"), L("-2") + eps(), eps(), L("3")]),
+             "term": alternating_square_series(),
+             "ratfun": geometric_tail_ratfun()},
+        HAHN: {"poly": PolySeries(HAHN, [eps_n(1), LcNumber.one(HAHN), -eps_n(2)]),
+               "term": hahn_alternating_series(),
+               "ratfun": RatFunSeries(HAHN, [LcNumber.one(HAHN)],
+                                      [LcNumber.one(HAHN), -eps_n(1)])},
+    }
+    for mode, x, cut in ((LC, eps(), E(4)), (HAHN, eps_n(1), Exponent.hahn({1: 3}))):
+        def c(v):
+            return LcNumber.from_scalar(mode, v) + x
+        for hk, h, k in (("rational", c(F(1, 2)), c(F(-1, 2))),
+                         ("sqrt2", c(F(1, 2)), c(SQRT2)),
+                         ("sqrt3-sqrt2", c(sqrt3), c(SQRT2))):
+            for iname, inner in inners[mode].items():
+                yield pytest.param(inner, h, k, cut, id="%s-%s-%s" % (mode, iname, hk))
+
+
+@pytest.mark.parametrize("inner, h, k, cutoff", substitution_cases())
+def test_substituted_coeff_matches_binomial_loop(inner, h, k, cutoff):
+    t = SubstitutedSeries(inner, h, k)
+    for m in range(4):
+        got, want = t.coeff(m, cutoff), binomial_loop_coeff(t, m, cutoff)
+        assert_same_rendering(got, want)
+        assert got.cutoff == want.cutoff
+        assert [e for e, _ in got.terms] == [e for e, _ in want.terms]
+        assert all(cg == cw for (_, cg), (_, cw) in zip(got.terms, want.terms))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_ratfun_derivative_matches_separate_products(mode):
+    x = eps() if mode == LC else eps_n(1)
+    one = LcNumber.one(mode)
+
+    def build(m):
+        """num and den over new generators sqrt(2) and sqrt(m): each side
+        starts from the same brackets, which arithmetic refines in place."""
+        r2 = LcNumber.from_scalar(mode, RealAlgebraic(2).nth_root(2))
+        rm = r2 if m == 2 else LcNumber.from_scalar(mode, RealAlgebraic(m).nth_root(2))
+        return [r2 + x, -(x * 3), rm * x * x], [one, -(rm * x), x * x * 2]
+
+    # one generator, and two whose sums make new generators
+    for m in (2, 3):
+        d = RatFunSeries(mode, *build(m)).derivative()
+        num, den = build(m)
+        # num'*den - num*den', each product separately, the difference by __add__
+        a, b = poly_mul(poly_deriv(num), den), poly_mul(num, poly_deriv(den))
+        want = [(a[i] if i < len(a) else LcNumber.zero(mode))
+                + (-b[i] if i < len(b) else LcNumber.zero(mode))
+                for i in range(max(len(a), len(b)))]
+        while want and want[-1].is_exact_zero:
+            want.pop()
+        want += poly_mul(den, den)
+        assert [str(c) for c in d.num + d.den] == [str(c) for c in want]
+        assert len(d.num + d.den) == len(want)
+        for got, exp in zip(d.num + d.den, want):
+            assert got.cutoff == exp.cutoff and (got - exp).is_exact_zero

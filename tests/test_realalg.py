@@ -126,6 +126,27 @@ def test_additive_and_multiplicative_inverses(p):
         assert ((a * a.inverse()) - 1).is_zero
 
 
+SMALL = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+SQRTS = {m: RealAlgebraic(m).nth_root(2) for m in (2, 3)}
+# an operand of == in one of its forms: int, Fraction, rational
+# RealAlgebraic, or q*sqrt(m) + r
+EQ_OPERANDS = st.one_of(
+    st.integers(-4, 4),
+    SMALL,
+    SMALL.map(RealAlgebraic),
+    st.tuples(SMALL.filter(bool), st.sampled_from((2, 3)), SMALL).map(
+        lambda t: t[0] * SQRTS[t[1]] + t[2]))
+
+
+@given(EQ_OPERANDS, EQ_OPERANDS)
+@settings(max_examples=200, deadline=None)
+def test_equality_matches_compare(x, y):
+    x = RealAlgebraic(x)
+    assert (x == y) == (x.compare(y) == 0)
+    assert (y == x) == (x.compare(y) == 0)
+    assert x == (x.as_fraction() if x.is_rational else x + 0)
+
+
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_root_count_matches_sympy(coeffs):
