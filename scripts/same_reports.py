@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""One digest over the outputs that must stay byte-identical.
+
+    python3 scripts/same_reports.py [--parts]
+
+The digest covers:
+
+* the report fingerprints of the first 60 ``cli-lc`` and ``cli-hahn``
+  operations of seeds 1-3 (``lcbench`` inputs; ``timing_seconds`` removed);
+* the four ``lcivt example`` reports, ``timing_seconds`` removed;
+* the P and B renders of the first 80 ``lift`` operations of seed 3;
+* the ``repr`` of ``count_zeros`` on the first 60 ``residue`` operations of
+  seeds 1-3.
+
+Each stream runs in a fresh interpreter, as in ``lcbench``: generator
+brackets and the factor cache live for a process, and a rendering reads the
+bracket.  Run it at two commits; equal digests mean equal outputs.
+``--parts`` also prints one digest per stream, to locate a difference.
+Inputs come from ``lcbench/workloads.py``; nothing under ``lcbench/`` is
+written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ("nilpotent-signs", "nilpotent-roots", "hahn-signs", "double-zero")
+STREAMS = ([("cli-lc", seed, 60) for seed in (1, 2, 3)]
+           + [("cli-hahn", seed, 60) for seed in (1, 2, 3)]
+           + [("example", 0, len(EXAMPLES)), ("lift", 3, 80)]
+           + [("residue", seed, 60) for seed in (1, 2, 3)])
+
+
+def stream_lines(name, seed, count):
+    """One line per operation of one stream, in this interpreter."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "lcbench")]
+    import workloads
+    from lcivt import cli
+
+    if name == "example":
+        for example in EXAMPLES:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli.main(["example", example])
+            yield "%s %d %s" % (example, rc, workloads.fingerprint(buf.getvalue()))
+        return
+    load = workloads.WORKLOADS[name]
+    for i in range(count):
+        out = load.call(load.prepare(load.spec(seed, i)))
+        if name == "lift":
+            _, fact = out
+            yield " | ".join([str(c) for c in fact.p_coeffs] + ["B"]
+                             + [str(c) for c in fact.b_coeffs])
+        elif name == "residue":
+            yield repr(out)
+        else:
+            rc, text = out
+            yield "%d %s" % (rc, workloads.fingerprint(text))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parts", action="store_true", help="print one digest per stream")
+    ap.add_argument("--stream", nargs=3, metavar=("NAME", "SEED", "COUNT"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.stream:
+        name, seed, count = args.stream
+        for line in stream_lines(name, int(seed), int(count)):
+            print(line)
+        return
+    total = hashlib.sha256()
+    for name, seed, count in STREAMS:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--stream", name, str(seed), str(count)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+        if proc.returncode != 0:
+            raise SystemExit("stream %s seed %d failed:\n%s" % (name, seed, proc.stderr[-3000:]))
+        part = "%s %d\n%s" % (name, seed, proc.stdout)
+        total.update(part.encode())
+        if args.parts:
+            print("%s seed %d: %s" % (name, seed, hashlib.sha256(part.encode()).hexdigest()))
+    print(total.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

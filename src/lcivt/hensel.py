@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, ResourceCapError
 from .lcnum import Exponent, LcNumber, sum_of_products
+from .realalg import RealAlgebraic
 
 _LIFT_CAP = 20000
 _NEWTON_CAP = 200
@@ -250,15 +251,24 @@ def weierstrass_factor(ns, degree_cap, cutoff):
 
     mode = ns.mode
     pbar = []
+    pbar_q = []  # st(P) as Fractions when it is rational
 
     def slice_split(resid, p):
         if not pbar:
             # R has positive valuation, so st(P) never changes
             pbar.extend(c.standard_part() for c in p)
+            if all(c.is_rational for c in pbar):
+                pbar_q.extend(c.as_fraction() for c in pbar)
         gamma = min(c.terms[0][0] for c in resid if c.terms)
-        qbar, rbar = real_pdivmod([c.coeff_at(gamma) for c in resid], pbar)
+        sl = [c.coeff_at(gamma) for c in resid]
+        if pbar_q and all(c.is_rational for c in sl):
+            # on Fractions: each RealAlgebraic operation coerces and wraps
+            qr = real_pdivmod([c.as_fraction() for c in sl], pbar_q)
+            qr = [[RealAlgebraic._rat(c) for c in cs] for cs in qr]
+        else:
+            qr = real_pdivmod(sl, pbar)
         return tuple([LcNumber._build(mode, () if c == 0 else ((gamma, c),), None) for c in cs]
-                     for cs in (qbar, rbar))
+                     for cs in qr)
 
     return _lift(ns, degree_cap, cutoff, slice_split)
 

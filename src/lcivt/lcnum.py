@@ -20,11 +20,12 @@ Every product and every sum of products goes through one kernel,
 accumulated once into one dict below a cutoff fixed up front.
 ``LcNumber.__mul__`` is its one-pair case, ``hensel.poly_mul`` one call of
 it, and the lifting update, the substituted-series coefficients and the
-rational-function derivative each take one call.  When every coefficient
-is rational (the lifting of S = P*B), the kernel sums integer numerators
-over one common denominator, the idea of FLINT's ``fmpq_poly``; any
-algebraic coefficient sends the whole call down the Fraction and
-RealAlgebraic path.
+rational-function derivative each take one call.  Coefficients take one
+of three paths: integers over one denominator when all are rational (the
+lifting of S = P*B; FLINT's ``fmpq_poly``), integer vectors in the power
+basis of one number field Q(alpha) (Newton steps on a residue root such as
+sqrt(m)/b; Antic's ``nf_elem``), and RealAlgebraic values summed pair by
+pair across two or more generators.
 """
 
 from __future__ import annotations
@@ -422,9 +423,8 @@ class LcNumber:
         return other + (-self)
 
     def __mul__(self, other):
-        """One product in the kernel ``sum_of_products``: integer
-        coefficient sums when both numbers have only rational coefficients,
-        Fraction and RealAlgebraic sums otherwise."""
+        """One product in the kernel ``sum_of_products``, on whichever of
+        its three coefficient paths the two numbers allow."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -634,6 +634,14 @@ def _merge(acc, part):
             acc[q] = v
 
 
+def _vector(c, unit):
+    """A coefficient's power-basis numerators over ``unit``."""
+    f = c._frac
+    if f is not None:
+        return (f.numerator * (unit // f.denominator),)
+    return tuple(r.numerator * (unit // r.denominator) for r in c._rep)
+
+
 def sum_of_products(pairs, cutoff=None, length=None, signs=None):
     """Every coefficient of s_1*a_1*b_1 + s_2*a_2*b_2 + ..., each built once.
 
@@ -649,13 +657,24 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
 
     lc exponents are integers on one grid 1/den, den the lcm of every
     exponent and cutoff denominator; hahn exponents stay Exponent keys.
-    When every coefficient is rational, they are integer numerators over
-    one common denominator, the lcm over the pairs of the product of a's
-    and b's denominators, with each pair's sign on its a side; each output
-    coefficient becomes one Fraction.  Otherwise values are summed in the
-    grouping of separate products added in pair order,
-    (s_1*(a_1*b_1) + s_2*(a_2*b_2)) + ..., each product summed over i: an
-    algebraic sum's representation, and so its rendering, depends on it.
+    Coefficients take one of three paths:
+
+    * all rational: integer numerators over one common denominator, the
+      lcm over the pairs of the product of a's and b's denominators, with
+      each pair's sign on its a side; each output coefficient becomes one
+      Fraction.
+    * every algebraic one over one generator alpha of degree d: the same
+      common denominator, each coefficient a vector of integer numerators
+      in the basis 1, alpha, ..., alpha^(d-1) (a rational is a vector of
+      length 1); term products are integer convolutions, and each output
+      coefficient is reduced modulo the minimal polynomial once
+      (``RealAlgebraic._from_ints``).  The representation of a value over
+      one generator is canonical, so the grouping of the sum does not show.
+    * over two or more generators: values summed in the grouping of
+      separate products added in pair order,
+      (s_1*(a_1*b_1) + s_2*(a_2*b_2)) + ..., each product summed over i:
+      a sum across generators builds a new generator, whose bracket, and so
+      its rendering, depends on the grouping.
     """
     pairs = [(a, b, s) for (a, b), s in zip(pairs, signs or (1,) * len(pairs)) if a and b]
     if not pairs:
@@ -665,7 +684,8 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
     if length is None:
         length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
     den = cutoff.data.denominator if lc and cutoff is not None else 1
-    rational = True
+    gen = None  # the one generator of the algebraic coefficients
+    multi = False  # algebraic coefficients over two or more generators
     cdens = []
     for poly in (poly for a, b, _ in pairs for poly in (a, b)):
         cden = 1
@@ -676,20 +696,29 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
                 if lc:
                     den = lcm(den, e.data.denominator)
                 if c._frac is None:
-                    rational = False
+                    g = c._gen
+                    if g is not gen:
+                        if gen is None:
+                            gen = g
+                        else:
+                            multi = True
+                    cden = lcm(cden, *[r.denominator for r in c._rep])
                 else:
                     cden = lcm(cden, c._frac.denominator)
         cdens.append(cden)
     pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
     common = lcm(*pair_dens)
+    rational = gen is None
+    vectors = not rational and not multi
 
     def encode(poly, unit):
         """Per number: (terms, valuation bound, cutoff) on the grid, with
-        rational coefficients as numerators over ``unit``."""
+        coefficients as integer numerators or vectors over ``unit``."""
         enc = []
         for x in poly:
             terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
                       c._frac.numerator * (unit // c._frac.denominator) if rational
+                      else _vector(c, unit) if vectors
                       else c if c._frac is None else c._frac)
                      for e, c in x.terms]
             cut = x.cutoff
@@ -704,6 +733,7 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
     cap = cutoff
     if lc and cap is not None:
         cap = cap.data.numerator * (den // cap.data.denominator)
+    width = 2 * len(gen.minpoly) - 3 if vectors else 0  # 2d - 1
     exps = {}
     max_terms = None  # read when a number first has more than one term
     out = []
@@ -724,22 +754,46 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
                     cut = _min_cut(cut, cy + vx)
             contrib.append((nums, s))
         acc = {}
-        for nums, s in contrib:
-            prod = acc if rational else {}
-            for tx, ty in nums:
-                part = prod if rational else {}
-                get = part.get
-                for qa, ca in tx:
-                    for qb, cb in ty:
-                        q = qa + qb
-                        if cut is not None and q >= cut:
-                            break  # both term lists are sorted by exponent
-                        v = ca * cb
-                        ent = get(q)
-                        part[q] = v if ent is None else ent + v
-                if part is not prod:
+        get = acc.get
+        if rational:
+            for nums, _ in contrib:
+                for tx, ty in nums:
+                    for qa, ca in tx:
+                        for qb, cb in ty:
+                            q = qa + qb
+                            if cut is not None and q >= cut:
+                                break  # both term lists are sorted by exponent
+                            v = ca * cb
+                            ent = get(q)
+                            acc[q] = v if ent is None else ent + v
+        elif vectors:
+            for nums, _ in contrib:
+                for tx, ty in nums:
+                    for qa, ca in tx:
+                        for qb, cb in ty:
+                            q = qa + qb
+                            if cut is not None and q >= cut:
+                                break
+                            ent = get(q)
+                            if ent is None:
+                                ent = acc[q] = [0] * width
+                            for i, x in enumerate(ca):
+                                for j, y in enumerate(cb, i):
+                                    ent[j] += x * y
+        else:
+            for nums, s in contrib:
+                prod = {}
+                for tx, ty in nums:
+                    part = {}
+                    for qa, ca in tx:
+                        for qb, cb in ty:
+                            q = qa + qb
+                            if cut is not None and q >= cut:
+                                break
+                            v = ca * cb
+                            ent = part.get(q)
+                            part[q] = v if ent is None else ent + v
                     _merge(prod, part)
-            if prod is not acc:
                 _merge(acc, prod if s > 0 else {q: -v for q, v in prod.items()})
         terms = []
         for q in sorted(acc, key=None if lc else attrgetter("key")):
@@ -748,6 +802,10 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
                 if not v:
                     continue
                 v = RealAlgebraic._rat(Fraction(v, common))
+            elif vectors:
+                v = RealAlgebraic._from_ints(gen, v, common)
+                if v._frac == 0:
+                    continue
             elif isinstance(v, Fraction):
                 v = RealAlgebraic._rat(v)
             if lc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb
+from math import comb, isqrt, lcm
 
 from . import polys
 from .polys import (
@@ -42,7 +42,20 @@ _MAX_ALG_DEGREE = 64
 
 @lru_cache(maxsize=None)
 def _factor_int_poly(coeffs):
-    """Irreducible integer factors (ascending coeffs) of a primitive int poly."""
+    """Irreducible integer factors (ascending coeffs) of a primitive int poly
+    with a positive leading coefficient.
+
+    Known answers skip sympy: a constant has no factor, a linear input is
+    its own factor, and so is a quadratic whose discriminant is not a
+    square (its roots are irrational).
+    """
+    if len(coeffs) <= 2:
+        return (tuple(coeffs),) if len(coeffs) == 2 else ()
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return (tuple(coeffs),)
     import sympy
 
     x = sympy.Symbol("x")
@@ -57,7 +70,8 @@ def _factor_int_poly(coeffs):
 
 
 class _Generator:
-    """Irreducible integer polynomial with an interval isolating one real root."""
+    """Irreducible integer polynomial (ascending ints) with an interval
+    isolating one real root."""
 
     __slots__ = ("minpoly", "lo", "hi")
 
@@ -65,6 +79,34 @@ class _Generator:
         self.minpoly = tuple(minpoly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+
+    def reduce(self, vec):
+        """(r, s) with sum(vec[i]*alpha^i) = sum(r[i]*alpha^i) / s and
+        len(r) <= degree: integer vec reduced modulo the minimal polynomial
+        by pseudo-division, s the product of the leading-coefficient
+        scalings it needed (1 for a monic minpoly)."""
+        m = self.minpoly
+        d = len(m) - 1
+        if len(vec) <= d:
+            return vec, 1
+        lead = m[-1]
+        v = list(vec)
+        s = 1
+        for k in range(len(v) - 1, d - 1, -1):
+            c = v.pop()
+            if not c:
+                continue
+            if lead != 1:
+                q, r = divmod(c, lead)
+                if r:
+                    v = [lead * x for x in v]
+                    s *= lead
+                else:
+                    c = q
+            off = k - d
+            for i in range(d):
+                v[off + i] -= c * m[i]
+        return v, s
 
     def refine(self):
         mid = (self.lo + self.hi) / 2
@@ -133,16 +175,26 @@ class RealAlgebraic:
         return self
 
     @staticmethod
-    def _from_rep(gen, rep):
-        rep = trim([Fraction(c) for c in rep])
-        if len(rep) <= 1:
-            return RealAlgebraic.from_rational(rep[0] if rep else 0)
+    def _from_ints(gen, vec, den):
+        """sum(vec[i]*alpha^i) / den for integer vec, reduced by ``gen``."""
+        vec, s = gen.reduce(vec)
+        den *= s
+        n = len(vec)
+        while n and not vec[n - 1]:
+            n -= 1
+        if n <= 1:
+            return RealAlgebraic._rat(Fraction(vec[0], den) if n else Fraction(0))
         self = object.__new__(RealAlgebraic)
         self._frac = None
         self._gen = gen
-        self._rep = tuple(rep)
+        self._rep = tuple(Fraction(x, den) for x in vec[:n])
         self._minpoly = None
         return self
+
+    @staticmethod
+    def _from_rep(gen, rep):
+        """rep(alpha) for a rational rep."""
+        return RealAlgebraic._from_ints(gen, *_int_vector(rep))
 
     # ------------------------------------------------------------------ basics
 
@@ -232,9 +284,9 @@ class RealAlgebraic:
                 return RealAlgebraic.from_rational(0)
             return RealAlgebraic._from_rep(a._gen, [c * b._frac for c in a._rep])
         if a._gen is b._gen:
-            m = [Fraction(c) for c in a._gen.minpoly]
-            _, rem = pdivmod(pmul(a._rep, b._rep), m)
-            return RealAlgebraic._from_rep(a._gen, rem)
+            va, da = _int_vector(a._rep)
+            vb, db = _int_vector(b._rep)
+            return RealAlgebraic._from_ints(a._gen, pmul(va, vb), da * db)
         return _cross_binop(a, b, "mul")
 
     __rmul__ = __mul__
@@ -369,6 +421,12 @@ class RealAlgebraic:
 
     def __repr__(self):
         return "RealAlgebraic(%s)" % self
+
+
+def _int_vector(rep):
+    """(numerators, den): a rational rep over its least common denominator."""
+    den = lcm(*(c.denominator for c in rep))
+    return [c.numerator * (den // c.denominator) for c in rep], den
 
 
 def _coerce(v):

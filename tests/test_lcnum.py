@@ -8,7 +8,7 @@ from lcivt import lcnum
 from lcivt.errors import ResourceCapError, TruncationError
 from lcivt.hensel import poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, max_terms_cap
-from lcivt.realalg import RealAlgebraic
+from lcivt.realalg import RealAlgebraic, isolate_real_roots
 
 from conftest import E, L
 
@@ -483,3 +483,90 @@ def test_trusted_constructors_match_validating_constructor(mode, data):
                       (LcNumber.one(mode), LcNumber(mode, [(zero, 1)]))):
         assert same_number(got, want)
         assert all(isinstance(v, RealAlgebraic) for _, v in got.terms)
+
+
+# One generator each: monic quadratic, non-monic quadratic (the positive
+# root of 2x^2 - 3), cubic.
+ONE_GENERATOR = {"sqrt2": SQRT[2],
+                 "sqrt_3_over_2": isolate_real_roots([-3, 0, 2])[-1][0],
+                 "cbrt2": RealAlgebraic(2).nth_root(3)}
+
+
+def generator_numbers(mode, alpha):
+    """Values whose coefficients are rationals or elements of Q(alpha)."""
+    gen, d = alpha._gen, len(alpha._gen.minpoly) - 1
+    coeff = st.lists(small_fractions(6, 3), min_size=1, max_size=d).map(
+        lambda rep: RealAlgebraic._from_rep(gen, rep))
+    terms = st.lists(st.tuples(kernel_exponents(mode), coeff), max_size=3)
+    return st.builds(lambda ts, cut: LcNumber(mode, ts, cut),
+                     terms, st.none() | kernel_exponents(mode))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@pytest.mark.parametrize("field", sorted(ONE_GENERATOR))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_number_field_path_matches_pairwise_reference(mode, field, data):
+    alpha = ONE_GENERATOR[field]
+    gen = alpha._gen
+    polys = st.lists(generator_numbers(mode, alpha), min_size=1, max_size=3)
+    pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=3))
+    # (alpha + q)^2 - alpha^2 - 2q*alpha cancels to the rational q^2
+    q = data.draw(small_fractions(6, 3).filter(bool))
+    one = Exponent.zero(mode)
+    mono = lambda c: [LcNumber.monomial(one, c)]  # noqa: E731
+    square = [(mono(alpha + q), mono(alpha + q)), (mono(alpha), mono(alpha)),
+              (mono(2 * q), mono(alpha))]
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
+                               max_size=len(pairs)))
+    cutoff = data.draw(kernel_exponents(mode))
+    for args, kw in (((pairs,), {}), ((pairs,), {"cutoff": cutoff, "signs": signs}),
+                     ((square,), {"signs": (1, -1, -1)})):
+        got = lcnum.sum_of_products(*args, **kw)
+        want = pairwise_sum_of_products(*args, **kw)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.cutoff == w.cutoff
+            assert [e for e, _ in g.terms] == [e for e, _ in w.terms]
+            for (_, cg), (_, cw) in zip(g.terms, w.terms):
+                if cw.is_rational:
+                    assert cg._gen is None and cg.as_fraction() == cw.as_fraction()
+                else:
+                    assert cg._gen is gen and cw._gen is gen and cg._rep == cw._rep
+    assert [str(c) for c in lcnum.sum_of_products(square, signs=(1, -1, -1))] == [str(q * q)]
+
+
+def test_two_generators_keep_pairwise_strings():
+    # sqrt2 and sqrt3 in one call take the pair-by-pair path; each side runs
+    # on its own copy of fresh generators, whose brackets the sums refine
+    one = Exponent.lc(0)
+    s2, s3 = RealAlgebraic(2).nth_root(2), RealAlgebraic(3).nth_root(2)
+    a = [LcNumber(LC, [(one, s2 + 1), (Exponent.lc(1), s3)]), LcNumber(LC, [(one, F(1, 2))])]
+    b = [LcNumber(LC, [(one, s3)], Exponent.lc(3)), LcNumber(LC, [(Exponent.lc(1), s2)])]
+    pairs = [(a, b), (b, a), ([LcNumber(LC, [(one, s2 * s3)])], b)]
+    recorded = (  # the renderings before the number-field path existed
+        [
+            "root(x^4-108*x^2-576*x-828, 103005/8192, 25835/2048) + 6*eps"
+            " + O(eps^3)",
+            "root(x^2-3, 55/32, 225/128)"
+            " + root(x^4-16*x^3+56*x^2+64*x-368, 1315/128, 10563/1024)*eps"
+            " + root(x^2-24, 155/32, 1255/256)*eps^2 + O(eps^3)",
+            "root(x^2-2, 11/8, 23/16)*eps",
+        ],
+        [
+            "root(x^2-18, 8625/2048, 17425/4096) + O(eps^3)",
+            "root(x^2-12, 55/16, 3555/1024)*eps + O(eps^3)",
+            "0",
+        ],
+        [
+            "-root(x^2-18, 8625/2048, 17425/4096) + O(eps^2)",
+            "-root(x^2-12, 55/16, 3555/1024)*eps + O(eps^2)",
+            "0 + O(eps^2)",
+        ],
+    )
+    for kw, strings in zip(({}, {"signs": (1, -1, 1)},
+                            {"cutoff": Exponent.lc(2), "signs": (-1, 1, -1)}), recorded):
+        got = lcnum.sum_of_products(copy.deepcopy(pairs), **kw)
+        want = pairwise_sum_of_products(copy.deepcopy(pairs), **kw)
+        assert [str(g) for g in got] == [str(w) for w in want] == strings
+        assert all(same_number(g, w) for g, w in zip(got, want))

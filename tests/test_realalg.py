@@ -201,3 +201,50 @@ def test_render_formats():
 @given(st.lists(rationals, max_size=6), rationals, rationals)
 def test_pshift_is_a_taylor_shift(p, c, x):
     assert peval(pshift(p, c), x) == peval(p, x + c)
+
+
+def test_factor_fast_path_matches_sympy():
+    # every primitive polynomial of degree <= 2 with a positive leading
+    # coefficient and coefficients in [-12, 12], the inputs clear_denominators
+    # makes; __wrapped__ skips the cache, so every answer is computed here
+    import itertools
+    from math import gcd
+
+    import sympy
+
+    from lcivt.realalg import _factor_int_poly
+
+    x = sympy.Symbol("x")
+    span = range(-12, 13)
+    polys = [(), (1,)]
+    polys += [(c, a) for c, a in itertools.product(span, range(1, 13)) if gcd(c, a) == 1]
+    polys += [(c, b, a) for c, b, a in itertools.product(span, span, range(1, 13))
+              if gcd(gcd(c, b), a) == 1]
+    for coeffs in polys:
+        _, factors = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="ZZ").factor_list()
+        want = tuple(fc for fc in (tuple(int(c) for c in reversed(f.all_coeffs()))
+                                   for f, _ in factors) if len(fc) > 1)
+        assert _factor_int_poly.__wrapped__(coeffs) == want, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([([-2, 0, 1], 1), ([-3, 0, 2], 1), ([-2, 0, 0, 1], 0), ([1, -3, 0, 5], 0)]),
+       st.data())
+def test_same_generator_product_matches_fraction_remainder(gen, data):
+    # the integer reduction modulo the minimal polynomial, monic or not,
+    # against the Fraction division with remainder it replaced
+    from lcivt.polys import pdivmod, pmul, trim
+
+    minpoly, k = gen
+    alpha = isolate_real_roots(minpoly)[k][0]
+    reps = st.lists(rationals, min_size=1, max_size=len(minpoly) - 1)
+    p, q = data.draw(reps), data.draw(reps)
+    x = RealAlgebraic._from_rep(alpha._gen, p)
+    y = RealAlgebraic._from_rep(alpha._gen, q)
+    _, rem = pdivmod(pmul(p, q), [F(c) for c in minpoly])
+    got = x * y
+    rem = trim(rem)
+    if len(rem) <= 1:
+        assert got.is_rational and got.as_fraction() == (rem[0] if rem else 0)
+    else:
+        assert got._gen is alpha._gen and got._rep == tuple(rem)
