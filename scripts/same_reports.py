@@ -10,11 +10,14 @@ The digest covers:
 * the four ``lcivt example`` reports, ``timing_seconds`` removed;
 * the P and B renders of the first 80 ``lift`` operations of seed 3;
 * the ``repr`` of ``count_zeros`` on the first 60 ``residue`` operations of
-  seeds 1-3.
+  seeds 1-3.  Each result is rendered a second time after every pair of its
+  roots has been compared, and the stream fails if the two renders differ.
 
 Each stream runs in a fresh interpreter, as in ``lcbench``: generator
-brackets and the factor cache live for a process, and a rendering reads the
-bracket.  Run it at two commits; equal digests mean equal outputs.
+brackets, which comparisons refine, and the factor cache live for a process.
+A rendering is a function of the value alone, which the second render of
+each ``residue`` result checks.  Run it at two commits; equal digests mean
+equal outputs.
 ``--parts`` also prints one digest per stream, to locate a difference.
 Inputs come from ``lcbench/workloads.py``; nothing under ``lcbench/`` is
 written.
@@ -60,10 +63,27 @@ def stream_lines(name, seed, count):
             yield " | ".join([str(c) for c in fact.p_coeffs] + ["B"]
                              + [str(c) for c in fact.b_coeffs])
         elif name == "residue":
-            yield repr(out)
+            text = repr(out)
+            _compare_pairs([report.root for report in out[1]])
+            if repr(out) != text:
+                raise SystemExit("residue seed %d operation %d renders differently after "
+                                 "comparing its roots" % (seed, i))
+            yield text
         else:
             rc, text = out
             yield "%d %s" % (rc, workloads.fingerprint(text))
+
+
+def _compare_pairs(values):
+    """Compare every pair of values, both ways; undecidable pairs are skipped."""
+    from lcivt.errors import TruncationError
+
+    for a in values:
+        for b in values:
+            try:
+                a.compare(b)
+            except TruncationError:
+                pass
 
 
 def main():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import Exponent, LcNumber, sum_of_products
+from .lcnum import Exponent, LcNumber, horner, sum_of_products
 from .realalg import RealAlgebraic
 
 _LIFT_CAP = 20000
@@ -33,10 +33,9 @@ _NEWTON_CAP = 200
 
 
 def poly_eval(coeffs, x):
-    acc = LcNumber.zero(x.mode)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    """coeffs(x) by Horner's rule, on the kernel's grid where it applies
+    (``lcnum.horner``)."""
+    return horner([coeffs], x)[0]
 
 
 def poly_deriv(coeffs):
@@ -82,21 +81,24 @@ def newton_root(coeffs, x0, cutoff):
     """Newton's iteration x <- x - f(x)/f'(x) toward the simple root of f
     seeded at x0: the library's one Newton loop.
 
-    Returns (root, f(root).val_lb()), the bound None when f(root) is exactly
-    zero; or None when f'(x) vanishes below the cutoff, the residual's
-    valuation stops rising, or _NEWTON_CAP steps pass.  With vd = val f'(x)
-    the residual r is truncated at cutoff + max(vd, 0); truncated
-    coefficients leave it known below r.cutoff only, so the root is
-    certified below r.cutoff - vd.
+    Each step evaluates f(x) and f'(x) in one ``lcnum.horner`` call, which
+    encodes x once on the kernel's integer grid and keeps both
+    accumulators there.
+
+    Returns (root, f(root).val_lb()), the bound None when f(root) is
+    exactly zero; or None when f'(x) vanishes below the cutoff, the
+    residual's valuation stops rising, or _NEWTON_CAP steps pass.  With
+    vd = val f'(x) the residual r is truncated at cutoff + max(vd, 0);
+    truncated coefficients leave it known below r.cutoff only, so the root
+    is certified below r.cutoff - vd.
     """
     dcoeffs = poly_deriv(coeffs)
     x = x0
     last = None
     for _ in range(_NEWTON_CAP):
-        full = poly_eval(coeffs, x)
+        full, d = horner([coeffs, dcoeffs], x)
         if full.is_exact_zero:
             return x, None
-        d = poly_eval(dcoeffs, x)
         if not d.terms:
             return None
         vd = d.terms[0][0]

@@ -24,8 +24,15 @@ rational-function derivative each take one call.  Coefficients take one
 of three paths: integers over one denominator when all are rational (the
 lifting of S = P*B; FLINT's ``fmpq_poly``), integer vectors in the power
 basis of one number field Q(alpha) (Newton steps on a residue root such as
-sqrt(m)/b; Antic's ``nf_elem``), and RealAlgebraic values summed pair by
-pair across two or more generators.
+sqrt(m)/b; Antic's ``nf_elem``), and RealAlgebraic values across two or
+more generators.  ``horner`` evaluates polynomials at one point on the same
+grid: x is encoded once and each accumulator stays integer vectors from
+step to step, decoded once at the end.
+
+Two numbers are ordered by the first exponent where they differ, as the
+field's order is: ``LcNumber.compare`` walks both term lists and stops
+there, without forming the difference, so two roots on different
+generators are compared by their leading coefficients alone.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class Exponent:
                 if i < 1:
                     raise ValueError("hahn exponent indices start at 1")
             self.data = cleaned
-            self.key = tuple((i if c > 0 else -i, c) for i, c in reversed(cleaned)) + ((0, 0),)
+            self.key = _hahn_key(cleaned)
         else:
             raise ValueError("unknown mode %r" % mode)
 
@@ -103,6 +110,16 @@ class Exponent:
     @staticmethod
     def hahn(items):
         return Exponent(HAHN, items)
+
+    @staticmethod
+    def _mk_hahn(data):
+        """Trusted builder: ``data`` sorted by index, indices at least 1,
+        coefficients nonzero Fractions."""
+        e = object.__new__(Exponent)
+        e.mode = HAHN
+        e.data = data
+        e.key = _hahn_key(data)
+        return e
 
     @staticmethod
     def zero(mode):
@@ -136,16 +153,16 @@ class Exponent:
         if not other.data:
             return self  # values are immutable
         if self.mode == LC:
-            return Exponent(LC, self.data + other.data)
+            return Exponent._mk_lc(self.data + other.data)
         acc = dict(self.data)
         for i, c in other.data:
-            acc[i] = acc.get(i, Fraction(0)) + c
-        return Exponent(HAHN, acc)
+            acc[i] = acc.get(i, 0) + c
+        return Exponent._mk_hahn(tuple(sorted((i, c) for i, c in acc.items() if c)))
 
     def __neg__(self):
         if self.mode == LC:
-            return Exponent(LC, -self.data)
-        return Exponent(HAHN, tuple((i, -c) for i, c in self.data))
+            return Exponent._mk_lc(-self.data)
+        return Exponent._mk_hahn(tuple((i, -c) for i, c in self.data))
 
     def __sub__(self, other):
         return self + (-other)
@@ -153,8 +170,8 @@ class Exponent:
     def scale(self, q):
         q = Fraction(q)
         if self.mode == LC:
-            return Exponent(LC, self.data * q)
-        return Exponent(HAHN, tuple((i, c * q) for i, c in self.data))
+            return Exponent._mk_lc(self.data * q)
+        return Exponent._mk_hahn(tuple((i, c * q) for i, c in self.data) if q else ())
 
     def compare(self, other):
         self._check(other)
@@ -208,6 +225,10 @@ class Exponent:
 
     def __repr__(self):
         return "Exponent(%s, %s)" % (self.mode, self)
+
+
+def _hahn_key(data):
+    return tuple((i if c > 0 else -i, c) for i, c in reversed(data)) + ((0, 0),)
 
 
 def _min_cut(a, b):
@@ -455,8 +476,44 @@ class LcNumber:
     # -------------------------------------------------------------- comparison
 
     def compare(self, other):
-        other = self._coerce(other)
-        return (self - other).sign()
+        """The sign of self - other, read at the least exponent below the
+        shared cutoff where the two differ: a term on one side only gives
+        the sign of its coefficient (negated on other's side), a term on
+        both the comparison of the coefficients.  With no difference below
+        the cutoff the numbers are equal when both are exact; otherwise the
+        order is undecidable and TruncationError is raised."""
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError("cannot compare LcNumber with %r" % (other,))
+        cut = _min_cut(self.cutoff, o.cutoff)
+        cutq = cut.key if cut is not None else None
+        ta, tb = self.terms, o.terms
+        na, nb = len(ta), len(tb)
+        i = j = 0
+        while i < na or j < nb:
+            qa = ta[i][0].key if i < na else None
+            qb = tb[j][0].key if j < nb else None
+            q = qa if qb is None or (qa is not None and qa < qb) else qb
+            if cutq is not None and q >= cutq:
+                break
+            if qb is None or q != qb:
+                return ta[i][1].sign()
+            if qa is None or q != qa:
+                return -tb[j][1].sign()
+            ca, cb = ta[i][1], tb[j][1]
+            fa, fb = ca._frac, cb._frac
+            if fa is not None and fb is not None:
+                if fa != fb:
+                    return 1 if fa > fb else -1
+            else:
+                c = ca.compare(cb)
+                if c:
+                    return c
+            i += 1
+            j += 1
+        if cut is None:
+            return 0
+        raise TruncationError("sign undecidable: no terms below the cutoff")
 
     def sign(self):
         if self.terms:
@@ -623,23 +680,69 @@ class LcNumber:
 # ---------------------------------------------------- sum-of-products kernel
 
 
-def _merge(acc, part):
-    """acc += part exponent by exponent, each sum formed as ``acc + part``."""
-    for q, v in part.items():
-        ent = acc.get(q)
-        v = v if ent is None else ent + v
-        if not v if isinstance(v, Fraction) else v.is_zero:
-            acc.pop(q, None)
-        else:
-            acc[q] = v
-
-
 def _vector(c, unit):
     """A coefficient's power-basis numerators over ``unit``."""
     f = c._frac
     if f is not None:
         return (f.numerator * (unit // f.denominator),)
     return tuple(r.numerator * (unit // r.denominator) for r in c._rep)
+
+
+def _signed(c, unit):
+    """A coefficient as a Fraction or RealAlgebraic, negated when ``unit``
+    carries a negative pair sign."""
+    v = c if c._frac is None else c._frac
+    return v if unit > 0 else -v
+
+
+def _scan(polys, lc, den):
+    """(den, gen, multi, cdens) over sequences of numbers: the lc grid
+    denominator, the lcm of ``den`` and of every exponent and cutoff
+    denominator; the generator of the first algebraic coefficient and
+    whether another generator occurs; per sequence, the lcm of its
+    coefficients' denominators."""
+    gen = None
+    multi = False
+    cdens = []
+    for poly in polys:
+        cden = 1
+        for x in poly:
+            if lc and x.cutoff is not None:
+                den = lcm(den, x.cutoff.data.denominator)
+            for e, c in x.terms:
+                if lc:
+                    den = lcm(den, e.data.denominator)
+                if c._frac is None:
+                    g = c._gen
+                    if g is not gen:
+                        if gen is None:
+                            gen = g
+                        else:
+                            multi = True
+                    cden = lcm(cden, *[r.denominator for r in c._rep])
+                else:
+                    cden = lcm(cden, c._frac.denominator)
+        cdens.append(cden)
+    return den, gen, multi, cdens
+
+
+def _encode(poly, lc, den, unit, rational, vectors):
+    """Per number of ``poly``: (terms, valuation bound, cutoff) on the grid
+    1/den (hahn exponents stay Exponents), with coefficients over ``unit``
+    as integer numerators (``rational``), power-basis vectors
+    (``vectors``), or else signed values (``_signed``)."""
+    enc = []
+    for x in poly:
+        terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
+                  c._frac.numerator * (unit // c._frac.denominator) if rational
+                  else _vector(c, unit) if vectors
+                  else _signed(c, unit))
+                 for e, c in x.terms]
+        cut = x.cutoff
+        if lc and cut is not None:
+            cut = cut.data.numerator * (den // cut.data.denominator)
+        enc.append((terms, terms[0][0] if terms else cut, cut))
+    return enc
 
 
 def sum_of_products(pairs, cutoff=None, length=None, signs=None):
@@ -670,11 +773,11 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
       coefficient is reduced modulo the minimal polynomial once
       (``RealAlgebraic._from_ints``).  The representation of a value over
       one generator is canonical, so the grouping of the sum does not show.
-    * over two or more generators: values summed in the grouping of
-      separate products added in pair order,
-      (s_1*(a_1*b_1) + s_2*(a_2*b_2)) + ..., each product summed over i:
-      a sum across generators builds a new generator, whose bracket, and so
-      its rendering, depends on the grouping.
+    * over two or more generators: RealAlgebraic (or Fraction) values,
+      with each pair's sign on its a side, summed term product by term
+      product in the same loop as the rational path.  A sum across
+      generators builds a new generator, but a value renders from its
+      minimal polynomial alone, so the grouping does not show.
     """
     pairs = [(a, b, s) for (a, b), s in zip(pairs, signs or (1,) * len(pairs)) if a and b]
     if not pairs:
@@ -683,52 +786,16 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
     lc = mode == LC
     if length is None:
         length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
-    den = cutoff.data.denominator if lc and cutoff is not None else 1
-    gen = None  # the one generator of the algebraic coefficients
-    multi = False  # algebraic coefficients over two or more generators
-    cdens = []
-    for poly in (poly for a, b, _ in pairs for poly in (a, b)):
-        cden = 1
-        for x in poly:
-            if lc and x.cutoff is not None:
-                den = lcm(den, x.cutoff.data.denominator)
-            for e, c in x.terms:
-                if lc:
-                    den = lcm(den, e.data.denominator)
-                if c._frac is None:
-                    g = c._gen
-                    if g is not gen:
-                        if gen is None:
-                            gen = g
-                        else:
-                            multi = True
-                    cden = lcm(cden, *[r.denominator for r in c._rep])
-                else:
-                    cden = lcm(cden, c._frac.denominator)
-        cdens.append(cden)
+    den, gen, multi, cdens = _scan(
+        [poly for a, b, _ in pairs for poly in (a, b)], lc,
+        cutoff.data.denominator if lc and cutoff is not None else 1)
     pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
     common = lcm(*pair_dens)
     rational = gen is None
     vectors = not rational and not multi
-
-    def encode(poly, unit):
-        """Per number: (terms, valuation bound, cutoff) on the grid, with
-        coefficients as integer numerators or vectors over ``unit``."""
-        enc = []
-        for x in poly:
-            terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
-                      c._frac.numerator * (unit // c._frac.denominator) if rational
-                      else _vector(c, unit) if vectors
-                      else c if c._frac is None else c._frac)
-                     for e, c in x.terms]
-            cut = x.cutoff
-            if lc and cut is not None:
-                cut = cut.data.numerator * (den // cut.data.denominator)
-            enc.append((terms, terms[0][0] if terms else cut, cut))
-        return enc
-
     # a's unit carries the pair's sign and its share of the common denominator
-    operands = [(encode(a, s * da * (common // pden)), encode(b, db), s)
+    operands = [(_encode(a, lc, den, s * da * (common // pden), rational, vectors),
+                 _encode(b, lc, den, db, rational, vectors))
                 for (a, b, s), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
     cap = cutoff
     if lc and cap is not None:
@@ -739,9 +806,8 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
     out = []
     for k in range(length):
         cut = cap
-        contrib = []
-        for ta, tb, s in operands:
-            nums = []
+        nums = []
+        for ta, tb in operands:
             for i in range(max(0, k - len(tb) + 1), min(k + 1, len(ta))):
                 tx, vx, cx = ta[i]
                 ty, vy, cy = tb[k - i]
@@ -752,49 +818,31 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
                     cut = _min_cut(cut, cx + vy)
                 if cy is not None:
                     cut = _min_cut(cut, cy + vx)
-            contrib.append((nums, s))
         acc = {}
         get = acc.get
-        if rational:
-            for nums, _ in contrib:
-                for tx, ty in nums:
-                    for qa, ca in tx:
-                        for qb, cb in ty:
-                            q = qa + qb
-                            if cut is not None and q >= cut:
-                                break  # both term lists are sorted by exponent
-                            v = ca * cb
-                            ent = get(q)
-                            acc[q] = v if ent is None else ent + v
-        elif vectors:
-            for nums, _ in contrib:
-                for tx, ty in nums:
-                    for qa, ca in tx:
-                        for qb, cb in ty:
-                            q = qa + qb
-                            if cut is not None and q >= cut:
-                                break
-                            ent = get(q)
-                            if ent is None:
-                                ent = acc[q] = [0] * width
-                            for i, x in enumerate(ca):
-                                for j, y in enumerate(cb, i):
-                                    ent[j] += x * y
+        if vectors:
+            for tx, ty in nums:
+                for qa, ca in tx:
+                    for qb, cb in ty:
+                        q = qa + qb
+                        if cut is not None and q >= cut:
+                            break  # both term lists are sorted by exponent
+                        ent = get(q)
+                        if ent is None:
+                            ent = acc[q] = [0] * width
+                        for i, x in enumerate(ca):
+                            for j, y in enumerate(cb, i):
+                                ent[j] += x * y
         else:
-            for nums, s in contrib:
-                prod = {}
-                for tx, ty in nums:
-                    part = {}
-                    for qa, ca in tx:
-                        for qb, cb in ty:
-                            q = qa + qb
-                            if cut is not None and q >= cut:
-                                break
-                            v = ca * cb
-                            ent = part.get(q)
-                            part[q] = v if ent is None else ent + v
-                    _merge(prod, part)
-                _merge(acc, prod if s > 0 else {q: -v for q, v in prod.items()})
+            for tx, ty in nums:
+                for qa, ca in tx:
+                    for qb, cb in ty:
+                        q = qa + qb
+                        if cut is not None and q >= cut:
+                            break
+                        v = ca * cb
+                        ent = get(q)
+                        acc[q] = v if ent is None else ent + v
         terms = []
         for q in sorted(acc, key=None if lc else attrgetter("key")):
             v = acc[q]
@@ -807,7 +855,11 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
                 if v._frac == 0:
                     continue
             elif isinstance(v, Fraction):
+                if not v:
+                    continue
                 v = RealAlgebraic._rat(v)
+            elif v.is_zero:
+                continue
             if lc:
                 e = exps.get(q)
                 if e is None:
@@ -823,6 +875,106 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
             cut = Exponent._mk_lc(Fraction(cut, den))
         out.append(LcNumber._build(mode, terms, cut))
     return out
+
+
+def horner(polys, x):
+    """[p(x) for p in polys]: each value is Horner's loop acc = acc*x + c
+    from an exact zero, with that loop's cutoffs, dropped zero terms and
+    exact zeros, and the same exponents and coefficients.
+
+    In lc mode, with every algebraic coefficient of x and of the
+    polynomials on one generator alpha of degree d, x is encoded once on the
+    kernel's grid: integer exponents over one denominator, each coefficient
+    a vector of integer numerators in the basis 1, alpha, ..., alpha^(d-1)
+    (a rational one of length 1), as in ``sum_of_products``.  The
+    accumulator stays encoded over one running denominator; a step
+    convolves it with x, reduces each term modulo the minimal polynomial
+    (``_Generator.reduce``) and adds c, and each result is decoded once.
+    Hahn mode, and coefficients on two or more generators, take the loop on
+    LcNumbers.
+    """
+    polys = [list(p) for p in polys]
+    if x.mode != LC or not all(isinstance(c, LcNumber) and c.mode == LC
+                               for p in polys for c in p):
+        return [_horner_loop(p, x) for p in polys]
+    den, gen, multi, cdens = _scan([[x]] + polys, True, 1)
+    if multi:
+        return [_horner_loop(p, x) for p in polys]
+    width = 2 * len(gen.minpoly) - 3 if gen is not None else 1  # 2d - 1
+    ((xt, xval, xcut),) = _encode([x], True, den, cdens[0], False, True)
+    max_terms = None  # read when a product first has more than one term
+    out = []
+    for poly, cd in zip(polys, cdens[1:]):
+        at, ad, acut = [], 1, None  # the exact zero
+        for ct, _, ccut in reversed(_encode(poly, True, den, cd, False, True)):
+            aval = at[0][0] if at else acut
+            pt, pd, pcut = [], 1, None  # acc * x, one pair of the kernel
+            if aval is not None and xval is not None:  # neither an exact zero
+                if acut is not None:
+                    pcut = acut + xval
+                if xcut is not None:
+                    pcut = _min_cut(pcut, xcut + aval)
+                acc = {}
+                for qa, va in at:
+                    for qb, vb in xt:
+                        q = qa + qb
+                        if pcut is not None and q >= pcut:
+                            break
+                        ent = acc.get(q)
+                        if ent is None:
+                            ent = acc[q] = [0] * width
+                        for i, u in enumerate(va):
+                            for j, w in enumerate(vb, i):
+                                ent[j] += u * w
+                pd = ad * cdens[0]
+                if gen is not None:
+                    red = [(q, *gen.reduce(acc[q])) for q in sorted(acc)]
+                    scale = lcm(*[sc for _, _, sc in red])
+                    pd *= scale
+                    pt = [(q, v if sc == scale else [u * (scale // sc) for u in v])
+                          for q, v, sc in red if any(v)]
+                else:
+                    pt = [(q, acc[q]) for q in sorted(acc) if acc[q][0]]
+                if len(pt) > 1:
+                    if max_terms is None:
+                        max_terms = max_terms_cap()
+                    if len(pt) > max_terms:
+                        raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+            at, ad, acut = _grid_add(pt, pd, ct, cd, _min_cut(pcut, ccut))
+        terms = [(Exponent._mk_lc(Fraction(q, den)),
+                  RealAlgebraic._from_ints(gen, v, ad) if gen is not None
+                  else RealAlgebraic._rat(Fraction(v[0], ad)))
+                 for q, v in at]
+        out.append(LcNumber._build(
+            LC, terms, None if acut is None else Exponent._mk_lc(Fraction(acut, den))))
+    return out
+
+
+def _grid_add(pt, pd, ct, cd, cut):
+    """``LcNumber.__add__`` on grid terms: numerator vectors over pd and cd
+    brought over their lcm, terms at or above ``cut`` and zero sums
+    dropped."""
+    d = lcm(pd, cd)
+    acc = {}
+    for terms, f in ((pt, d // pd), (ct, d // cd)):
+        for q, v in terms:
+            if cut is not None and q >= cut:
+                break
+            ent = acc.get(q)
+            if ent is None:
+                acc[q] = [u * f for u in v]
+                continue
+            ent.extend([0] * (len(v) - len(ent)))
+            for k, u in enumerate(v):
+                ent[k] += u * f
+    return [(q, acc[q]) for q in sorted(acc) if any(acc[q])], d, cut
+
+
+def _horner_loop(coeffs, x):
+    acc = LcNumber.zero(x.mode)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _render_eps_power(exp):

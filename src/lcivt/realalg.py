@@ -13,7 +13,9 @@ vanishes at the target, then narrow a rational enclosure of the target until
 exactly one factor has exactly one root in it.
 
 No floating point is used anywhere; interval refinement is exact rational
-bisection.
+bisection.  Comparisons refine generator brackets in place, as a cache; a
+value renders from its minimal polynomial and a canonical isolating interval
+computed on a private copy, so its text never depends on that cache.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from math import comb, isqrt, lcm
 
 from . import polys
 from .polys import (
+    cauchy_bound,
     clear_denominators,
     count_roots_open,
     isolate_roots,
@@ -38,6 +41,7 @@ from .polys import (
 )
 
 _MAX_ALG_DEGREE = 64
+_RENDER_WIDTH = Fraction(1, 16)
 
 
 @lru_cache(maxsize=None)
@@ -398,26 +402,45 @@ class RealAlgebraic:
         return self._minpoly
 
     def isolating_interval(self):
+        """The canonical isolating interval, a function of the value alone.
+
+        Bisect [-2^k, 2^k], 2^k the least power of two at or above the
+        Cauchy bound of the minimal polynomial, always keeping the half that
+        holds the value; the result is the first interval of width <= 1/16
+        that holds exactly one root of the minimal polynomial.  Only a
+        private copy of the generator bracket is refined.  A rational q
+        gives (q - 1, q + 1).
+        """
         if self._frac is not None:
             return (self._frac - 1, self._frac + 1)
-        ffac = [Fraction(c) for c in self.defining_polynomial()]
-        lo, hi = self.bounds()
-        while count_roots_open(ffac, lo, hi) != 1:
-            self._gen.refine()
-            lo, hi = self.bounds()
-        return (lo, hi)
+        poly = [Fraction(c) for c in self.defining_polynomial()]
+        gen = _Generator(self._gen.minpoly, self._gen.lo, self._gen.hi)
+        lo, hi = _interval_eval(self._rep, gen.lo, gen.hi)
+        while count_roots_open(poly, lo, hi) != 1:
+            gen.refine()
+            lo, hi = _interval_eval(self._rep, gen.lo, gen.hi)
+        # the value is the only root of poly in (lo, hi); poly has no
+        # rational root, so a sign test places it against any midpoint
+        sign_lo = sgn(peval(poly, lo))
+        bound, half = cauchy_bound(poly), 1
+        while half < bound:
+            half *= 2
+        a, b = Fraction(-half), Fraction(half)
+        while b - a > _RENDER_WIDTH or count_roots_open(poly, a, b) != 1:
+            mid = (a + b) / 2
+            if mid >= hi or (mid > lo and sgn(peval(poly, mid)) != sign_lo):
+                b = mid
+            else:
+                a = mid
+        return (a, b)
 
     # --------------------------------------------------------------- rendering
 
     def __str__(self):
         if self._frac is not None:
             return str(self._frac)
-        poly = self.defining_polynomial()
         lo, hi = self.isolating_interval()
-        while hi - lo > Fraction(1, 16):
-            self._gen.refine()
-            lo, hi = self.isolating_interval()
-        return "root(%s, %s, %s)" % (polys.render(poly, "x"), lo, hi)
+        return "root(%s, %s, %s)" % (polys.render(self.defining_polynomial(), "x"), lo, hi)
 
     def __repr__(self):
         return "RealAlgebraic(%s)" % self

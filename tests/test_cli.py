@@ -130,13 +130,27 @@ def test_track_extremes_command(capsys):
 
 
 def test_determinism_modulo_timing(capsys):
-    argv = ("ivt", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2",
-            "--cutoff", "6")
-    _, first = run_json(capsys, *argv)
-    _, second = run_json(capsys, *argv)
-    first.pop("timing_seconds")
-    second.pop("timing_seconds")
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    # the second request's root is sqrt2 - eps/2 + ..., with real algebraic
+    # coefficients; the comparisons between the two runs refine the
+    # brackets of values in the same fields, which no report may read
+    from lcivt.realalg import isolate_real_roots
+
+    for argv in (("ivt", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2",
+                  "--cutoff", "6"),
+                 ("zeros", "--inline", "poly: -2, eps, 1", "--interval", "0,2",
+                  "--cutoff", "4")):
+        _, first = run_json(capsys, *argv)
+        roots = [r for m in (2, 8, 128) for r, _ in isolate_real_roots([-1, 0, m])]
+        for a in roots:
+            for b in roots:
+                a.compare(b)
+                a.compare(a + b)
+        _, second = run_json(capsys, *argv)
+        first.pop("timing_seconds")
+        second.pop("timing_seconds")
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    assert first["results"]["roots"][0]["root"].startswith(
+        "root(x^2-2, 11/8, 23/16) - 1/2*eps + root(128*x^2-1, 1/16, 1/8)*eps^2")
 
 
 def test_example_exit_contract(capsys, monkeypatch):

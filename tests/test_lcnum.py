@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcivt import lcnum
+from lcivt import lcnum, realalg
 from lcivt.errors import ResourceCapError, TruncationError
 from lcivt.hensel import poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, max_terms_cap
@@ -459,9 +459,8 @@ def test_product_kernel_matches_pairwise_products(mode, data):
         assert all(same_number(g, w) for g, w in zip(got, want))
     for kw in ({}, {"cutoff": cutoff, "signs": signs}, {"length": short, "signs": signs},
                {"cutoff": cutoff, "length": short}):
-        # each side on its own copy of the generators: arithmetic across two
-        # generators refines their brackets, which the new generator's
-        # bracket, and so its rendering, starts from
+        # each side on its own copy of the generators, so that neither side
+        # refines the other's brackets
         got = lcnum.sum_of_products(copy.deepcopy(pairs), **kw)
         want = pairwise_sum_of_products(copy.deepcopy(pairs), **kw)
         assert [str(g) for g in got] == [str(w) for w in want]
@@ -537,30 +536,29 @@ def test_number_field_path_matches_pairwise_reference(mode, field, data):
 
 
 def test_two_generators_keep_pairwise_strings():
-    # sqrt2 and sqrt3 in one call take the pair-by-pair path; each side runs
-    # on its own copy of fresh generators, whose brackets the sums refine
+    # sqrt2 and sqrt3 in one call take the RealAlgebraic path; each side
+    # runs on its own copy of fresh generators, whose brackets the sums refine
     one = Exponent.lc(0)
     s2, s3 = RealAlgebraic(2).nth_root(2), RealAlgebraic(3).nth_root(2)
     a = [LcNumber(LC, [(one, s2 + 1), (Exponent.lc(1), s3)]), LcNumber(LC, [(one, F(1, 2))])]
     b = [LcNumber(LC, [(one, s3)], Exponent.lc(3)), LcNumber(LC, [(Exponent.lc(1), s2)])]
     pairs = [(a, b), (b, a), ([LcNumber(LC, [(one, s2 * s3)])], b)]
-    recorded = (  # the renderings before the number-field path existed
+    recorded = (  # canonical renderings: minimal polynomial and dyadic interval
         [
-            "root(x^4-108*x^2-576*x-828, 103005/8192, 25835/2048) + 6*eps"
-            " + O(eps^3)",
-            "root(x^2-3, 55/32, 225/128)"
-            " + root(x^4-16*x^3+56*x^2+64*x-368, 1315/128, 10563/1024)*eps"
-            " + root(x^2-24, 155/32, 1255/256)*eps^2 + O(eps^3)",
+            "root(x^4-108*x^2-576*x-828, 201/16, 101/8) + 6*eps + O(eps^3)",
+            "root(x^2-3, 27/16, 7/4)"
+            " + root(x^4-16*x^3+56*x^2+64*x-368, 41/4, 165/16)*eps"
+            " + root(x^2-24, 39/8, 79/16)*eps^2 + O(eps^3)",
             "root(x^2-2, 11/8, 23/16)*eps",
         ],
         [
-            "root(x^2-18, 8625/2048, 17425/4096) + O(eps^3)",
-            "root(x^2-12, 55/16, 3555/1024)*eps + O(eps^3)",
+            "root(x^2-18, 67/16, 17/4) + O(eps^3)",
+            "root(x^2-12, 55/16, 7/2)*eps + O(eps^3)",
             "0",
         ],
         [
-            "-root(x^2-18, 8625/2048, 17425/4096) + O(eps^2)",
-            "-root(x^2-12, 55/16, 3555/1024)*eps + O(eps^2)",
+            "-root(x^2-18, 67/16, 17/4) + O(eps^2)",
+            "-root(x^2-12, 55/16, 7/2)*eps + O(eps^2)",
             "0 + O(eps^2)",
         ],
     )
@@ -570,3 +568,148 @@ def test_two_generators_keep_pairwise_strings():
         want = pairwise_sum_of_products(copy.deepcopy(pairs), **kw)
         assert [str(g) for g in got] == [str(w) for w in want] == strings
         assert all(same_number(g, w) for g, w in zip(got, want))
+
+
+# ----------------------------------------------------------- lazy comparison
+
+
+def difference_sign(a, b):
+    """The order as the sign of the whole difference, the definition."""
+    try:
+        return (a - b).sign()
+    except TruncationError:
+        return "undecidable"
+
+
+def lazy_order(a, b):
+    try:
+        return a.compare(b)
+    except TruncationError:
+        return "undecidable"
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_lazy_compare_matches_difference_sign(mode, data):
+    numbers = data.draw(st.sampled_from(
+        [kernel_numbers(mode, algebraic=False), kernel_numbers(mode),
+         generator_numbers(mode, ONE_GENERATOR["sqrt_3_over_2"]),
+         generator_numbers(mode, ONE_GENERATOR["cbrt2"])]))
+    a, delta = data.draw(numbers), data.draw(numbers)
+    # b shares a's leading terms with every kind of difference behind them
+    for b in (data.draw(numbers), a, a + delta, a - delta, -a,
+              a.truncate(data.draw(kernel_exponents(mode)))):
+        assert lazy_order(a, b) == difference_sign(a, b)
+        assert lazy_order(b, a) == difference_sign(b, a)
+    for scalar in (0, 1, F(-2, 3), SQRT[2]):
+        assert lazy_order(a, scalar) == difference_sign(a, scalar)
+
+
+def test_lazy_compare_rejects_other_types():
+    with pytest.raises(TypeError):
+        eps().compare("eps")
+    with pytest.raises(TypeError):
+        eps() < 1.5
+    with pytest.raises(ValueError, match="mode"):
+        eps().compare(eps_n(1))
+
+
+def test_lazy_compare_stops_at_first_difference(monkeypatch):
+    # the terms after the first difference span two generators; forming the
+    # difference would sum them through _cross_binop
+    s2, s3 = RealAlgebraic(2).nth_root(2), RealAlgebraic(3).nth_root(2)
+    a = LcNumber(LC, [(E(0), 1), (E(1), s2)])
+    b = LcNumber(LC, [(E(0), 2), (E(1), s3)])
+    c = LcNumber(LC, [(E(0), 1), (E(1), s3)], E(1))
+
+    def refuse(*args):
+        raise AssertionError("the difference was formed")
+
+    monkeypatch.setattr(realalg, "_cross_binop", refuse)
+    assert a.compare(b) == -1 and b.compare(a) == 1
+    with pytest.raises(TruncationError):
+        a.compare(c)
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_exponent_arithmetic_matches_validating_constructor(mode, data):
+    a, b = data.draw(kernel_exponents(mode)), data.draw(kernel_exponents(mode))
+    q = data.draw(small_fractions(6, 3))
+    if mode == LC:
+        want = [(a + b, a.data + b.data), (-a, -a.data), (a.scale(q), a.data * q)]
+    else:
+        total = dict(a.data)
+        for i, c in b.data:
+            total[i] = total.get(i, 0) + c
+        want = [(a + b, total), (-a, {i: -c for i, c in a.data}),
+                (a.scale(q), {i: c * q for i, c in a.data})]
+    for got, data_ in want:
+        ref = Exponent(mode, data_)
+        assert got.mode == ref.mode
+        assert got.data == ref.data and got.key == ref.key
+        assert hash(got) == hash(ref)
+        assert all(type(c) is F for _, c in got.data) if mode == HAHN else type(got.data) is F
+
+
+# ------------------------------------------------------------- grid Horner
+
+
+def horner_loop(coeffs, x):
+    """acc = acc*x + c on LcNumbers: the loop the grid Horner replaces."""
+    acc = LcNumber.zero(x.mode)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def same_structure(got, want):
+    """Equal mode, cutoff, exponents and coefficient representations, on the
+    same generator objects."""
+    return (got.mode == want.mode and got.cutoff == want.cutoff
+            and [e for e, _ in got.terms] == [e for e, _ in want.terms]
+            and all(cg._frac == cw._frac and cg._gen is cw._gen and cg._rep == cw._rep
+                    for (_, cg), (_, cw) in zip(got.terms, want.terms)))
+
+
+@pytest.mark.parametrize("field", ["rational", "sqrt2", "sqrt_3_over_2", "cbrt2", "hahn"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_horner_matches_loop(field, data):
+    if field == "rational":
+        numbers = kernel_numbers(LC, algebraic=False)
+    elif field == "hahn":
+        numbers = generator_numbers(HAHN, ONE_GENERATOR["sqrt2"])
+    else:
+        numbers = generator_numbers(LC, ONE_GENERATOR[field])
+    polys = data.draw(st.lists(st.lists(numbers, max_size=4), min_size=1, max_size=3))
+    x = data.draw(numbers)
+    got = lcnum.horner(polys, x)
+    assert len(got) == len(polys)
+    for g, p in zip(got, polys):
+        assert same_structure(g, horner_loop(p, x))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_grid_horner_two_generators_takes_the_loop(data):
+    # sums across sqrt2 and sqrt3 build new generators: equal values and
+    # renders, on generator objects of their own
+    polys = data.draw(st.lists(st.lists(kernel_numbers(LC), max_size=3), min_size=1,
+                               max_size=2))
+    x = data.draw(kernel_numbers(LC))
+    for g, p in zip(lcnum.horner(polys, x), polys):
+        w = horner_loop(p, x)
+        assert same_number(g, w) and str(g) == str(w)
+
+
+def test_grid_horner_keeps_the_term_cap(monkeypatch):
+    x = L("1 + eps + eps^2")
+    coeffs = [L("1"), L("1 + eps"), L("1")]
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "2")
+    with pytest.raises(ResourceCapError):
+        horner_loop(coeffs, x)
+    with pytest.raises(ResourceCapError):
+        lcnum.horner([coeffs], x)

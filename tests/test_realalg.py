@@ -248,3 +248,65 @@ def test_same_generator_product_matches_fraction_remainder(gen, data):
         assert got.is_rational and got.as_fraction() == (rem[0] if rem else 0)
     else:
         assert got._gen is alpha._gen and got._rep == tuple(rem)
+
+
+# ------------------------------------------------------ canonical rendering
+
+
+def fresh_sqrt(m):
+    """sqrt(m) on a generator of its own, with a fresh bracket."""
+    return isolate_real_roots([-m, 0, 1])[-1][0]
+
+
+def test_render_reads_the_value_not_the_bracket():
+    assert str(fresh_sqrt(2)) == "root(x^2-2, 11/8, 23/16)"
+    s = fresh_sqrt(2) + fresh_sqrt(3)
+    text = str(s)
+    assert s.compare(F(314626, 100000)) == 1
+    assert str(s) == text == str(fresh_sqrt(3) + fresh_sqrt(2))
+    r3 = fresh_sqrt(3)
+    assert str((fresh_sqrt(2) + r3) - r3) == str(fresh_sqrt(2))
+    for _ in range(12):
+        s.refine()
+    assert str(s) == text
+
+
+SQRT_TERMS = st.lists(
+    st.tuples(rationals.filter(bool), st.sampled_from((2, 3, 5, 6))), min_size=1, max_size=3)
+
+
+def left_sum(values):
+    acc = values[0]
+    for v in values[1:]:
+        acc = acc + v
+    return acc
+
+
+def right_sum(values):
+    acc = values[-1]
+    for v in reversed(values[:-1]):
+        acc = v + acc
+    return acc
+
+
+@given(SQRT_TERMS, rationals.filter(bool), rationals)
+@settings(max_examples=25, deadline=None)
+def test_equal_values_render_equal(terms, scale, shift):
+    # sum_i q_i*sqrt(m_i), grouped and ordered two ways on fresh generators,
+    # then scaled and multiplied out against a sum of two terms
+    x = left_sum([q * fresh_sqrt(m) for q, m in terms])
+    y = right_sum([q * fresh_sqrt(m) for q, m in reversed(terms)])
+    pairs = [(x, y),
+             (x * scale + shift, right_sum([q * scale * fresh_sqrt(m) for q, m in terms]) + shift)]
+    q0, m0 = terms[0]
+    pairs.append(((fresh_sqrt(m0) + shift) * x,
+                  left_sum([q * fresh_sqrt(m0) * fresh_sqrt(m) for q, m in terms]) + shift * y))
+    for a, b in pairs:
+        assert a.compare(b) == 0
+        text = str(a)
+        assert str(b) == text
+        a.refine()
+        b.refine()
+        a.compare(F(1, 3))
+        a.compare(fresh_sqrt(7))
+        assert str(a) == str(b) == text
