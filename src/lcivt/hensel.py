@@ -33,8 +33,7 @@ _NEWTON_CAP = 200
 
 
 def poly_eval(coeffs, x):
-    """coeffs(x) by Horner's rule, on the kernel's grid where it applies
-    (``lcnum.horner``)."""
+    """coeffs(x) by Horner's rule on the kernel's grid (``lcnum.horner``)."""
     return horner([coeffs], x)[0]
 
 
@@ -82,8 +81,9 @@ def newton_root(coeffs, x0, cutoff):
     seeded at x0: the library's one Newton loop.
 
     Each step evaluates f(x) and f'(x) in one ``lcnum.horner`` call, which
-    encodes x once on the kernel's integer grid and keeps both
-    accumulators there.
+    encodes x once on the kernel's grid, in either mode and over any number
+    of generators, and keeps both accumulators encoded, each Horner step
+    one kernel accumulation.
 
     Returns (root, f(root).val_lb()), the bound None when f(root) is
     exactly zero; or None when f'(x) vanishes below the cutoff, the

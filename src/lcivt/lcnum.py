@@ -25,9 +25,12 @@ of three paths: integers over one denominator when all are rational (the
 lifting of S = P*B; FLINT's ``fmpq_poly``), integer vectors in the power
 basis of one number field Q(alpha) (Newton steps on a residue root such as
 sqrt(m)/b; Antic's ``nf_elem``), and RealAlgebraic values across two or
-more generators.  ``horner`` evaluates polynomials at one point on the same
-grid: x is encoded once and each accumulator stays integer vectors from
-step to step, decoded once at the end.
+more generators.  The kernel's encoding, accumulation and decoding are
+one object, ``_Grid``, which ``horner`` shares: it evaluates polynomials at
+one point x, in either mode and on any of the three paths, with each step
+acc*x + c one accumulation over the pairs (acc, x) and (c, 1); x and the
+coefficients are encoded once, and each accumulator stays encoded from
+step to step and is decoded once at the end.
 
 Two numbers are ordered by the first exponent where they differ, as the
 field's order is: ``LcNumber.compare`` walks both term lists and stops
@@ -695,117 +698,82 @@ def _signed(c, unit):
     return v if unit > 0 else -v
 
 
-def _scan(polys, lc, den):
-    """(den, gen, multi, cdens) over sequences of numbers: the lc grid
-    denominator, the lcm of ``den`` and of every exponent and cutoff
-    denominator; the generator of the first algebraic coefficient and
-    whether another generator occurs; per sequence, the lcm of its
-    coefficients' denominators."""
-    gen = None
-    multi = False
-    cdens = []
-    for poly in polys:
-        cden = 1
-        for x in poly:
-            if lc and x.cutoff is not None:
-                den = lcm(den, x.cutoff.data.denominator)
-            for e, c in x.terms:
-                if lc:
-                    den = lcm(den, e.data.denominator)
-                if c._frac is None:
-                    g = c._gen
-                    if g is not gen:
-                        if gen is None:
-                            gen = g
-                        else:
-                            multi = True
-                    cden = lcm(cden, *[r.denominator for r in c._rep])
-                else:
-                    cden = lcm(cden, c._frac.denominator)
-        cdens.append(cden)
-    return den, gen, multi, cdens
+class _Grid:
+    """The encoding that one kernel or Horner call shares across its numbers.
 
-
-def _encode(poly, lc, den, unit, rational, vectors):
-    """Per number of ``poly``: (terms, valuation bound, cutoff) on the grid
-    1/den (hahn exponents stay Exponents), with coefficients over ``unit``
-    as integer numerators (``rational``), power-basis vectors
-    (``vectors``), or else signed values (``_signed``)."""
-    enc = []
-    for x in poly:
-        terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
-                  c._frac.numerator * (unit // c._frac.denominator) if rational
-                  else _vector(c, unit) if vectors
-                  else _signed(c, unit))
-                 for e, c in x.terms]
-        cut = x.cutoff
-        if lc and cut is not None:
-            cut = cut.data.numerator * (den // cut.data.denominator)
-        enc.append((terms, terms[0][0] if terms else cut, cut))
-    return enc
-
-
-def sum_of_products(pairs, cutoff=None, length=None, signs=None):
-    """Every coefficient of s_1*a_1*b_1 + s_2*a_2*b_2 + ..., each built once.
-
-    ``pairs`` holds (a, b): sequences of same-mode LcNumber by ascending
-    power; ``signs`` one s_j = +-1 per pair, by default +1.  Pairs with an
-    empty side are dropped; with none left the result is [], otherwise
-    ``length`` coefficients, by default as many as the longest product.
-    Coefficient k sums the term products of every a[i], b[k-i] in which
-    neither number is an exact zero.  Its cutoff is fixed before any term
-    is formed: the least over those pairs of cut(x) + val(y) and
-    cut(y) + val(x), capped at ``cutoff``; only term products below it are
-    accumulated, into one dict.
-
-    lc exponents are integers on one grid 1/den, den the lcm of every
-    exponent and cutoff denominator; hahn exponents stay Exponent keys.
-    Coefficients take one of three paths:
-
-    * all rational: integer numerators over one common denominator, the
-      lcm over the pairs of the product of a's and b's denominators, with
-      each pair's sign on its a side; each output coefficient becomes one
-      Fraction.
-    * every algebraic one over one generator alpha of degree d: the same
-      common denominator, each coefficient a vector of integer numerators
-      in the basis 1, alpha, ..., alpha^(d-1) (a rational is a vector of
-      length 1); term products are integer convolutions, and each output
-      coefficient is reduced modulo the minimal polynomial once
-      (``RealAlgebraic._from_ints``).  The representation of a value over
-      one generator is canonical, so the grouping of the sum does not show.
-    * over two or more generators: RealAlgebraic (or Fraction) values,
-      with each pair's sign on its a side, summed term product by term
-      product in the same loop as the rational path.  A sum across
-      generators builds a new generator, but a value renders from its
-      minimal polynomial alone, so the grouping does not show.
+    lc exponents and cutoffs are integers on one grid 1/den, den the lcm of
+    the given ``den`` and of every exponent and cutoff denominator; hahn
+    exponents stay Exponents.  Coefficients take one of the three paths of
+    ``sum_of_products``: integer numerators (``rational``), integer vectors
+    of ``width`` = 2d - 1 entries in the power basis of ``gen`` when every
+    algebraic coefficient lies on that one generator, or else values.
+    ``cdens`` holds, per scanned sequence, the lcm of its coefficients'
+    denominators.
     """
-    pairs = [(a, b, s) for (a, b), s in zip(pairs, signs or (1,) * len(pairs)) if a and b]
-    if not pairs:
-        return []
-    mode = pairs[0][0][0].mode
-    lc = mode == LC
-    if length is None:
-        length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
-    den, gen, multi, cdens = _scan(
-        [poly for a, b, _ in pairs for poly in (a, b)], lc,
-        cutoff.data.denominator if lc and cutoff is not None else 1)
-    pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
-    common = lcm(*pair_dens)
-    rational = gen is None
-    vectors = not rational and not multi
-    # a's unit carries the pair's sign and its share of the common denominator
-    operands = [(_encode(a, lc, den, s * da * (common // pden), rational, vectors),
-                 _encode(b, lc, den, db, rational, vectors))
-                for (a, b, s), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
-    cap = cutoff
-    if lc and cap is not None:
-        cap = cap.data.numerator * (den // cap.data.denominator)
-    width = 2 * len(gen.minpoly) - 3 if vectors else 0  # 2d - 1
-    exps = {}
-    max_terms = None  # read when a number first has more than one term
-    out = []
-    for k in range(length):
-        cut = cap
+
+    __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "width", "exps",
+                 "max_terms")
+
+    def __init__(self, mode, polys, den=1):
+        lc = mode == LC
+        gen = None
+        multi = False
+        cdens = []
+        for poly in polys:
+            cden = 1
+            for x in poly:
+                if lc and x.cutoff is not None:
+                    den = lcm(den, x.cutoff.data.denominator)
+                for e, c in x.terms:
+                    if lc:
+                        den = lcm(den, e.data.denominator)
+                    if c._frac is None:
+                        g = c._gen
+                        if g is not gen:
+                            if gen is None:
+                                gen = g
+                            else:
+                                multi = True
+                        cden = lcm(cden, *[r.denominator for r in c._rep])
+                    else:
+                        cden = lcm(cden, c._frac.denominator)
+            cdens.append(cden)
+        self.mode, self.lc, self.den, self.cdens = mode, lc, den, cdens
+        self.rational = gen is None
+        self.gen = None if multi else gen
+        self.width = 2 * len(gen.minpoly) - 3 if self.gen is not None else 0  # 2d - 1
+        self.exps = {}
+        self.max_terms = None  # read when a number first has more than one term
+
+    def encode(self, poly, unit):
+        """Per number of ``poly``: (terms, valuation bound, cutoff) on the
+        grid, each coefficient over ``unit`` as an integer numerator, a
+        power-basis vector (``_vector``) or a value (``_signed``)."""
+        lc, den, rational, vectors = self.lc, self.den, self.rational, self.gen is not None
+        enc = []
+        for x in poly:
+            terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
+                      c._frac.numerator * (unit // c._frac.denominator) if rational
+                      else _vector(c, unit) if vectors
+                      else _signed(c, unit))
+                     for e, c in x.terms]
+            cut = x.cutoff
+            if lc and cut is not None:
+                cut = cut.data.numerator * (den // cut.data.denominator)
+            enc.append((terms, terms[0][0] if terms else cut, cut))
+        return enc
+
+    def accumulate(self, operands, k, cut):
+        """(terms, s, cut) for coefficient k of the sum of the products of
+        ``operands``, pairs (a, b) of encoded sequences.  Each a[i], b[k-i]
+        in which neither number is an exact zero lowers the grid cutoff
+        ``cut`` to cut(x) + val(y) and cut(y) + val(x) before any term is
+        formed.  The sums below the cutoff become ``terms``, nonzero and by
+        ascending exponent, over one more denominator s: on a generator
+        each vector is reduced modulo the minimal polynomial
+        (``_Generator.reduce``) and all are brought over the lcm s of the
+        scalings that needed, and values become RealAlgebraic.  More than
+        LCIVT_MAX_TERMS terms raise ResourceCapError."""
         nums = []
         for ta, tb in operands:
             for i in range(max(0, k - len(tb) + 1), min(k + 1, len(ta))):
@@ -820,60 +788,118 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
                     cut = _min_cut(cut, cy + vx)
         acc = {}
         get = acc.get
-        if vectors:
-            for tx, ty in nums:
-                for qa, ca in tx:
-                    for qb, cb in ty:
-                        q = qa + qb
-                        if cut is not None and q >= cut:
-                            break  # both term lists are sorted by exponent
-                        ent = get(q)
+        width = self.width
+        for tx, ty in nums:
+            for qa, ca in tx:
+                for qb, cb in ty:
+                    q = qa + qb
+                    if cut is not None and q >= cut:
+                        break  # both term lists are sorted by exponent
+                    ent = get(q)
+                    if width:
                         if ent is None:
                             ent = acc[q] = [0] * width
                         for i, x in enumerate(ca):
                             for j, y in enumerate(cb, i):
                                 ent[j] += x * y
-        else:
-            for tx, ty in nums:
-                for qa, ca in tx:
-                    for qb, cb in ty:
-                        q = qa + qb
-                        if cut is not None and q >= cut:
-                            break
+                    else:
                         v = ca * cb
-                        ent = get(q)
                         acc[q] = v if ent is None else ent + v
-        terms = []
-        for q in sorted(acc, key=None if lc else attrgetter("key")):
-            v = acc[q]
-            if rational:
-                if not v:
-                    continue
-                v = RealAlgebraic._rat(Fraction(v, common))
-            elif vectors:
-                v = RealAlgebraic._from_ints(gen, v, common)
-                if v._frac == 0:
-                    continue
-            elif isinstance(v, Fraction):
-                if not v:
-                    continue
-                v = RealAlgebraic._rat(v)
-            elif v.is_zero:
-                continue
+        order = sorted(acc, key=None if self.lc else attrgetter("key"))
+        s = 1
+        if self.rational:
+            terms = [(q, v) for q in order if (v := acc[q])]
+        elif width:
+            red = [(q, *self.gen.reduce(acc[q])) for q in order]
+            s = lcm(*[sq for _, _, sq in red])
+            terms = [(q, v if sq == s else [u * (s // sq) for u in v])
+                     for q, v, sq in red if any(v)]
+        else:
+            terms = [(q, RealAlgebraic(acc[q])) for q in order]
+            terms = [(q, v) for q, v in terms if not v.is_zero]
+        if len(terms) > 1:
+            if self.max_terms is None:
+                self.max_terms = max_terms_cap()
+            if len(terms) > self.max_terms:
+                raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+        return terms, s, cut
+
+    def decode(self, terms, cut, unit):
+        """The LcNumber of accumulated terms over ``unit``, below the grid
+        cutoff ``cut``."""
+        lc, den, exps, gen, rational = self.lc, self.den, self.exps, self.gen, self.rational
+        out = []
+        for q, v in terms:
             if lc:
                 e = exps.get(q)
                 if e is None:
                     e = exps[q] = Exponent._mk_lc(Fraction(q, den))
                 q = e
-            terms.append((q, v))
-        if len(terms) > 1:
-            if max_terms is None:
-                max_terms = max_terms_cap()
-            if len(terms) > max_terms:
-                raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+            if rational:
+                v = RealAlgebraic._rat(Fraction(v, unit))
+            elif gen is not None:
+                v = RealAlgebraic._from_ints(gen, v, unit)
+            out.append((q, v))
         if lc and cut is not None:
             cut = Exponent._mk_lc(Fraction(cut, den))
-        out.append(LcNumber._build(mode, terms, cut))
+        return LcNumber._build(self.mode, out, cut)
+
+
+def sum_of_products(pairs, cutoff=None, length=None, signs=None):
+    """Every coefficient of s_1*a_1*b_1 + s_2*a_2*b_2 + ..., each built once.
+
+    ``pairs`` holds (a, b): sequences of same-mode LcNumber by ascending
+    power; ``signs`` one s_j = +-1 per pair, by default +1.  Pairs with an
+    empty side are dropped; with none left the result is [], otherwise
+    ``length`` coefficients, by default as many as the longest product.
+    Coefficient k sums the term products of every a[i], b[k-i] in which
+    neither number is an exact zero.  Its cutoff is fixed before any term
+    is formed: the least over those pairs of cut(x) + val(y) and
+    cut(y) + val(x), capped at ``cutoff``; only term products below it are
+    accumulated, into one dict (``_Grid.accumulate``).
+
+    lc exponents are integers on one grid 1/den, den the lcm of every
+    exponent and cutoff denominator; hahn exponents stay Exponent keys.
+    Coefficients take one of three paths:
+
+    * all rational: integer numerators over one common denominator, the
+      lcm over the pairs of the product of a's and b's denominators, with
+      each pair's sign on its a side; each output coefficient becomes one
+      Fraction.
+    * every algebraic one over one generator alpha of degree d: the same
+      common denominator, each coefficient a vector of integer numerators
+      in the basis 1, alpha, ..., alpha^(d-1) (a rational is a vector of
+      length 1); term products are integer convolutions, and each output
+      term is reduced modulo the minimal polynomial once
+      (``_Generator.reduce``).  The representation of a value over one
+      generator is canonical, so the grouping of the sum does not show.
+    * over two or more generators: RealAlgebraic (or Fraction) values,
+      with each pair's sign on its a side, summed term product by term
+      product in the same loop as the rational path.  A sum across
+      generators builds a new generator, but a value renders from its
+      minimal polynomial alone, so the grouping does not show.
+    """
+    pairs = [(a, b, s) for (a, b), s in zip(pairs, signs or (1,) * len(pairs)) if a and b]
+    if not pairs:
+        return []
+    mode = pairs[0][0][0].mode
+    if length is None:
+        length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
+    grid = _Grid(mode, [poly for a, b, _ in pairs for poly in (a, b)],
+                 cutoff.data.denominator if mode == LC and cutoff is not None else 1)
+    cdens = grid.cdens
+    pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
+    common = lcm(*pair_dens)
+    # a's unit carries the pair's sign and its share of the common denominator
+    operands = [(grid.encode(a, s * da * (common // pden)), grid.encode(b, db))
+                for (a, b, s), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
+    cap = cutoff
+    if mode == LC and cap is not None:
+        cap = cap.data.numerator * (grid.den // cap.data.denominator)
+    out = []
+    for k in range(length):
+        terms, s, cut = grid.accumulate(operands, k, cap)
+        out.append(grid.decode(terms, cut, common * s))
     return out
 
 
@@ -882,99 +908,29 @@ def horner(polys, x):
     from an exact zero, with that loop's cutoffs, dropped zero terms and
     exact zeros, and the same exponents and coefficients.
 
-    In lc mode, with every algebraic coefficient of x and of the
-    polynomials on one generator alpha of degree d, x is encoded once on the
-    kernel's grid: integer exponents over one denominator, each coefficient
-    a vector of integer numerators in the basis 1, alpha, ..., alpha^(d-1)
-    (a rational one of length 1), as in ``sum_of_products``.  The
-    accumulator stays encoded over one running denominator; a step
-    convolves it with x, reduces each term modulo the minimal polynomial
-    (``_Generator.reduce``) and adds c, and each result is decoded once.
-    Hahn mode, and coefficients on two or more generators, take the loop on
-    LcNumbers.
+    x and the polynomials are encoded once on the kernel's grid
+    (``_Grid``), in either mode and on whichever coefficient path they
+    allow.  Each step is one kernel accumulation over the two pairs
+    (acc, x) and (c, 1), the 1 carrying c's share of the step's common
+    denominator; the result keeps its encoding for the next step, with one
+    ``_Generator.reduce`` per term over one generator and the
+    LCIVT_MAX_TERMS cap checked, and each value is decoded once.
     """
-    polys = [list(p) for p in polys]
-    if x.mode != LC or not all(isinstance(c, LcNumber) and c.mode == LC
-                               for p in polys for c in p):
-        return [_horner_loop(p, x) for p in polys]
-    den, gen, multi, cdens = _scan([[x]] + polys, True, 1)
-    if multi:
-        return [_horner_loop(p, x) for p in polys]
-    width = 2 * len(gen.minpoly) - 3 if gen is not None else 1  # 2d - 1
-    ((xt, xval, xcut),) = _encode([x], True, den, cdens[0], False, True)
-    max_terms = None  # read when a product first has more than one term
+    grid = _Grid(x.mode, [[x], *polys])
+    dx = grid.cdens[0]
+    (xe,) = grid.encode([x], dx)
+    one = [LcNumber.one(x.mode)]
     out = []
-    for poly, cd in zip(polys, cdens[1:]):
-        at, ad, acut = [], 1, None  # the exact zero
-        for ct, _, ccut in reversed(_encode(poly, True, den, cd, False, True)):
-            aval = at[0][0] if at else acut
-            pt, pd, pcut = [], 1, None  # acc * x, one pair of the kernel
-            if aval is not None and xval is not None:  # neither an exact zero
-                if acut is not None:
-                    pcut = acut + xval
-                if xcut is not None:
-                    pcut = _min_cut(pcut, xcut + aval)
-                acc = {}
-                for qa, va in at:
-                    for qb, vb in xt:
-                        q = qa + qb
-                        if pcut is not None and q >= pcut:
-                            break
-                        ent = acc.get(q)
-                        if ent is None:
-                            ent = acc[q] = [0] * width
-                        for i, u in enumerate(va):
-                            for j, w in enumerate(vb, i):
-                                ent[j] += u * w
-                pd = ad * cdens[0]
-                if gen is not None:
-                    red = [(q, *gen.reduce(acc[q])) for q in sorted(acc)]
-                    scale = lcm(*[sc for _, _, sc in red])
-                    pd *= scale
-                    pt = [(q, v if sc == scale else [u * (scale // sc) for u in v])
-                          for q, v, sc in red if any(v)]
-                else:
-                    pt = [(q, acc[q]) for q in sorted(acc) if acc[q][0]]
-                if len(pt) > 1:
-                    if max_terms is None:
-                        max_terms = max_terms_cap()
-                    if len(pt) > max_terms:
-                        raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
-            at, ad, acut = _grid_add(pt, pd, ct, cd, _min_cut(pcut, ccut))
-        terms = [(Exponent._mk_lc(Fraction(q, den)),
-                  RealAlgebraic._from_ints(gen, v, ad) if gen is not None
-                  else RealAlgebraic._rat(Fraction(v[0], ad)))
-                 for q, v in at]
-        out.append(LcNumber._build(
-            LC, terms, None if acut is None else Exponent._mk_lc(Fraction(acut, den))))
+    for poly, cd in zip(polys, grid.cdens[1:]):
+        at, acut, ad = [], None, cd  # the exact zero, over a multiple of cd
+        for ce in reversed(grid.encode(poly, cd)):
+            common = ad * dx
+            (oe,) = grid.encode(one, common // cd)
+            at, s, acut = grid.accumulate(
+                [([(at, at[0][0] if at else acut, acut)], [xe]), ([ce], [oe])], 0, None)
+            ad = common * s
+        out.append(grid.decode(at, acut, ad))
     return out
-
-
-def _grid_add(pt, pd, ct, cd, cut):
-    """``LcNumber.__add__`` on grid terms: numerator vectors over pd and cd
-    brought over their lcm, terms at or above ``cut`` and zero sums
-    dropped."""
-    d = lcm(pd, cd)
-    acc = {}
-    for terms, f in ((pt, d // pd), (ct, d // cd)):
-        for q, v in terms:
-            if cut is not None and q >= cut:
-                break
-            ent = acc.get(q)
-            if ent is None:
-                acc[q] = [u * f for u in v]
-                continue
-            ent.extend([0] * (len(v) - len(ent)))
-            for k, u in enumerate(v):
-                ent[k] += u * f
-    return [(q, acc[q]) for q in sorted(acc) if any(acc[q])], d, cut
-
-
-def _horner_loop(coeffs, x):
-    acc = LcNumber.zero(x.mode)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _render_eps_power(exp):

@@ -252,11 +252,14 @@ class RatFunSeries(PSeries):
         self._memo = []
 
     def coeff(self, n, cutoff=None):
+        # memo[i] = (num[i]*1 - sum over k >= 1 of den[k]*memo[i-k]) / den[0]
         while len(self._memo) <= n:
             i = len(self._memo)
-            acc = self.num[i] if i < len(self.num) else self._zero()
-            for k in range(1, min(i, len(self.den) - 1) + 1):
-                acc = acc - self.den[k] * self._memo[i - k]
+            pairs = [([self.num[i] if i < len(self.num) else self._zero()],
+                      [LcNumber.one(self.mode)])]
+            pairs += [([self.den[k]], [self._memo[i - k]])
+                      for k in range(1, min(i, len(self.den) - 1) + 1)]
+            acc = sum_of_products(pairs, signs=[1] + [-1] * (len(pairs) - 1))[0]
             self._memo.append(acc * self._inv_d0)
         return self._memo[n]
 

@@ -42,9 +42,11 @@ from .polys import (
 
 _MAX_ALG_DEGREE = 64
 _RENDER_WIDTH = Fraction(1, 16)
+# Factorizations kept per process, least recently used dropped first.
+_FACTOR_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _factor_int_poly(coeffs):
     """Irreducible integer factors (ascending coeffs) of a primitive int poly
     with a positive leading coefficient.

@@ -26,6 +26,8 @@ from .realalg import RealAlgebraic, algebraic_roots
 
 # Below Python's default recursion limit of 1000, so the cap fires first.
 _BRANCH_CAP = 200
+# certified_sign tries the depths 1, 4, 16, ... (default_exponent) up to this one.
+_SIGN_DEPTH_CAP = 64
 
 
 def default_exponent(mode, q):
@@ -224,7 +226,7 @@ def _window_prune(lo, hi):
     return None
 
 
-def poly_roots(coeffs, cutoff, lam_floor=None, window=None):
+def poly_roots(coeffs, cutoff, window=None):
     """All roots in the field of a polynomial with LcNumber coefficients.
 
     ``window`` (a pair of endpoints) prunes branches that cannot land in it;
@@ -241,8 +243,7 @@ def poly_roots(coeffs, cutoff, lam_floor=None, window=None):
     mode = coeffs[0].mode
     prune = _window_prune(*window) if window is not None else None
     out = []
-    _roots_rec(coeffs, cutoff, LcNumber.zero(mode), lam_floor, out, _BRANCH_CAP,
-               prune)
+    _roots_rec(coeffs, cutoff, LcNumber.zero(mode), None, out, _BRANCH_CAP, prune)
     out = [h for h in out if h.multiplicity > 0]
     return sort_roots(out)
 
@@ -297,7 +298,7 @@ def monic_real_roots(p_coeffs, lo, hi, cutoff):
 # ------------------------------------------------------------------ pipelines
 
 
-def certified_sign(s, x, max_depth=64):
+def certified_sign(s, x):
     """Sign of a series value, deepening the cutoff until it is decided."""
     depth = 1
     while True:
@@ -305,7 +306,7 @@ def certified_sign(s, x, max_depth=64):
         try:
             return v.sign()
         except TruncationError:
-            if depth >= max_depth:
+            if depth >= _SIGN_DEPTH_CAP:
                 raise
             depth *= 4
 
@@ -449,9 +450,9 @@ def count_zeros(s, a, b, cutoff, degree_cap=None):
     return len(mapped), mapped
 
 
-def multiplicity_at(s, c, cutoff, radius=None):
-    """Order of the series zero at c, from the monic-factor structure,
-    cross-checked against derivative vanishing."""
+def multiplicity_at(s, c, cutoff):
+    """Order of the series zero at c, from the monic-factor structure on
+    [c - 1/2, c + 1/2], cross-checked against derivative vanishing."""
     if not isinstance(c, LcNumber):
         c = LcNumber.from_scalar(s.mode, c)
 
@@ -468,10 +469,7 @@ def multiplicity_at(s, c, cutoff, radius=None):
     value, feas = value_at(s, cutoff)
     if value is None or not value.is_zero_below(feas):
         raise ValueError("not a certified root of the series")
-    if radius is None:
-        radius = LcNumber.from_scalar(s.mode, Fraction(1, 2))
-    a = c - radius
-    b = c + radius
+    a, b = c - Fraction(1, 2), c + Fraction(1, 2)
     ivf, mapped = _series_roots_on_interval(s, a, b, cutoff)
     target = None
     for rep in mapped:

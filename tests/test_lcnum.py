@@ -705,9 +705,36 @@ def test_grid_horner_two_generators_takes_the_loop(data):
         assert same_number(g, w) and str(g) == str(w)
 
 
-def test_grid_horner_keeps_the_term_cap(monkeypatch):
-    x = L("1 + eps + eps^2")
-    coeffs = [L("1"), L("1 + eps"), L("1")]
+# (x, coefficients): x has three terms, so at the second Horner step both
+# the loop's product acc*x and the step's sum hold more than two.
+HORNER_CASES = {
+    "lc": (L("1 + eps + eps^2"), [L("1"), L("1 + eps"), L("1")]),
+    "hahn": (eps_n(0) + eps_n(1) + eps_n(2), [eps_n(0), eps_n(0) + eps_n(1), eps_n(0)]),
+    "sqrt2_sqrt3": (LcNumber(LC, [(E(0), SQRT[2]), (E(1), SQRT[3]), (E(2), 1)]),
+                    [L("1"), LcNumber(LC, [(E(0), SQRT[3]), (E(1), SQRT[2])]), L("1")]),
+}
+
+
+@pytest.mark.parametrize("case", ["hahn", "sqrt2_sqrt3"])
+def test_grid_horner_forms_no_lcnumber_products_or_sums(case, monkeypatch):
+    x, coeffs = HORNER_CASES[case]
+    polys = [coeffs, [x.truncate(x.terms[2][0]), -x, x], []]
+    want = [horner_loop(p, x) for p in polys]
+
+    def refuse(*args):
+        raise AssertionError("an LcNumber product or sum was formed")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(LcNumber, name, refuse)
+    got = lcnum.horner(polys, x)
+    monkeypatch.undo()
+    assert len(got) == len(want)
+    assert all(same_number(g, w) and str(g) == str(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(HORNER_CASES))
+def test_grid_horner_keeps_the_term_cap(case, monkeypatch):
+    x, coeffs = HORNER_CASES[case]
     monkeypatch.setenv("LCIVT_MAX_TERMS", "2")
     with pytest.raises(ResourceCapError):
         horner_loop(coeffs, x)
