@@ -181,7 +181,7 @@ class Factorization:
         return sum_of_products(
             [(series_coeffs, [LcNumber.one(self.p_coeffs[0].mode)]),
              ([c.truncate(cut) for c in self.p_coeffs], [c.truncate(cut) for c in self.b_coeffs])],
-            length=self.degree_cap + 1, signs=(1, -1))
+            length=self.degree_cap + 1, weights=(1, -1))
 
     def unit_value(self, x):
         return poly_eval(self.b_coeffs, x)
@@ -224,7 +224,7 @@ def _lift(ns, degree_cap, cutoff, split):
         q, rem = split(resid, p)
         b = poly_add(b, q)
         resid = sum_of_products([(resid, one), (q, p), (rem, b)], cutoff, degree_cap + 1,
-                                signs=(1, -1, -1))
+                                weights=(1, -1, -1))
         p = poly_add(p, rem)
     else:
         left = [c.terms[0][0] for c in resid if c.terms]

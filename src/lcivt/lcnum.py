@@ -16,16 +16,19 @@ cutoff it can certify; queries the stored terms do not decide raise
 TruncationError instead of guessing.
 
 Every product and every sum of products goes through one kernel,
-``sum_of_products``: each coefficient of a_1*b_1 + a_2*b_2 + ... is
-accumulated once into one dict below a cutoff fixed up front.
-``LcNumber.__mul__`` is its one-pair case, ``hensel.poly_mul`` one call of
-it, and the lifting update, the substituted-series coefficients and the
+``sum_of_products``: each coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ...,
+with nonzero integer weights w_j, is accumulated once into one dict below a
+cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
+``hensel.poly_mul`` one call of it, and the lifting update (weights +-1),
+a substituted-series coefficient (binomial weights) and the
 rational-function derivative each take one call.  Coefficients take one
 of three paths: integers over one denominator when all are rational (the
 lifting of S = P*B; FLINT's ``fmpq_poly``), integer vectors in the power
 basis of one number field Q(alpha) (Newton steps on a residue root such as
 sqrt(m)/b; Antic's ``nf_elem``), and RealAlgebraic values across two or
-more generators.  The kernel's encoding, accumulation and decoding are
+more generators.  On every path a pair's weight scales its a side when
+encoded, with its share of the common denominator, and decoding divides
+by that denominator.  The kernel's encoding, accumulation and decoding are
 one object, ``_Grid``, which ``horner`` shares: it evaluates polynomials at
 one point x, in either mode and on any of the three paths, with each step
 acc*x + c one accumulation over the pairs (acc, x) and (c, 1); x and the
@@ -691,13 +694,6 @@ def _vector(c, unit):
     return tuple(r.numerator * (unit // r.denominator) for r in c._rep)
 
 
-def _signed(c, unit):
-    """A coefficient as a Fraction or RealAlgebraic, negated when ``unit``
-    carries a negative pair sign."""
-    v = c if c._frac is None else c._frac
-    return v if unit > 0 else -v
-
-
 class _Grid:
     """The encoding that one kernel or Horner call shares across its numbers.
 
@@ -747,15 +743,17 @@ class _Grid:
 
     def encode(self, poly, unit):
         """Per number of ``poly``: (terms, valuation bound, cutoff) on the
-        grid, each coefficient over ``unit`` as an integer numerator, a
-        power-basis vector (``_vector``) or a value (``_signed``)."""
+        grid, each coefficient times the nonzero integer ``unit`` as an
+        integer numerator (``unit`` a multiple of its denominator), a
+        power-basis vector (``_vector``) or a Fraction or RealAlgebraic
+        value."""
         lc, den, rational, vectors = self.lc, self.den, self.rational, self.gen is not None
         enc = []
         for x in poly:
             terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
                       c._frac.numerator * (unit // c._frac.denominator) if rational
                       else _vector(c, unit) if vectors
-                      else _signed(c, unit))
+                      else (c if c._frac is None else c._frac) * unit)
                      for e, c in x.terms]
             cut = x.cutoff
             if lc and cut is not None:
@@ -839,47 +837,50 @@ class _Grid:
                 v = RealAlgebraic._rat(Fraction(v, unit))
             elif gen is not None:
                 v = RealAlgebraic._from_ints(gen, v, unit)
+            else:
+                v = v / unit
             out.append((q, v))
         if lc and cut is not None:
             cut = Exponent._mk_lc(Fraction(cut, den))
         return LcNumber._build(self.mode, out, cut)
 
 
-def sum_of_products(pairs, cutoff=None, length=None, signs=None):
-    """Every coefficient of s_1*a_1*b_1 + s_2*a_2*b_2 + ..., each built once.
+def sum_of_products(pairs, cutoff=None, length=None, weights=None):
+    """Every coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ..., each built once.
 
     ``pairs`` holds (a, b): sequences of same-mode LcNumber by ascending
-    power; ``signs`` one s_j = +-1 per pair, by default +1.  Pairs with an
-    empty side are dropped; with none left the result is [], otherwise
-    ``length`` coefficients, by default as many as the longest product.
-    Coefficient k sums the term products of every a[i], b[k-i] in which
-    neither number is an exact zero.  Its cutoff is fixed before any term
-    is formed: the least over those pairs of cut(x) + val(y) and
+    power; ``weights`` one nonzero integer w_j per pair, by default 1.
+    Pairs with an empty side are dropped; with none left the result is [],
+    otherwise ``length`` coefficients, by default as many as the longest
+    product.  Coefficient k sums the term products of every a[i], b[k-i] in
+    which neither number is an exact zero.  Its cutoff is fixed before any
+    term is formed: the least over those pairs of cut(x) + val(y) and
     cut(y) + val(x), capped at ``cutoff``; only term products below it are
     accumulated, into one dict (``_Grid.accumulate``).
 
     lc exponents are integers on one grid 1/den, den the lcm of every
     exponent and cutoff denominator; hahn exponents stay Exponent keys.
-    Coefficients take one of three paths:
+    Each pair's a side is encoded times its weight and its share of one
+    common denominator, the lcm over the pairs of the product of a's and
+    b's denominators, and each output coefficient is decoded over that
+    denominator.  Coefficients take one of three paths:
 
-    * all rational: integer numerators over one common denominator, the
-      lcm over the pairs of the product of a's and b's denominators, with
-      each pair's sign on its a side; each output coefficient becomes one
+    * all rational: integer numerators; each output coefficient becomes one
       Fraction.
-    * every algebraic one over one generator alpha of degree d: the same
-      common denominator, each coefficient a vector of integer numerators
-      in the basis 1, alpha, ..., alpha^(d-1) (a rational is a vector of
-      length 1); term products are integer convolutions, and each output
-      term is reduced modulo the minimal polynomial once
-      (``_Generator.reduce``).  The representation of a value over one
-      generator is canonical, so the grouping of the sum does not show.
+    * every algebraic one over one generator alpha of degree d: each
+      coefficient a vector of integer numerators in the basis 1, alpha,
+      ..., alpha^(d-1) (a rational is a vector of length 1); term products
+      are integer convolutions, and each output term is reduced modulo the
+      minimal polynomial once (``_Generator.reduce``).  The representation
+      of a value over one generator is canonical, so the grouping of the
+      sum does not show.
     * over two or more generators: RealAlgebraic (or Fraction) values,
-      with each pair's sign on its a side, summed term product by term
-      product in the same loop as the rational path.  A sum across
-      generators builds a new generator, but a value renders from its
-      minimal polynomial alone, so the grouping does not show.
+      summed term product by term product in the same loop as the rational
+      path.  A sum across generators builds a new generator, but a value
+      renders from its minimal polynomial alone, so the grouping does not
+      show.
     """
-    pairs = [(a, b, s) for (a, b), s in zip(pairs, signs or (1,) * len(pairs)) if a and b]
+    pairs = [(a, b, w) for (a, b), w in zip(pairs, weights or (1,) * len(pairs)) if a and b]
     if not pairs:
         return []
     mode = pairs[0][0][0].mode
@@ -890,9 +891,9 @@ def sum_of_products(pairs, cutoff=None, length=None, signs=None):
     cdens = grid.cdens
     pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
     common = lcm(*pair_dens)
-    # a's unit carries the pair's sign and its share of the common denominator
-    operands = [(grid.encode(a, s * da * (common // pden)), grid.encode(b, db))
-                for (a, b, s), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
+    # a's unit carries the pair's weight and its share of the common denominator
+    operands = [(grid.encode(a, w * da * (common // pden)), grid.encode(b, db))
+                for (a, b, w), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
     cap = cutoff
     if mode == LC and cap is not None:
         cap = cap.data.numerator * (grid.den // cap.data.denominator)

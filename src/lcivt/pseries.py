@@ -13,6 +13,11 @@ presented, each series can answer two certified questions:
 
 The second is the convergence certificate: evaluation, normalization and
 factorization never silently drop terms they cannot bound.
+
+``PSeries.coeff`` is the one memo: each series computes a coefficient once
+per (n, cutoff), through its rule ``_coeff``.  A substituted coefficient is
+one weighted ``sum_of_products`` and one product; ``evaluate`` is one
+``horner`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from math import comb
 
 from .errors import CertificateError, ResourceCapError, TruncationError
 from .hensel import poly_deriv, poly_mul
-from .lcnum import LC, Exponent, LcNumber, sum_of_products
+from .lcnum import LC, Exponent, LcNumber, horner, sum_of_products
 from .polys import cauchy_bound, pderiv, peval, pmul, pshift, render, trim
 from .realalg import RealAlgebraic
 
@@ -36,11 +41,22 @@ def _index_beyond_roots(p):
 
 
 class PSeries:
-    """Base class; subclasses provide the coefficient rule."""
+    """Base class; subclasses provide the coefficient rule ``_coeff``."""
 
-    mode = LC
+    def __init__(self, mode):
+        self.mode = mode
+        self._memo = {}  # immutable values; single dict writes suit concurrent readers
 
     def coeff(self, n, cutoff=None):
+        """The n-th coefficient, certified below ``cutoff`` (exact when the
+        rule allows); each (n, cutoff) is computed once per series."""
+        key = (n, cutoff)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._coeff(n, cutoff)
+        return out
+
+    def _coeff(self, n, cutoff):
         raise NotImplementedError
 
     def tail_index(self, xval, target, strict=False):
@@ -73,14 +89,14 @@ class PolySeries(PSeries):
     """A polynomial: finitely many explicit coefficients."""
 
     def __init__(self, mode, coeffs):
-        self.mode = mode
+        super().__init__(mode)
         cs = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
               for c in coeffs]
         while cs and cs[-1].is_exact_zero:
             cs.pop()
         self.coeffs = cs
 
-    def coeff(self, n, cutoff=None):
+    def _coeff(self, n, cutoff):
         if n < len(self.coeffs):
             return self.coeffs[n]
         return self._zero()
@@ -110,7 +126,7 @@ class TermRuleSeries(PSeries):
     def __init__(self, mode, sign_base, prefactor, expo, offset=0):
         if sign_base not in (1, -1):
             raise ValueError("sign base must be +1 or -1")
-        self.mode = mode
+        super().__init__(mode)
         self.sign_base = sign_base
         self.prefactor = tuple(trim([Fraction(c) for c in prefactor]))
         kind, payload = expo
@@ -135,7 +151,7 @@ class TermRuleSeries(PSeries):
             return Exponent.zero(self.mode)
         return Exponent.hahn({idx: 1})
 
-    def coeff(self, n, cutoff=None):
+    def _coeff(self, n, cutoff):
         m = n - self.offset
         if m < 0:
             return self._zero()
@@ -223,7 +239,7 @@ class RatFunSeries(PSeries):
     """
 
     def __init__(self, mode, num, den):
-        self.mode = mode
+        super().__init__(mode)
         self.num = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
                     for c in num]
         self.den = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
@@ -249,19 +265,20 @@ class RatFunSeries(PSeries):
                     "denominator tail must be infinitesimal against its constant term")
             delta = dv if delta is None or dv.compare(delta) < 0 else delta
         self._delta = delta  # None means the denominator is a monomial
-        self._memo = []
+        self._rec = []  # the coefficients so far, the recurrence's state
 
-    def coeff(self, n, cutoff=None):
-        # memo[i] = (num[i]*1 - sum over k >= 1 of den[k]*memo[i-k]) / den[0]
-        while len(self._memo) <= n:
-            i = len(self._memo)
+    def _coeff(self, n, cutoff):
+        # rec[i] = (num[i]*1 - sum over k >= 1 of den[k]*rec[i-k]) / den[0]
+        rec = self._rec
+        while len(rec) <= n:
+            i = len(rec)
             pairs = [([self.num[i] if i < len(self.num) else self._zero()],
                       [LcNumber.one(self.mode)])]
-            pairs += [([self.den[k]], [self._memo[i - k]])
+            pairs += [([self.den[k]], [rec[i - k]])
                       for k in range(1, min(i, len(self.den) - 1) + 1)]
-            acc = sum_of_products(pairs, signs=[1] + [-1] * (len(pairs) - 1))[0]
-            self._memo.append(acc * self._inv_d0)
-        return self._memo[n]
+            acc = sum_of_products(pairs, weights=[1] + [-1] * (len(pairs) - 1))[0]
+            rec.append(acc * self._inv_d0)
+        return rec[n]
 
     def _base_len(self):
         return max(len(self.num) - 1, 0)
@@ -306,7 +323,7 @@ class RatFunSeries(PSeries):
     def derivative(self):
         num, den = self.num, self.den
         new_num = sum_of_products([(poly_deriv(num), den), (num, poly_deriv(den))],
-                                  signs=(1, -1))
+                                  weights=(1, -1))
         return RatFunSeries(self.mode, new_num, poly_mul(den, den))
 
     def dsl_lines(self):
@@ -317,10 +334,10 @@ class SumSeries(PSeries):
     def __init__(self, a, b):
         if a.mode != b.mode:
             raise ValueError("mode mismatch in sum")
-        self.mode = a.mode
+        super().__init__(a.mode)
         self.a, self.b = a, b
 
-    def coeff(self, n, cutoff=None):
+    def _coeff(self, n, cutoff):
         return self.a.coeff(n, cutoff) + self.b.coeff(n, cutoff)
 
     def tail_index(self, xval, target, strict=False):
@@ -346,11 +363,11 @@ class ScaledSeries(PSeries):
             scalar = LcNumber.from_scalar(inner.mode, scalar)
         if scalar.mode != inner.mode:
             raise ValueError("mode mismatch in scale")
-        self.mode = inner.mode
+        super().__init__(inner.mode)
         self.scalar = scalar
         self.inner = inner
 
-    def coeff(self, n, cutoff=None):
+    def _coeff(self, n, cutoff):
         vs = self.scalar.val_lb()
         if vs is None:
             return self._zero()
@@ -378,14 +395,14 @@ class PolyMulSeries(PSeries):
     """A series multiplied by an explicit polynomial."""
 
     def __init__(self, poly, inner):
-        self.mode = inner.mode
+        super().__init__(inner.mode)
         self.poly = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(self.mode, c)
                      for c in poly]
         while self.poly and self.poly[-1].is_exact_zero:
             self.poly.pop()
         self.inner = inner
 
-    def coeff(self, n, cutoff=None):
+    def _coeff(self, n, cutoff):
         pairs = [([p], [self.inner.coeff(n - k, None if cutoff is None else cutoff - p.val_lb())])
                  for k, p in enumerate(self.poly[: n + 1]) if not p.is_exact_zero]
         acc = sum_of_products(pairs)[0] if pairs else self._zero()
@@ -419,10 +436,11 @@ class PolyMulSeries(PSeries):
 
 
 class SubstitutedSeries(PSeries):
-    """T(Z) = S(h*Z + k), coefficients computed lazily by binomial expansion.
+    """T(Z) = S(h*Z + k): T_m = h^m * sum over n >= m of C(n, m)*c_n*k^(n-m).
 
-    Each coefficient is an infinite sum, so coefficient queries need a cutoff
-    unless the inner series is a polynomial.
+    For k != 0 each coefficient is an infinite sum, so coefficient queries
+    need a cutoff unless the inner series is a polynomial; the sum is cut at
+    the inner tail index and the coefficient truncated at the cutoff.
     """
 
     def __init__(self, inner, h, k):
@@ -430,55 +448,39 @@ class SubstitutedSeries(PSeries):
             raise ValueError("mode mismatch in substitution")
         if h.is_exact_zero:
             raise ValueError("substitution scale must be nonzero")
-        self.mode = inner.mode
+        super().__init__(inner.mode)
         self.inner = inner
         self.h = h
         self.k = k
-        # caches hold immutable values; single dict writes keep value
-        # semantics for concurrent readers
         self._hpow = [LcNumber.one(self.mode)]
         self._kpow = [LcNumber.one(self.mode)]
-        self._memo = {}
 
     def _pow(self, cache, base, n):
         while len(cache) <= n:
             cache.append(cache[-1] * base)
         return cache[n]
 
-    def coeff(self, m, cutoff=None):
+    def _coeff(self, m, cutoff):
         fin = self.inner.finite_degree()
         if cutoff is None and fin is None:
             raise CertificateError(
                 "coefficients of a substituted series need a cutoff")
-        key = (m, cutoff)
-        if key in self._memo:
-            return self._memo[key]
-        vh = self.h.val_lb()
+        # one kernel call with binomial weights, each c_n below its term's cutoff
+        hcut = None if cutoff is None else cutoff - self.h.val_lb().scale(m)
         if self.k.is_exact_zero:
-            inner_cut = None if cutoff is None else cutoff - vh.scale(m)
-            out = self.inner.coeff(m, inner_cut) * self._pow(self._hpow, self.h, m)
-            out = out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
-            self._memo[key] = out
-            return out
-        vk = self.k.val_lb()
-        if fin is not None:
-            n1 = fin + 1
+            ns, vk = [m], Exponent.zero(self.mode)
         else:
-            target = cutoff - vh.scale(m) + vk.scale(m)
-            n1 = self.inner.tail_index(vk, target)
-        hm = self._pow(self._hpow, self.h, m)
-        pairs = []
-        for n in range(m, max(n1, m)):
-            inner_cut = None if cutoff is None else \
-                cutoff - vh.scale(m) - vk.scale(n - m)
-            c = self.inner.coeff(n, inner_cut)
-            if not c.is_exact_zero:
-                pairs.append(([c * comb(n, m) * hm], [self._pow(self._kpow, self.k, n - m)]))
-        # T_m = sum over n of (c_n*C(n, m)*h^m)*k^(n-m), in one kernel call
-        acc = sum_of_products(pairs)[0] if pairs else self._zero()
-        out = acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
-        self._memo[key] = out
-        return out
+            vk = self.k.val_lb()
+            n1 = fin + 1 if fin is not None else self.inner.tail_index(vk, hcut + vk.scale(m))
+            ns = range(m, max(n1, m))
+        pairs = [([self.inner.coeff(n, None if hcut is None else hcut - vk.scale(n - m))],
+                  [self._pow(self._kpow, self.k, n - m)]) for n in ns]
+        # an infinite sum is known only below the cutoff: both calls stop there
+        cap = None if fin is not None or self.k.is_exact_zero else cutoff
+        acc = sum_of_products(pairs, None if cap is None else hcut,
+                              weights=[comb(n, m) for n in ns]) or [self._zero()]
+        out = sum_of_products([(acc, [self._pow(self._hpow, self.h, m)])], cap)[0]
+        return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
 
     def tail_index(self, xval, target, strict=False):
         vh = self.h.val_lb()
@@ -557,7 +559,7 @@ class NormalizedSeries(PSeries):
     """
 
     def __init__(self, inner, d, pivot, vmin, base_cutoff, origin=""):
-        self.mode = inner.mode
+        super().__init__(inner.mode)
         self.inner = inner
         self.d = d
         self.N = pivot
@@ -565,7 +567,7 @@ class NormalizedSeries(PSeries):
         self.base_cutoff = base_cutoff
         self.origin = origin
 
-    def coeff(self, n, cutoff=None):
+    def _coeff(self, n, cutoff):
         cut = self.base_cutoff if cutoff is None else \
             (cutoff if cutoff.compare(self.base_cutoff) <= 0 else self.base_cutoff)
         if n == self.N:
@@ -598,7 +600,9 @@ def evaluate(s, x, cutoff):
 
     Requires the tail certificate; the result carries the cutoff marker.
     Raises CertificateError when the terms cannot be proven to leave the
-    window below the cutoff.
+    window below the cutoff.  The sum is one ``horner`` call over a_n
+    certified below cutoff - n*val(x); TruncationError when a coefficient's
+    own truncation leaves the value uncertified below the cutoff.
     """
     if not isinstance(x, LcNumber):
         x = LcNumber.from_scalar(s.mode, x)
@@ -608,14 +612,7 @@ def evaluate(s, x, cutoff):
         return s.coeff(0, cutoff).truncate(cutoff)
     vx = x.val_lb()
     n1 = s.tail_index(vx, cutoff)
-    acc = LcNumber.zero(s.mode)
-    pw = LcNumber.one(s.mode)
-    for n in range(n1):
-        c = s.coeff(n, cutoff - vx.scale(n))
-        if c.terms:
-            acc = acc + (c * pw).truncate(cutoff)
-        if n + 1 < n1:
-            pw = pw * x
+    acc = horner([[s.coeff(n, cutoff - vx.scale(n)) for n in range(n1)]], x)[0]
     if acc.cutoff is not None and acc.cutoff.compare(cutoff) < 0:
         raise TruncationError("input truncation too shallow for this evaluation")
     return acc.truncate(cutoff)
@@ -652,20 +649,13 @@ def normalize(s, degree_cap, cutoff, origin=""):
     if nstar > degree_cap + 1:
         raise CertificateError("normalization pivot not determined below the degree cap")
 
-    memo = {}
-
-    def get(n):
-        if n not in memo:
-            memo[n] = s.coeff(n, cutoff)
-        return memo[n]
-
     scan_to = max(nstar, 1)
     extended = False
     vmin = None
     while True:
         vmin = None
         for n in range(scan_to):
-            c = get(n)
+            c = s.coeff(n, cutoff)
             if c.terms:
                 v = c.terms[0][0]
                 if vmin is None or v.compare(vmin) < 0:
@@ -682,10 +672,10 @@ def normalize(s, degree_cap, cutoff, origin=""):
             break
         scan_to = n2
     pivot = max(n for n in range(scan_to)
-                if get(n).terms and get(n).terms[0][0].compare(vmin) == 0)
+                if (c := s.coeff(n, cutoff)).terms and c.terms[0][0].compare(vmin) == 0)
     if pivot > degree_cap:
         raise CertificateError("normalization pivot exceeds the degree cap")
-    d = get(pivot).invert(cutoff - vmin)
+    d = s.coeff(pivot, cutoff).invert(cutoff - vmin)
     return NormalizedSeries(s, d, pivot, vmin, cutoff, origin=origin)
 
 

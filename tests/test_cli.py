@@ -3,6 +3,8 @@ import json
 import pytest
 
 from lcivt import cli
+from lcivt.dsl import parse_literal
+from lcivt.lcnum import LC, eps
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +66,17 @@ def test_mult_command(capsys):
         capsys, "mult", "--inline", src, "--at", "1", "--cutoff", "10")
     assert code == 0
     assert payload["results"]["multiplicity"] == 2
+
+
+@pytest.mark.parametrize("src, mult", [("poly: -1-eps^5, 1", 1),
+                                       ("poly: 1+2*eps^5+eps^10, -2-2*eps^5, 1", 2)])
+def test_mult_matches_the_nearest_factor_root(capsys, src, mult):
+    # 1 is a zero below eps^3, but the factor's root 1 + eps^5 differs from it
+    # there, so the root is matched by the valuation of the difference
+    code, payload = run_json(capsys, "mult", "--inline", src, "--at", "1", "--cutoff", "3")
+    assert code == 0
+    assert payload["ok"] is True
+    assert payload["results"]["multiplicity"] == mult
 
 
 def test_factor_reports_factorization(capsys):
@@ -270,3 +283,13 @@ def test_help_still_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: lcivt")
+
+
+def test_example_nilpotent_roots(capsys):
+    code, payload = run_json(capsys, "example", "nilpotent-roots", "--l", "1")
+    assert code == 0
+    assert payload["ok"] is True
+    (row,) = payload["results"]
+    assert row["l"] == 1 and row["certified"] is True
+    root = parse_literal(row["root"]["root"].split(" + O(")[0], LC)
+    assert eps(-4) < root < eps(-6)

@@ -179,7 +179,11 @@ def test_lift_schedules_agree(mode):
         f1 = weierstrass_factor(ns, 10, cut)
         f2 = weierstrass_factor_batched(ns, 10, cut)
         assert len(f1.p_coeffs) == len(f2.p_coeffs)
-        for a, b in zip(f1.p_coeffs, f2.p_coeffs):
+        # B's lengths may differ; the shorter one is padded with zeros
+        nb = max(len(f1.b_coeffs), len(f2.b_coeffs))
+        zeros = [LcNumber.zero(mode)] * nb
+        for a, b in zip(f1.p_coeffs + (f1.b_coeffs + zeros)[:nb],
+                        f2.p_coeffs + (f2.b_coeffs + zeros)[:nb]):
             assert (a - b).is_zero_below(cut)
 
 

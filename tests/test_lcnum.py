@@ -427,11 +427,12 @@ def same_number(x, y):
                     for (_, cx), (_, cy) in zip(x.terms, y.terms)))
 
 
-def pairwise_sum_of_products(pairs, cutoff=None, length=None, signs=None):
-    """Each product by the per-pair loop, negated where its sign is -1, the
-    products merged by ``__add__``."""
+def pairwise_sum_of_products(pairs, cutoff=None, length=None, weights=None):
+    """Each product by the per-pair loop, each term's coefficient times the
+    pair's weight, the products merged by ``__add__``."""
     prods = [pairwise_poly_mul(a, b) for a, b in pairs]
-    prods = [p if s > 0 else [-c for c in p] for p, s in zip(prods, signs or [1] * len(prods))]
+    prods = [[LcNumber(c.mode, [(e, v * w) for e, v in c.terms], c.cutoff) for c in p]
+             for p, w in zip(prods, weights or [1] * len(prods))]
     n = max(len(p) for p in prods) if length is None else length
     out = [LcNumber.zero(pairs[0][0][0].mode) for _ in range(n)]
     for prod in prods:
@@ -446,8 +447,8 @@ def test_product_kernel_matches_pairwise_products(mode, data):
     # all-rational sums take the integer path, so draw them apart
     polys = st.lists(kernel_numbers(mode, data.draw(st.booleans())), min_size=1, max_size=3)
     pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=3))
-    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
-                               max_size=len(pairs)))
+    weights = data.draw(st.lists(st.integers(-6, 6).filter(bool), min_size=len(pairs),
+                                 max_size=len(pairs)))
     cutoff = data.draw(kernel_exponents(mode))
     natural = max(len(a) + len(b) - 1 for a, b in pairs)
     short = data.draw(st.integers(1, natural))
@@ -457,7 +458,7 @@ def test_product_kernel_matches_pairwise_products(mode, data):
                       ([a[0] * b[0]], [pairwise_mul(a[0], b[0])])):
         assert len(got) == len(want)
         assert all(same_number(g, w) for g, w in zip(got, want))
-    for kw in ({}, {"cutoff": cutoff, "signs": signs}, {"length": short, "signs": signs},
+    for kw in ({}, {"cutoff": cutoff, "weights": weights}, {"length": short, "weights": weights},
                {"cutoff": cutoff, "length": short}):
         # each side on its own copy of the generators, so that neither side
         # refines the other's brackets
@@ -510,17 +511,17 @@ def test_number_field_path_matches_pairwise_reference(mode, field, data):
     gen = alpha._gen
     polys = st.lists(generator_numbers(mode, alpha), min_size=1, max_size=3)
     pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=3))
-    # (alpha + q)^2 - alpha^2 - 2q*alpha cancels to the rational q^2
+    # (alpha + q)^2 - alpha^2 - 2*(q*alpha) cancels to the rational q^2
     q = data.draw(small_fractions(6, 3).filter(bool))
     one = Exponent.zero(mode)
     mono = lambda c: [LcNumber.monomial(one, c)]  # noqa: E731
     square = [(mono(alpha + q), mono(alpha + q)), (mono(alpha), mono(alpha)),
-              (mono(2 * q), mono(alpha))]
-    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
-                               max_size=len(pairs)))
+              (mono(q), mono(alpha))]
+    weights = data.draw(st.lists(st.integers(-6, 6).filter(bool), min_size=len(pairs),
+                                 max_size=len(pairs)))
     cutoff = data.draw(kernel_exponents(mode))
-    for args, kw in (((pairs,), {}), ((pairs,), {"cutoff": cutoff, "signs": signs}),
-                     ((square,), {"signs": (1, -1, -1)})):
+    for args, kw in (((pairs,), {}), ((pairs,), {"cutoff": cutoff, "weights": weights}),
+                     ((square,), {"weights": (1, -1, -2)})):
         got = lcnum.sum_of_products(*args, **kw)
         want = pairwise_sum_of_products(*args, **kw)
         assert len(got) == len(want)
@@ -532,7 +533,7 @@ def test_number_field_path_matches_pairwise_reference(mode, field, data):
                     assert cg._gen is None and cg.as_fraction() == cw.as_fraction()
                 else:
                     assert cg._gen is gen and cw._gen is gen and cg._rep == cw._rep
-    assert [str(c) for c in lcnum.sum_of_products(square, signs=(1, -1, -1))] == [str(q * q)]
+    assert [str(c) for c in lcnum.sum_of_products(square, weights=(1, -1, -2))] == [str(q * q)]
 
 
 def test_two_generators_keep_pairwise_strings():
@@ -562,11 +563,13 @@ def test_two_generators_keep_pairwise_strings():
             "0 + O(eps^2)",
         ],
     )
-    for kw, strings in zip(({}, {"signs": (1, -1, 1)},
-                            {"cutoff": Exponent.lc(2), "signs": (-1, 1, -1)}), recorded):
+    for kw, strings in zip(({}, {"weights": (1, -1, 1)},
+                            {"cutoff": Exponent.lc(2), "weights": (-1, 1, -1)},
+                            {"weights": (3, -2, 5)}), recorded + (None,)):
         got = lcnum.sum_of_products(copy.deepcopy(pairs), **kw)
         want = pairwise_sum_of_products(copy.deepcopy(pairs), **kw)
-        assert [str(g) for g in got] == [str(w) for w in want] == strings
+        assert [str(g) for g in got] == [str(w) for w in want]
+        assert strings is None or [str(g) for g in got] == strings
         assert all(same_number(g, w) for g, w in zip(got, want))
 
 

@@ -4,10 +4,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcivt import lcnum, pseries
 from lcivt.errors import CertificateError, TruncationError
 from lcivt.hensel import poly_deriv, poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
 from lcivt.pseries import (
+    NormalizedSeries,
     PolyMulSeries,
     PolySeries,
     RatFunSeries,
@@ -120,6 +122,18 @@ def test_eval_certificate_failure():
     s = TermRuleSeries(LC, 1, [1], ("poly", [0, 1]))
     with pytest.raises(CertificateError):
         evaluate(s, eps(-2), E(1))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_eval_rejects_shallow_coefficient_truncation(mode, lead):
+    # a_1 = lead + O(eps) is known only below eps, so the value at 1 is too:
+    # a cutoff of eps^5 cannot be certified, whether or not a_1 has a term
+    small = eps() if mode == LC else eps_n(1)
+    a1 = LcNumber(mode, [(Exponent.zero(mode), lead)] if lead else [], small.terms[0][0])
+    cut = E(5) if mode == LC else Exponent.hahn({1: 5})
+    with pytest.raises(TruncationError):
+        evaluate(PolySeries(mode, [1, a1]), LcNumber.one(mode), cut)
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
@@ -348,6 +362,64 @@ def test_substituted_coeff_needs_cutoff():
     assert (v - (LcNumber.one(LC) - eps(2))).is_zero_below(E(5))
 
 
+def test_substituted_coeff_of_infinite_inner_carries_the_cutoff():
+    # the sum up to the inner tail index, 1 - eps^2 + eps^6 - ... - eps^56,
+    # is not T_0 = sum (-1)^n eps^(n^2+n), which goes on with +eps^72
+    one = LcNumber.one(LC)
+    v = SubstitutedSeries(alternating_square_series(), one, eps()).coeff(0, E(5))
+    assert v.cutoff == E(5)
+    assert str(v) == "1 - eps^2 + O(eps^5)"
+    # finite sums stay exact: a polynomial inner, or k = 0 (T_m = c_m*h^m)
+    p = SubstitutedSeries(PolySeries(LC, [1, -1, 1]), one, eps()).coeff(0, E(1))
+    assert str(p) == "1 - eps + eps^2"
+    z = SubstitutedSeries(alternating_square_series(), eps(), LcNumber.zero(LC)).coeff(2, E(5))
+    assert str(z) == "eps^6"
+
+
+def count_kernel_calls(monkeypatch):
+    """Route the kernel, where lcnum and pseries call it, through a counter;
+    the returned list gets the number of pairs of each call."""
+    calls = []
+    kernel = lcnum.sum_of_products
+
+    def counted(pairs, *args, **kwargs):
+        calls.append(len(pairs))
+        return kernel(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(lcnum, "sum_of_products", counted)
+    monkeypatch.setattr(pseries, "sum_of_products", counted)
+    return calls
+
+
+def test_substituted_coeff_takes_two_kernel_calls(monkeypatch):
+    t = SubstitutedSeries(alternating_square_series(), LcNumber.one(LC) + eps(), eps())
+    for m in range(4):
+        t.coeff(m, E(16))  # fills the caches of h^m and k^j for shallower cutoffs
+    calls = count_kernel_calls(monkeypatch)
+    sizes = set()
+    for cut in (E(6), E(9), E(12)):
+        for m in range(4):
+            del calls[:]
+            t.coeff(m, cut)
+            # the weighted sum over every inner term, then the product by h^m
+            assert len(calls) == 2 and calls[1] == 1
+            sizes.add(calls[0])
+    assert len(sizes) > 2
+
+
+def test_repeated_coefficient_query_makes_no_kernel_call(monkeypatch):
+    one, inner, ratfun = LcNumber.one(LC), alternating_square_series(), geometric_tail_ratfun()
+    series = [PolySeries(LC, [1, eps(), 2]), inner, ratfun, SumSeries(inner, ratfun),
+              ScaledSeries(eps(), inner), PolyMulSeries([one, eps()], inner),
+              SubstitutedSeries(inner, one + eps(), eps()), normalize(ratfun, 4, E(6))]
+    assert isinstance(series[-1], NormalizedSeries)
+    first = [s.coeff(n, E(6)) for s in series for n in range(4)]
+    calls = count_kernel_calls(monkeypatch)
+    again = [s.coeff(n, E(6)) for s in series for n in range(4)]
+    assert calls == []
+    assert all(a is b for a, b in zip(first, again))
+
+
 def test_substituted_tail_uses_exact_valuation_polynomial():
     # h = eps^-6 dominates k = 2, so the tail certificate needs the inner
     # series' exact valuation polynomial, shifted by its offset
@@ -363,7 +435,8 @@ def test_substituted_tail_uses_exact_valuation_polynomial():
 def binomial_loop_coeff(t, m, cutoff):
     """T_m of T(Z) = S(h*Z + k) for k != 0, one binomial term at a time,
     each product merged into the sum by ``__add__``: the loop that
-    ``SubstitutedSeries.coeff`` replaced by one kernel call."""
+    ``SubstitutedSeries.coeff`` replaced by one weighted kernel call and
+    one product.  An infinite inner sum is truncated at the cutoff."""
     one = LcNumber.one(t.mode)
     hpow, kpow = [one], [one]
     fin = t.inner.finite_degree()
@@ -383,7 +456,8 @@ def binomial_loop_coeff(t, m, cutoff):
         if c.is_exact_zero:
             continue
         acc = acc + c * comb(n, m) * hpow[m] * kpow[n - m]
-    return acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
+    keep = cutoff is None or (acc.cutoff is None and fin is not None)
+    return acc if keep else acc.truncate(cutoff)
 
 
 def assert_same_rendering(got, want):
