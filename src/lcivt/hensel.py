@@ -6,9 +6,10 @@ monic-polynomial x unit-series factorization of a restricted series.
 
 The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
 start from P = S[:pivot+1], B = 1; each round a split rule turns the
-residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q; the
-new residual, resid - Q*P - R*B, is one call of the sum-of-products kernel
-``lcnum.sum_of_products``.  Two rules share the loop:
+residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q.  A lift
+is one encoding on the kernel's grid (``lcnum._Grid``), decoded once: S, P,
+B and the residual stay encoded, and every update is one kernel
+accumulation per coefficient.  Two rules share the loop:
 ``weierstrass_factor`` splits the least exponent slice of the residual in
 the residue field, and ``weierstrass_factor_batched`` divides the whole
 residual by P; the second is the independent reference that the first
@@ -23,9 +24,12 @@ TruncationError, and trimming would shorten the reported unit factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import Exponent, LcNumber, horner, sum_of_products
+from .lcnum import LC, Exponent, LcNumber, _Grid, horner, sum_of_products
+from .polys import pdivmod
 from .realalg import RealAlgebraic
 
 _LIFT_CAP = 20000
@@ -45,10 +49,6 @@ def poly_mul(a, b, cutoff=None):
     """a*b, every coefficient truncated at ``cutoff``: one pair in the
     kernel ``lcnum.sum_of_products``."""
     return sum_of_products([(a, b)], cutoff)
-
-
-def poly_add(a, b):
-    return [x + y for x, y in zip(a, b)] + list(a[len(b):]) + list(b[len(a):])
 
 
 def poly_divmod_monic(num, den, cutoff=None):
@@ -156,7 +156,7 @@ class Factorization:
     """S = P*B with P monic over the valuation ring and B a unit series.
 
     ``p_coeffs`` has degree ``pivot``; ``b_coeffs`` is B up to the X-degree
-    cap; every coefficient of S - P*B up to the cap has valuation at least
+    cap; every coefficient of S - P*B has valuation at least
     ``achieved_cutoff``.
     """
 
@@ -170,7 +170,7 @@ class Factorization:
         return len(self.p_coeffs) - 1
 
     def residual(self, series_coeffs):
-        """S - P*B up to the cap, certified only below ``achieved_cutoff``.
+        """All of S - P*B (S is 0 beyond the cap), certified only below ``achieved_cutoff``.
 
         P and B are multiplied with every coefficient truncated at the
         cutoff.  That keeps the verdict of ``is_zero_below(achieved_cutoff)``:
@@ -181,7 +181,7 @@ class Factorization:
         return sum_of_products(
             [(series_coeffs, [LcNumber.one(self.p_coeffs[0].mode)]),
              ([c.truncate(cut) for c in self.p_coeffs], [c.truncate(cut) for c in self.b_coeffs])],
-            length=self.degree_cap + 1, weights=(1, -1))
+            weights=(1, -1))
 
     def unit_value(self, x):
         return poly_eval(self.b_coeffs, x)
@@ -210,29 +210,41 @@ def _extract_series(ns, degree_cap, cutoff):
 
 
 def _lift(ns, degree_cap, cutoff, split):
-    """The correction loop: ``split(resid, p)`` gives (Q, R), and after
-    P += R, B += Q the residual is S - P*B = resid - Q*P - R*(B + Q), one
-    kernel call that forms only the coefficients up to the degree cap."""
+    """The correction loop on encoded (numbers, denominator) sequences: ``split``
+    gives (Q, R) as LcNumber lists; B += Q, resid - Q*P - R*B = S - P*B for the
+    new B, and P += R are each one ``_Grid.collect``, scaling Q, R or a 1."""
     mode, pivot = ns.mode, ns.N
     s = _extract_series(ns, degree_cap, cutoff)
-    p = list(s[: pivot + 1])
-    b = one = [LcNumber.one(mode)]
-    resid = [c.truncate(cutoff) for c in [LcNumber.zero(mode)] * (pivot + 1) + s[pivot + 1:]]
+    grid = _Grid(mode, [s], cutoff.data.denominator if mode == LC else 1)
+    one, zero = [LcNumber.one(mode)], LcNumber.zero(mode).truncate(cutoff)
+    enc, ds = grid.encode, grid.cdens[0]
+
+    def plus(seq, poly, dpoly):
+        (nums, d), m = seq, lcm(seq[1], dpoly)
+        return grid.collect([(nums, enc(one, m // d)), (enc(poly, m), enc(one, 1))],
+                            max(len(nums), len(poly)), None, m)
+
+    p, b = (enc(s[: pivot + 1], ds), ds), (enc(one, 1), 1)
+    resid = (enc([zero] * (pivot + 1) + [c.truncate(cutoff) for c in s[pivot + 1:]], ds), ds)
+    cap = resid[0][0][2]  # the grid cutoff: resid[0] is 0 + O(cutoff)
     for _ in range(_LIFT_CAP):
-        if all(not c.terms for c in resid):
+        if all(not terms for terms, _, _ in resid[0]):
             break
-        q, rem = split(resid, p)
-        b = poly_add(b, q)
-        resid = sum_of_products([(resid, one), (q, p), (rem, b)], cutoff, degree_cap + 1,
-                                weights=(1, -1, -1))
-        p = poly_add(p, rem)
+        q, rem = split(grid, resid, p)
+        dq, drem = _Grid(mode, [q, rem]).cdens
+        b = plus(b, q, dq)
+        (rn, dr), (pn, dp), (bn, db) = resid, p, b
+        c = lcm(dr, dq * dp, drem * db)
+        resid = grid.collect([(rn, enc(one, c // dr)), (enc(q, -c // dp), pn),
+                              (enc(rem, -c // db), bn)], degree_cap + 1, cap, c)
+        p = plus(p, rem, drem)
     else:
-        left = [c.terms[0][0] for c in resid if c.terms]
+        left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]
         if left:
             raise ResourceCapError(
                 "factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
                 "least residual exponent reached %s" % (_LIFT_CAP, cutoff, min(left)))
-    fact = Factorization(p, b, cutoff, degree_cap)
+    fact = Factorization(grid.decode_all(p), grid.decode_all(b), cutoff, degree_cap)
     for n, c in enumerate(fact.residual(s)):
         if not c.is_zero_below(cutoff):
             raise CertificateError("residual coefficient %d not certified below the cutoff" % n)
@@ -249,28 +261,29 @@ def weierstrass_factor(ns, degree_cap, cutoff):
     reaches the cutoff or trips the cap (reachable cutoffs always
     terminate; hahn-mode cutoffs beyond the reachable range cannot).
     """
-    from .polys import pdivmod as real_pdivmod
+    pbar = pint = None
 
-    mode = ns.mode
-    pbar = []
-    pbar_q = []  # st(P) as Fractions when it is rational
-
-    def slice_split(resid, p):
-        if not pbar:
+    def slice_split(grid, resid, p):
+        nonlocal pbar, pint
+        if pbar is None:
             # R has positive valuation, so st(P) never changes
-            pbar.extend(c.standard_part() for c in p)
-            if all(c.is_rational for c in pbar):
-                pbar_q.extend(c.as_fraction() for c in pbar)
-        gamma = min(c.terms[0][0] for c in resid if c.terms)
-        sl = [c.coeff_at(gamma) for c in resid]
-        if pbar_q and all(c.is_rational for c in sl):
-            # on Fractions: each RealAlgebraic operation coerces and wraps
-            qr = real_pdivmod([c.as_fraction() for c in sl], pbar_q)
-            qr = [[RealAlgebraic._rat(c) for c in cs] for cs in qr]
+            pbar = [c.standard_part() for c in grid.decode_all(p)]
+            if grid.rational:
+                e = lcm(*[c.as_fraction().denominator for c in pbar])
+                pint = ([int(c.as_fraction() * e) for c in pbar], e)
+        nums, d = resid
+        g = min(terms[0][0] for terms, _, _ in nums if terms)
+        firsts = [terms[:1] if terms and terms[0][0] == g else () for terms, _, _ in nums]
+        gamma = next(grid.decode(t, None, d) for t in firsts if t).terms[0][0]
+        if pint:  # on integers: X = Y/e makes st(P) = m/e monic over Z
+            (m, e), n, top = pint, len(pint[0]) - 1, len(firsts) - 1
+            qt, rt = pdivmod([t[0][1] * e ** (top - i) if t else 0 for i, t in enumerate(firsts)],
+                             [c * e ** (n - 1 - i) for i, c in enumerate(m[:-1])] + [1])
+            qr = [[RealAlgebraic._rat(Fraction(v, d * e ** (k - j))) for j, v in enumerate(cs)]
+                  for cs, k in ((qt, top - n), (rt, top))]
         else:
-            qr = real_pdivmod(sl, pbar)
-        return tuple([LcNumber._build(mode, () if c == 0 else ((gamma, c),), None) for c in cs]
-                     for cs in qr)
+            qr = pdivmod([grid.decode(t, None, d).coeff_at(gamma) for t in firsts], pbar)
+        return tuple([LcNumber.monomial(gamma, c) for c in cs] for cs in qr)
 
     return _lift(ns, degree_cap, cutoff, slice_split)
 
@@ -278,5 +291,5 @@ def weierstrass_factor(ns, degree_cap, cutoff):
 def weierstrass_factor_batched(ns, degree_cap, cutoff):
     """Alternate split rule for the uniqueness check: divide the whole
     residual by P each round instead of one exponent slice."""
-    return _lift(ns, degree_cap, cutoff,
-                 lambda resid, p: poly_divmod_monic(resid, p, cutoff))
+    return _lift(ns, degree_cap, cutoff, lambda grid, resid, p: poly_divmod_monic(
+        grid.decode_all(resid), grid.decode_all(p), cutoff))

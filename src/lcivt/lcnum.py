@@ -19,21 +19,20 @@ Every product and every sum of products goes through one kernel,
 ``sum_of_products``: each coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ...,
 with nonzero integer weights w_j, is accumulated once into one dict below a
 cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
-``hensel.poly_mul`` one call of it, and the lifting update (weights +-1),
-a substituted-series coefficient (binomial weights) and the
-rational-function derivative each take one call.  Coefficients take one
-of three paths: integers over one denominator when all are rational (the
-lifting of S = P*B; FLINT's ``fmpq_poly``), integer vectors in the power
-basis of one number field Q(alpha) (Newton steps on a residue root such as
-sqrt(m)/b; Antic's ``nf_elem``), and RealAlgebraic values across two or
-more generators.  On every path a pair's weight scales its a side when
-encoded, with its share of the common denominator, and decoding divides
-by that denominator.  The kernel's encoding, accumulation and decoding are
-one object, ``_Grid``, which ``horner`` shares: it evaluates polynomials at
-one point x, in either mode and on any of the three paths, with each step
-acc*x + c one accumulation over the pairs (acc, x) and (c, 1); x and the
-coefficients are encoded once, and each accumulator stays encoded from
-step to step and is decoded once at the end.
+``hensel.poly_mul`` one call of it, and a substituted-series coefficient
+(binomial weights) and the rational-function derivative take one call
+each.  Coefficients take one of three paths: integers over one denominator
+when all are rational (the lifting of S = P*B; FLINT's ``fmpq_poly``),
+integer vectors in the power basis of one number field Q(alpha) (Newton
+steps on a residue root such as sqrt(m)/b; Antic's ``nf_elem``), and
+RealAlgebraic values across two or more generators.  On every path a
+pair's weight scales its a side when encoded, with its share of the common
+denominator, and decoding divides by that denominator.  The kernel's
+encoding, accumulation and decoding are one object, ``_Grid``, which two
+loops share, each encoding once and decoding once at the end: ``horner``,
+with each step acc*x + c one accumulation over the pairs (acc, x) and
+(c, 1), and the lift of S = P*B (``hensel._lift``), whose P, B and residual
+stay encoded sequences that each round updates with ``_Grid.collect``.
 
 Two numbers are ordered by the first exponent where they differ, as the
 field's order is: ``LcNumber.compare`` walks both term lists and stops
@@ -46,7 +45,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import ResourceCapError, TruncationError
@@ -838,11 +837,30 @@ class _Grid:
             elif gen is not None:
                 v = RealAlgebraic._from_ints(gen, v, unit)
             else:
-                v = v / unit
+                v = RealAlgebraic(v / unit)  # a Fraction until accumulated
             out.append((q, v))
         if lc and cut is not None:
             cut = Exponent._mk_lc(Fraction(cut, den))
         return LcNumber._build(self.mode, out, cut)
+
+    def decode_all(self, seq):
+        """The LcNumbers of an encoded sequence (numbers, denominator)."""
+        return [self.decode(terms, cut, seq[1]) for terms, _, cut in seq[0]]
+
+    def collect(self, operands, length, cut, unit):
+        """Coefficients 0 .. length-1 of the sum of the products of
+        ``operands`` below the grid cutoff ``cut``, over ``unit``, as one
+        sequence (numbers, denominator): over the lcm s of the extra
+        denominators, then divided by the content of all its integers."""
+        outs = [self.accumulate(operands, k, cut) for k in range(length)]
+        s, vec = lcm(*[sk for _, sk, _ in outs]), self.gen is not None
+        nums = [ts if sk == s else [(q, [u * (s // sk) for u in v]) for q, v in ts]
+                for ts, sk, _ in outs]
+        g = gcd(unit * s, *[u for ts in nums for _, v in ts for u in (v if vec else (v,))]) \
+            if self.rational or vec else 1
+        if g > 1:
+            nums = [[(q, [u // g for u in v] if vec else v // g) for q, v in ts] for ts in nums]
+        return [(t, t[0][0] if t else c, c) for t, (_, _, c) in zip(nums, outs)], unit * s // g
 
 
 def sum_of_products(pairs, cutoff=None, length=None, weights=None):

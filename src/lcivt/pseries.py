@@ -14,10 +14,10 @@ presented, each series can answer two certified questions:
 The second is the convergence certificate: evaluation, normalization and
 factorization never silently drop terms they cannot bound.
 
-``PSeries.coeff`` is the one memo: each series computes a coefficient once
-per (n, cutoff), through its rule ``_coeff``.  A substituted coefficient is
-one weighted ``sum_of_products`` and one product; ``evaluate`` is one
-``horner`` call.
+Each series computes a coefficient once per (n, cutoff), in the memo of
+``PSeries.coeff``, and a tail index once per query (``PSeries.tail_index``).
+A substituted coefficient is one weighted ``sum_of_products`` and one
+product; ``evaluate`` is one ``horner`` call.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def _index_beyond_roots(p):
 
 
 class PSeries:
-    """Base class; subclasses provide the coefficient rule ``_coeff``."""
+    """Base class; subclasses provide the rules ``_coeff`` and ``_tail_index``."""
 
     def __init__(self, mode):
         self.mode = mode
-        self._memo = {}  # immutable values; single dict writes suit concurrent readers
+        self._memo, self._tails = {}, {}  # immutable values; single writes suit concurrent readers
 
     def coeff(self, n, cutoff=None):
         """The n-th coefficient, certified below ``cutoff`` (exact when the
@@ -60,6 +60,13 @@ class PSeries:
         raise NotImplementedError
 
     def tail_index(self, xval, target, strict=False):
+        """The tail certificate, computed once per query through ``_tail_index``."""
+        key = (xval, target, strict)
+        if key not in self._tails:
+            self._tails[key] = self._tail_index(*key)
+        return self._tails[key]
+
+    def _tail_index(self, xval, target, strict):
         raise NotImplementedError
 
     def derivative(self):
@@ -101,7 +108,7 @@ class PolySeries(PSeries):
             return self.coeffs[n]
         return self._zero()
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         return len(self.coeffs)
 
     def finite_degree(self):
@@ -162,7 +169,7 @@ class TermRuleSeries(PSeries):
             pref = -pref
         return LcNumber.monomial(self._exponent(m), RealAlgebraic(pref))
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         if not self.prefactor:
             return 0
         kind, payload = self.expo
@@ -294,7 +301,7 @@ class RatFunSeries(PSeries):
                 l1 = v if l1 is None or v.compare(l1) < 0 else l1
         return l1, k, nb
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         if self._delta is None:
             # plain polynomial divided by a monomial
             n0 = len(self.num)
@@ -340,7 +347,7 @@ class SumSeries(PSeries):
     def _coeff(self, n, cutoff):
         return self.a.coeff(n, cutoff) + self.b.coeff(n, cutoff)
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         return max(self.a.tail_index(xval, target, strict),
                    self.b.tail_index(xval, target, strict))
 
@@ -375,7 +382,7 @@ class ScaledSeries(PSeries):
         c = (self.scalar * self.inner.coeff(n, inner_cut))
         return c if cutoff is None or c.cutoff is None else c.truncate(cutoff)
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         vs = self.scalar.val_lb()
         if vs is None:
             return 0
@@ -408,7 +415,7 @@ class PolyMulSeries(PSeries):
         acc = sum_of_products(pairs)[0] if pairs else self._zero()
         return acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         n0 = 0
         for k, p in enumerate(self.poly):
             if p.is_exact_zero:
@@ -482,7 +489,7 @@ class SubstitutedSeries(PSeries):
         out = sum_of_products([(acc, [self._pow(self._hpow, self.h, m)])], cap)[0]
         return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         vh = self.h.val_lb()
         if self.k.is_exact_zero:
             return self.inner.tail_index(xval + vh, target, strict)
@@ -576,7 +583,7 @@ class NormalizedSeries(PSeries):
         prod = t * self.d
         return prod if prod.cutoff is None else prod.truncate(cut)
 
-    def tail_index(self, xval, target, strict=False):
+    def _tail_index(self, xval, target, strict):
         return max(self.inner.tail_index(xval, target + self.vmin, strict), self.N + 1)
 
     def finite_degree(self):

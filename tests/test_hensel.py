@@ -15,8 +15,9 @@ from lcivt.hensel import (
     weierstrass_factor,
     weierstrass_factor_batched,
 )
-from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, _Grid, eps
 from lcivt.pseries import PolySeries, normalize
+from lcivt.realalg import RealAlgebraic
 
 from conftest import E, L
 
@@ -174,17 +175,40 @@ def test_lift_schedules_agree(mode):
     cut = E(12) if mode == LC else Exponent.hahn({1: 12})
     for _ in range(10):
         coeffs = _random_normalized_coeffs(rng, pivot_max=3, tail_deg=8, mode=mode)
-        s = PolySeries(mode, coeffs)
-        ns = normalize(s, 10, cut)
-        f1 = weierstrass_factor(ns, 10, cut)
-        f2 = weierstrass_factor_batched(ns, 10, cut)
-        assert len(f1.p_coeffs) == len(f2.p_coeffs)
-        # B's lengths may differ; the shorter one is padded with zeros
-        nb = max(len(f1.b_coeffs), len(f2.b_coeffs))
-        zeros = [LcNumber.zero(mode)] * nb
-        for a, b in zip(f1.p_coeffs + (f1.b_coeffs + zeros)[:nb],
-                        f2.p_coeffs + (f2.b_coeffs + zeros)[:nb]):
-            assert (a - b).is_zero_below(cut)
+        _assert_schedules_agree(normalize(PolySeries(mode, coeffs), 10, cut), 10, cut)
+
+
+def _assert_schedules_agree(ns, cap, cut):
+    f1 = weierstrass_factor(ns, cap, cut)
+    f2 = weierstrass_factor_batched(ns, cap, cut)
+    series = [ns.coeff(n, cut) for n in range(cap + 1)]
+    for f in (f1, f2):
+        assert all(c.is_zero_below(cut) for c in f.residual(series))
+    assert len(f1.p_coeffs) == len(f2.p_coeffs)
+    # B's lengths may differ; the shorter one is padded with zeros
+    nb = max(len(f1.b_coeffs), len(f2.b_coeffs))
+    zeros = [LcNumber.zero(ns.mode)] * nb
+    for a, b in zip(f1.p_coeffs + (f1.b_coeffs + zeros)[:nb],
+                    f2.p_coeffs + (f2.b_coeffs + zeros)[:nb]):
+        assert (a - b).is_zero_below(cut)
+
+
+@pytest.mark.parametrize("radicands", [(2,), (2, 3)], ids=["one-generator", "two-generators"])
+def test_lift_schedules_agree_over_algebraic_coefficients(radicands):
+    # coefficients over one generator take the kernel's integer-vector path,
+    # over two its RealAlgebraic values path; st(P) is irrational either way
+    r = [RealAlgebraic(m).nth_root(2) for m in radicands]
+    one, zero = LcNumber.one(LC), LcNumber.zero(LC)
+    cases = [[one * (r[0] - 1) + eps() * r[-1], one, eps(F(1, 2)) * r[-1], zero,
+              eps(F(3, 2)) * r[0]]]
+    if len(r) == 1:
+        cases.append([eps(), one * (r[0] + 1) - eps(), one, eps(F(1, 2)) * r[0], eps() * 3])
+    cap, cut = 4, E(2)
+    for coeffs in cases:
+        ns = normalize(PolySeries(LC, coeffs), cap, cut)
+        grid = _Grid(LC, [[ns.coeff(n, cut) for n in range(cap + 1)]])
+        assert not grid.rational and (grid.gen is None) == (len(r) == 2)
+        _assert_schedules_agree(ns, cap, cut)
 
 
 def _exponent(mode, q, rng):
@@ -226,6 +250,16 @@ def test_lift_cap_names_itself(monkeypatch):
     assert "least residual exponent reached 3/2" in msg
 
 
+def test_lift_term_cap_fires_inside_the_loop(monkeypatch):
+    one = LcNumber.one(LC)
+    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
+    # S has one term per coefficient; P and B grow past two in the loop
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "2")
+    with pytest.raises(ResourceCapError, match="LCIVT_MAX_TERMS") as err:
+        weierstrass_factor(ns, 4, E(6))
+    assert any(entry.name == "collect" for entry in err.traceback)
+
+
 def test_newton_cap_names_itself(monkeypatch):
     one = LcNumber.one(LC)
     monkeypatch.setattr(hensel, "_NEWTON_CAP", 1)
@@ -260,6 +294,18 @@ def test_residual_contract_randomized():
             bx = fact.unit_value(x)
             assert bx.standard_part().as_fraction() == 1
             assert bx.sign() == 1
+
+
+def test_residual_checks_the_whole_product():
+    one = LcNumber.one(LC)
+    ns = normalize(PolySeries(LC, [-one, one, eps()]), 4, E(3))
+    fact = weierstrass_factor(ns, 4, E(3))
+    series = [ns.coeff(n, E(3)) for n in range(5)]
+    assert all(c.is_zero_below(E(3)) for c in fact.residual(series))
+    # a unit at X^(cap+1) in B changes P*B only beyond the cap
+    b = fact.b_coeffs + [LcNumber.zero(LC)] * (5 - len(fact.b_coeffs)) + [one]
+    bad = replace(fact, b_coeffs=b)
+    assert not all(c.is_zero_below(E(3)) for c in bad.residual(series))
 
 
 def test_degree_cap_certificate():

@@ -429,6 +429,23 @@ def test_substituted_tail_uses_exact_valuation_polynomial():
     assert s.tail_index(E(0), E(5)) == 13
 
 
+def test_tail_index_is_computed_once_per_query():
+    inner = TermRuleSeries(LC, 1, [1], ("poly", [0, 1]))
+    s = SubstitutedSeries(inner, eps(), L("1"))
+    calls = []
+    rule = inner.tail_index
+    inner.tail_index = lambda *args: calls.append(args) or rule(*args)
+    first = s.tail_index(E(0), E(5))
+    assert calls
+    seen = len(calls)
+    # a repeated query is answered from the outer series' memo
+    assert s.tail_index(E(0), E(5)) == first
+    assert len(calls) == seen
+    # a different query is not
+    s.tail_index(E(0), E(6))
+    assert len(calls) > seen
+
+
 # ------------------------------------------------------ sum-of-products call sites
 
 
