@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -449,6 +450,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("%s: error: %s" % (self.prog, message))
 
 
+@functools.cache  # built once per process: parsing keeps no state on it
 def build_parser():
     parser = _Parser(
         prog="lcivt",

@@ -8,8 +8,8 @@ The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
 start from P = S[:pivot+1], B = 1; each round a split rule turns the
 residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q.  A lift
 is one encoding on the kernel's grid (``lcnum._Grid``), decoded once: S, P,
-B and the residual stay encoded, and every update is one kernel
-accumulation per coefficient.  Two rules share the loop:
+B and the residual stay encoded, and P += R and B += Q touch only the
+terms they change.  Two rules share the loop:
 ``weierstrass_factor`` splits the least exponent slice of the residual in
 the residue field, and ``weierstrass_factor_batched`` divides the whole
 residual by P; the second is the independent reference that the first
@@ -24,13 +24,11 @@ TruncationError, and trimming would shorten the reported unit factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import CertificateError, ResourceCapError
 from .lcnum import LC, Exponent, LcNumber, _Grid, horner, sum_of_products
 from .polys import pdivmod
-from .realalg import RealAlgebraic
 
 _LIFT_CAP = 20000
 _NEWTON_CAP = 200
@@ -170,18 +168,14 @@ class Factorization:
         return len(self.p_coeffs) - 1
 
     def residual(self, series_coeffs):
-        """All of S - P*B (S is 0 beyond the cap), certified only below ``achieved_cutoff``.
-
-        P and B are multiplied with every coefficient truncated at the
-        cutoff.  That keeps the verdict of ``is_zero_below(achieved_cutoff)``:
-        a coefficient of negative valuation makes its products' cutoff
-        markers fall below the cutoff, which fails the check.
-        """
+        """S - P*B (S is 0 beyond the cap) below ``achieved_cutoff``: the
+        certificate of ``_lift`` on a fresh grid over S, P and B."""
         cut = self.achieved_cutoff
-        return sum_of_products(
-            [(series_coeffs, [LcNumber.one(self.p_coeffs[0].mode)]),
-             ([c.truncate(cut) for c in self.p_coeffs], [c.truncate(cut) for c in self.b_coeffs])],
-            weights=(1, -1))
+        polys = [series_coeffs, self.p_coeffs, self.b_coeffs]
+        grid = _Grid(cut.mode, polys, cut.data.denominator if cut.mode == LC else 1)
+        s, p, b = [(grid.encode(poly, d), d) for poly, d in zip(polys, grid.cdens)]
+        cap = grid.encode([LcNumber.zero(cut.mode).truncate(cut)], 1)[0][2]
+        return grid.decode_all(_certify(grid, s, p, b, cap))
 
     def unit_value(self, x):
         return poly_eval(self.b_coeffs, x)
@@ -209,46 +203,58 @@ def _extract_series(ns, degree_cap, cutoff):
     return s
 
 
+def _certify(grid, s, p, b, cap):
+    """S - P*B below the grid cutoff ``cap``, recomputed from the encoded S,
+    P and B: one ``collect`` of (S, 1) - (P, B), P and B truncated at
+    ``cap``, so that a coefficient of negative valuation fails the check."""
+    (sn, ds), (pn, dp), (bn, db) = s, *[  # adding 0 + O(cap) truncates at cap
+        grid.merge(x, ([([], cap, cap)] * len(x[0]), 1)) for x in (p, b)]
+    c = lcm(ds, dp * db)
+    return grid.collect([(sn, grid.encode([LcNumber.one(grid.mode)], c // ds)),
+                         (pn, grid.scale(bn, -c // (dp * db)))],
+                        max(len(sn), len(pn) + len(bn) - 1), cap, c)
+
+
+def _encoded(grid, poly):
+    """An LcNumber list on ``grid``, over the lcm of its denominators."""
+    d = _Grid(grid.mode, [poly]).cdens[0]
+    return grid.encode(poly, d), d
+
+
 def _lift(ns, degree_cap, cutoff, split):
-    """The correction loop on encoded (numbers, denominator) sequences: ``split``
-    gives (Q, R) as LcNumber lists; B += Q, resid - Q*P - R*B = S - P*B for the
-    new B, and P += R are each one ``_Grid.collect``, scaling Q, R or a 1."""
+    """The correction loop on encoded (numbers, denominator) sequences:
+    ``split`` gives Q and R encoded, B += Q and P += R are ``_Grid.merge``,
+    and resid - Q*P - R*B = S - P*B for the new B is one ``_Grid.collect``.
+    The certificate (``_certify``) never reads the loop's residual."""
     mode, pivot = ns.mode, ns.N
     s = _extract_series(ns, degree_cap, cutoff)
     grid = _Grid(mode, [s], cutoff.data.denominator if mode == LC else 1)
     one, zero = [LcNumber.one(mode)], LcNumber.zero(mode).truncate(cutoff)
     enc, ds = grid.encode, grid.cdens[0]
-
-    def plus(seq, poly, dpoly):
-        (nums, d), m = seq, lcm(seq[1], dpoly)
-        return grid.collect([(nums, enc(one, m // d)), (enc(poly, m), enc(one, 1))],
-                            max(len(nums), len(poly)), None, m)
-
-    p, b = (enc(s[: pivot + 1], ds), ds), (enc(one, 1), 1)
+    se = (enc(s, ds), ds)
+    p, b = (se[0][: pivot + 1], ds), (enc(one, 1), 1)
     resid = (enc([zero] * (pivot + 1) + [c.truncate(cutoff) for c in s[pivot + 1:]], ds), ds)
     cap = resid[0][0][2]  # the grid cutoff: resid[0] is 0 + O(cutoff)
     for _ in range(_LIFT_CAP):
         if all(not terms for terms, _, _ in resid[0]):
             break
-        q, rem = split(grid, resid, p)
-        dq, drem = _Grid(mode, [q, rem]).cdens
-        b = plus(b, q, dq)
+        (q, dq), (rem, drem) = split(grid, resid, p)
+        b = grid.merge(b, (q, dq))
         (rn, dr), (pn, dp), (bn, db) = resid, p, b
         c = lcm(dr, dq * dp, drem * db)
-        resid = grid.collect([(rn, enc(one, c // dr)), (enc(q, -c // dp), pn),
-                              (enc(rem, -c // db), bn)], degree_cap + 1, cap, c)
-        p = plus(p, rem, drem)
+        resid = grid.collect([(rn, enc(one, c // dr)), (grid.scale(q, -c // (dq * dp)), pn),
+                              (grid.scale(rem, -c // (drem * db)), bn)], degree_cap + 1, cap, c)
+        p = grid.merge(p, (rem, drem))
     else:
         left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]
         if left:
             raise ResourceCapError(
                 "factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
                 "least residual exponent reached %s" % (_LIFT_CAP, cutoff, min(left)))
-    fact = Factorization(grid.decode_all(p), grid.decode_all(b), cutoff, degree_cap)
-    for n, c in enumerate(fact.residual(s)):
-        if not c.is_zero_below(cutoff):
+    for n, (terms, _, c) in enumerate(_certify(grid, se, p, b, cap)[0]):
+        if terms or c < cap:
             raise CertificateError("residual coefficient %d not certified below the cutoff" % n)
-    return fact
+    return Factorization(grid.decode_all(p), grid.decode_all(b), cutoff, degree_cap)
 
 
 def weierstrass_factor(ns, degree_cap, cutoff):
@@ -256,10 +262,11 @@ def weierstrass_factor(ns, degree_cap, cutoff):
 
     Slice rule: divide the residual's slice at its least exponent gamma by
     st(P) in the residue field; Q and R are quotient and remainder as
-    monomials at gamma.  The slice cancels, so every round raises the least
-    residual exponent by at least the first slice's exponent, and the loop
-    reaches the cutoff or trips the cap (reachable cutoffs always
-    terminate; hahn-mode cutoffs beyond the reachable range cannot).
+    monomials at gamma (encoded from integers on a rational grid).  The
+    slice cancels, so every round raises the least residual exponent by at
+    least the first slice's exponent, and the loop reaches the cutoff or
+    trips the cap (reachable cutoffs always terminate; hahn-mode cutoffs
+    beyond the reachable range cannot).
     """
     pbar = pint = None
 
@@ -274,16 +281,17 @@ def weierstrass_factor(ns, degree_cap, cutoff):
         nums, d = resid
         g = min(terms[0][0] for terms, _, _ in nums if terms)
         firsts = [terms[:1] if terms and terms[0][0] == g else () for terms, _, _ in nums]
-        gamma = next(grid.decode(t, None, d) for t in firsts if t).terms[0][0]
         if pint:  # on integers: X = Y/e makes st(P) = m/e monic over Z
             (m, e), n, top = pint, len(pint[0]) - 1, len(firsts) - 1
             qt, rt = pdivmod([t[0][1] * e ** (top - i) if t else 0 for i, t in enumerate(firsts)],
                              [c * e ** (n - 1 - i) for i, c in enumerate(m[:-1])] + [1])
-            qr = [[RealAlgebraic._rat(Fraction(v, d * e ** (k - j))) for j, v in enumerate(cs)]
-                  for cs, k in ((qt, top - n), (rt, top))]
-        else:
-            qr = pdivmod([grid.decode(t, None, d).coeff_at(gamma) for t in firsts], pbar)
-        return tuple([LcNumber.monomial(gamma, c) for c in cs] for cs in qr)
+            # Q_j = qt_j e^j / (d e^(top-n)), R_j = rt_j e^j / (d e^top), at g
+            return tuple(([([(g, v * e ** j)], g, None) if v else ([], None, None)
+                           for j, v in enumerate(cs)], d * e ** k)
+                         for cs, k in ((qt, top - n), (rt, top)))
+        gamma = next(grid.decode(t, None, d) for t in firsts if t).terms[0][0]
+        qr = pdivmod([grid.decode(t, None, d).coeff_at(gamma) for t in firsts], pbar)
+        return tuple(_encoded(grid, [LcNumber.monomial(gamma, c) for c in cs]) for cs in qr)
 
     return _lift(ns, degree_cap, cutoff, slice_split)
 
@@ -291,5 +299,5 @@ def weierstrass_factor(ns, degree_cap, cutoff):
 def weierstrass_factor_batched(ns, degree_cap, cutoff):
     """Alternate split rule for the uniqueness check: divide the whole
     residual by P each round instead of one exponent slice."""
-    return _lift(ns, degree_cap, cutoff, lambda grid, resid, p: poly_divmod_monic(
-        grid.decode_all(resid), grid.decode_all(p), cutoff))
+    return _lift(ns, degree_cap, cutoff, lambda grid, resid, p: tuple(
+        _encoded(grid, x) for x in poly_divmod_monic(grid.decode_all(resid), grid.decode_all(p), cutoff)))

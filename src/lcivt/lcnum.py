@@ -32,7 +32,7 @@ encoding, accumulation and decoding are one object, ``_Grid``, which two
 loops share, each encoding once and decoding once at the end: ``horner``,
 with each step acc*x + c one accumulation over the pairs (acc, x) and
 (c, 1), and the lift of S = P*B (``hensel._lift``), whose P, B and residual
-stay encoded sequences that each round updates with ``_Grid.collect``.
+stay encoded sequences, updated with ``_Grid.collect`` and ``_Grid.merge``.
 
 Two numbers are ordered by the first exponent where they differ, as the
 field's order is: ``LcNumber.compare`` walks both term lists and stops
@@ -43,10 +43,12 @@ generators are compared by their leading coefficients alone.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import ResourceCapError, TruncationError
 from .realalg import RealAlgebraic
@@ -846,6 +848,42 @@ class _Grid:
     def decode_all(self, seq):
         """The LcNumbers of an encoded sequence (numbers, denominator)."""
         return [self.decode(terms, cut, seq[1]) for terms, _, cut in seq[0]]
+
+    def scale(self, nums, k):
+        """Encoded numbers with every coefficient times the integer ``k``."""
+        vec = self.gen is not None
+        return [([(q, [u * k for u in v] if vec else v * k) for q, v in t], s, c)
+                for t, s, c in nums]
+
+    def merge(self, seq, delta):
+        """seq + delta for encoded sequences (numbers, denominator), over
+        lcm(d, d'): the sum ``collect`` forms from (seq, 1) and (delta, 1),
+        with its cutoffs and LCIVT_MAX_TERMS check, touching only where
+        delta is not an exact zero and rescaling a side only if its d grows."""
+        (a, da), (b, db) = seq, delta
+        m, vec, values = lcm(da, db), self.gen is not None, not self.rational and self.gen is None
+        a, b = (a if m == da else self.scale(a, m // da)), (b if m == db else self.scale(b, m // db))
+        out, first = a + [([], None, None)] * (len(b) - len(a)), itemgetter(0)
+        for i, (tb, vb, cb) in enumerate(b):
+            if vb is None:
+                continue  # an exact zero
+            ts, cut = list(out[i][0]), _min_cut(out[i][2], cb)
+            for q, v in tb:
+                j = bisect_left(ts, q, key=first)
+                if j < len(ts) and ts[j][0] == q:  # add in place; a zero sum drops q
+                    u = ts.pop(j)[1]
+                    v = ([x + y for x, y in zip_longest(u, v, fillvalue=0)] if vec
+                         else RealAlgebraic(u + v) if values else u + v)
+                    if not (any(v) if vec else not v.is_zero if values else v):
+                        continue
+                ts.insert(j, (q, v))
+            del ts[len(ts) if cut is None else bisect_left(ts, cut, key=first):]
+            if len(ts) > 1:
+                self.max_terms = self.max_terms or max_terms_cap()
+                if len(ts) > self.max_terms:
+                    raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+            out[i] = (ts, ts[0][0] if ts else cut, cut)
+        return out, m
 
     def collect(self, operands, length, cut, unit):
         """Coefficients 0 .. length-1 of the sum of the products of

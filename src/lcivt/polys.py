@@ -136,14 +136,6 @@ def monic(a):
     return [c / lead for c in a]
 
 
-def squarefree_part(a):
-    g = pgcd(a, pderiv(a))
-    if degree(g) <= 0:
-        return monic(a)
-    q, _ = pdivmod(a, g)
-    return monic(q)
-
-
 def yun_decomposition(a):
     """Squarefree decomposition; returns [(monic factor, multiplicity)]."""
     a = monic(a)

@@ -13,7 +13,7 @@ import pytest
 
 from lcivt.hensel import poly_eval, weierstrass_factor
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
-from lcivt.polys import count_roots_open, peval, squarefree_part
+from lcivt.polys import count_roots_open, degree, monic, pderiv, pdivmod, peval, pgcd
 from lcivt.pseries import (
     PolyMulSeries,
     PolySeries,
@@ -217,6 +217,15 @@ def test_criterion_6_planted_root_recovery(planted):
     report(6, failures == 0,
            "100 planted roots recovered with valuation(c - c*) >= 23; "
            "%d failures" % failures)
+
+
+def squarefree_part(a):
+    """The monic squarefree part of a rational polynomial: a / gcd(a, a')."""
+    g = pgcd(a, pderiv(a))
+    if degree(g) <= 0:
+        return monic(a)
+    q, _ = pdivmod(a, g)
+    return monic(q)
 
 
 def test_criterion_7_double_zero():

@@ -285,6 +285,23 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: lcivt")
 
 
+def test_parser_is_reused_without_carrying_state(capsys):
+    argv = ("ivt", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2", "--cutoff", "6")
+    _, first = run_json(capsys, *argv)
+    assert cli.main(["ivt", "--inline", "poly: -1, 1"]) == 4
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    capsys.readouterr()
+    code, other = run_json(capsys, "zeros", "--mode", "hahn", "--inline", "poly: -1, 1, eps[1]",
+                           "--interval", "0,2", "--cutoff", "1:4")
+    assert code == 0 and other["config"]["mode"] == "hahn"
+    _, again = run_json(capsys, *argv)
+    assert cli.build_parser() is cli.build_parser()
+    first.pop("timing_seconds")
+    again.pop("timing_seconds")
+    assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
 def test_example_nilpotent_roots(capsys):
     code, payload = run_json(capsys, "example", "nilpotent-roots", "--l", "1")
     assert code == 0

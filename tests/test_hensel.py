@@ -257,7 +257,46 @@ def test_lift_term_cap_fires_inside_the_loop(monkeypatch):
     monkeypatch.setenv("LCIVT_MAX_TERMS", "2")
     with pytest.raises(ResourceCapError, match="LCIVT_MAX_TERMS") as err:
         weierstrass_factor(ns, 4, E(6))
-    assert any(entry.name == "collect" for entry in err.traceback)
+    assert any(entry.name == "merge" for entry in err.traceback)
+
+
+def test_lift_term_cap_fires_in_the_residual_update(monkeypatch):
+    one = LcNumber.one(LC)
+    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 3)), eps(F(1, 2))]), 4, E(6))
+    # the residual passes five terms before P or B does
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "5")
+    with pytest.raises(ResourceCapError, match="LCIVT_MAX_TERMS") as err:
+        weierstrass_factor(ns, 4, E(6))
+    names = [entry.name for entry in err.traceback]
+    assert "collect" in names and "merge" not in names
+
+
+def test_certificate_recomputes_the_product(monkeypatch):
+    one = LcNumber.one(LC)
+    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
+    merge, calls = _Grid.merge, []
+
+    def counted(grid, seq, delta):
+        calls.append(len(calls))
+        return merge(grid, seq, delta)
+
+    monkeypatch.setattr(_Grid, "merge", counted)
+    weierstrass_factor(ns, 4, E(6))
+    last = len(calls)  # the P += R of the last round
+
+    def corrupted(grid, seq, delta):
+        (first, *rest), d = counted(grid, seq, delta)
+        if len(calls) == last:
+            # one wrong term in P[0] after the loop's residual update:
+            # the residual the loop carries still reads zero
+            terms = first[0][:-1] + [(first[0][-1][0], 2 * first[0][-1][1])]
+            first = (terms, terms[0][0], first[2])
+        return [first, *rest], d
+
+    calls.clear()
+    monkeypatch.setattr(_Grid, "merge", corrupted)
+    with pytest.raises(CertificateError, match="residual coefficient 0"):
+        weierstrass_factor(ns, 4, E(6))
 
 
 def test_newton_cap_names_itself(monkeypatch):
