@@ -2,7 +2,8 @@
 monic-polynomial x unit-series factorization of a restricted series.
 
 ``newton_root`` is the library's one Newton iteration: ``n_poly_root``,
-``LcNumber.nth_root`` and ``rootfind.poly_roots`` lift their roots with it.
+``LcNumber.nth_root`` and ``rootfind.poly_roots`` lift their roots with it,
+each call on one encoding of the kernel's grid (``lcnum._Grid``).
 
 The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
 start from P = S[:pivot+1], B = 1; each round a split rule turns the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import LC, Exponent, LcNumber, _Grid, horner, sum_of_products
+from .lcnum import Exponent, LcNumber, _Grid, _min_cut, _num, horner, sum_of_products
 from .polys import pdivmod
 
 _LIFT_CAP = 20000
@@ -78,10 +79,12 @@ def newton_root(coeffs, x0, cutoff):
     """Newton's iteration x <- x - f(x)/f'(x) toward the simple root of f
     seeded at x0: the library's one Newton loop.
 
-    Each step evaluates f(x) and f'(x) in one ``lcnum.horner`` call, which
-    encodes x once on the kernel's grid, in either mode and over any number
-    of generators, and keeps both accumulators encoded, each Horner step
-    one kernel accumulation.
+    f, f' and x0 are encoded once on the kernel's grid (``lcnum._Grid``), in
+    either mode and over any number of generators.  Each step is two
+    ``_Grid.horner`` passes, one ``_Grid.invert`` of f'(x), and x - r/f'(x)
+    as one accumulation over (x, 1) and (-r, f'(x)^-1), x then divided by
+    its content; cutoffs and the stall test are read off grid exponents,
+    and only the root and its bound are decoded.
 
     Returns (root, f(root).val_lb()), the bound None when f(root) is
     exactly zero; or None when f'(x) vanishes below the cutoff, the
@@ -90,26 +93,33 @@ def newton_root(coeffs, x0, cutoff):
     truncated coefficients leave it known below r.cutoff only, so the root
     is certified below r.cutoff - vd.
     """
-    dcoeffs = poly_deriv(coeffs)
-    x = x0
-    last = None
+    grid = _Grid(x0.mode, [[x0], coeffs], cutoff)
+    (dx, cf), cap, last = grid.cdens, grid.cut(cutoff), None
+    (x,), f = grid.encode([x0], dx), grid.encode(coeffs, cf)
+    df = [grid.scale([c], i)[0] for i, c in enumerate(f) if i]  # f' over cf
     for _ in range(_NEWTON_CAP):
-        full, d = horner([coeffs, dcoeffs], x)
-        if full.is_exact_zero:
-            return x, None
-        if not d.terms:
+        (ft, fcut, fd), (dt, dcut, dd) = grid.horner(f, cf, x, dx), grid.horner(df, cf, x, dx)
+        if not ft and fcut is None:
+            return grid.decode(x[0], x[2], dx), None
+        if not dt:
             return None
-        vd = d.terms[0][0]
-        target = cutoff + (vd if vd.sign() > 0 else Exponent.zero(x.mode))
-        r = full.truncate(target)
-        if not r.terms:
-            return x.truncate(cutoff).truncate(r.cutoff - vd), full.val_lb()
-        rv = r.terms[0][0]
-        if last is not None and rv.compare(last) <= 0:
+        vd = dt[0][0]
+        target = cap + vd if vd > grid.zero else cap
+        rt, rcut = [t for t in ft if t[0] < target], _min_cut(fcut, target)  # r = f(x) + O(target)
+        if not rt:
+            cut = _min_cut(_min_cut(x[2], cap), rcut - vd)
+            return (grid.decode([t for t in x[0] if t[0] < cut], cut, dx),
+                    grid.decode(ft[:1], fcut, fd).val_lb())
+        rv = rt[0][0]
+        if last is not None and rv <= last:
             return None
         last = rv
-        upd = x - r * d.invert(target - rv)
-        x = upd if upd.cutoff is None else upd.truncate(cutoff)
+        it, icut, di = grid.invert(_num(dt, dcut), dd, target - rv)
+        c = lcm(dx, fd * di)
+        xt, s, xcut = grid.accumulate([([x], grid.const(c // dx)),
+                                       (grid.scale([_num(rt, rcut)], -c // (fd * di)),
+                                        [_num(it, icut)])], 0, cap)
+        (x,), dx = grid.primitive([_num(xt, xcut)], c * s)
     return None
 
 
@@ -172,10 +182,9 @@ class Factorization:
         certificate of ``_lift`` on a fresh grid over S, P and B."""
         cut = self.achieved_cutoff
         polys = [series_coeffs, self.p_coeffs, self.b_coeffs]
-        grid = _Grid(cut.mode, polys, cut.data.denominator if cut.mode == LC else 1)
+        grid = _Grid(cut.mode, polys, cut)
         s, p, b = [(grid.encode(poly, d), d) for poly, d in zip(polys, grid.cdens)]
-        cap = grid.encode([LcNumber.zero(cut.mode).truncate(cut)], 1)[0][2]
-        return grid.decode_all(_certify(grid, s, p, b, cap))
+        return grid.decode_all(_certify(grid, s, p, b, grid.cut(cut)))
 
     def unit_value(self, x):
         return poly_eval(self.b_coeffs, x)
@@ -210,15 +219,9 @@ def _certify(grid, s, p, b, cap):
     (sn, ds), (pn, dp), (bn, db) = s, *[  # adding 0 + O(cap) truncates at cap
         grid.merge(x, ([([], cap, cap)] * len(x[0]), 1)) for x in (p, b)]
     c = lcm(ds, dp * db)
-    return grid.collect([(sn, grid.encode([LcNumber.one(grid.mode)], c // ds)),
+    return grid.collect([(sn, grid.const(c // ds)),
                          (pn, grid.scale(bn, -c // (dp * db)))],
                         max(len(sn), len(pn) + len(bn) - 1), cap, c)
-
-
-def _encoded(grid, poly):
-    """An LcNumber list on ``grid``, over the lcm of its denominators."""
-    d = _Grid(grid.mode, [poly]).cdens[0]
-    return grid.encode(poly, d), d
 
 
 def _lift(ns, degree_cap, cutoff, split):
@@ -228,13 +231,13 @@ def _lift(ns, degree_cap, cutoff, split):
     The certificate (``_certify``) never reads the loop's residual."""
     mode, pivot = ns.mode, ns.N
     s = _extract_series(ns, degree_cap, cutoff)
-    grid = _Grid(mode, [s], cutoff.data.denominator if mode == LC else 1)
-    one, zero = [LcNumber.one(mode)], LcNumber.zero(mode).truncate(cutoff)
+    grid = _Grid(mode, [s], cutoff)
+    zero = LcNumber.zero(mode).truncate(cutoff)
     enc, ds = grid.encode, grid.cdens[0]
     se = (enc(s, ds), ds)
-    p, b = (se[0][: pivot + 1], ds), (enc(one, 1), 1)
+    p, b = (se[0][: pivot + 1], ds), (grid.const(1), 1)
     resid = (enc([zero] * (pivot + 1) + [c.truncate(cutoff) for c in s[pivot + 1:]], ds), ds)
-    cap = resid[0][0][2]  # the grid cutoff: resid[0] is 0 + O(cutoff)
+    cap = grid.cut(cutoff)
     for _ in range(_LIFT_CAP):
         if all(not terms for terms, _, _ in resid[0]):
             break
@@ -242,7 +245,7 @@ def _lift(ns, degree_cap, cutoff, split):
         b = grid.merge(b, (q, dq))
         (rn, dr), (pn, dp), (bn, db) = resid, p, b
         c = lcm(dr, dq * dp, drem * db)
-        resid = grid.collect([(rn, enc(one, c // dr)), (grid.scale(q, -c // (dq * dp)), pn),
+        resid = grid.collect([(rn, grid.const(c // dr)), (grid.scale(q, -c // (dq * dp)), pn),
                               (grid.scale(rem, -c // (drem * db)), bn)], degree_cap + 1, cap, c)
         p = grid.merge(p, (rem, drem))
     else:
@@ -291,7 +294,7 @@ def weierstrass_factor(ns, degree_cap, cutoff):
                          for cs, k in ((qt, top - n), (rt, top)))
         gamma = next(grid.decode(t, None, d) for t in firsts if t).terms[0][0]
         qr = pdivmod([grid.decode(t, None, d).coeff_at(gamma) for t in firsts], pbar)
-        return tuple(_encoded(grid, [LcNumber.monomial(gamma, c) for c in cs]) for cs in qr)
+        return tuple(grid.encoded([LcNumber.monomial(gamma, c) for c in cs]) for cs in qr)
 
     return _lift(ns, degree_cap, cutoff, slice_split)
 
@@ -300,4 +303,4 @@ def weierstrass_factor_batched(ns, degree_cap, cutoff):
     """Alternate split rule for the uniqueness check: divide the whole
     residual by P each round instead of one exponent slice."""
     return _lift(ns, degree_cap, cutoff, lambda grid, resid, p: tuple(
-        _encoded(grid, x) for x in poly_divmod_monic(grid.decode_all(resid), grid.decode_all(p), cutoff)))
+        grid.encoded(x) for x in poly_divmod_monic(grid.decode_all(resid), grid.decode_all(p), cutoff)))

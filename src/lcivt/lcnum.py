@@ -28,11 +28,13 @@ steps on a residue root such as sqrt(m)/b; Antic's ``nf_elem``), and
 RealAlgebraic values across two or more generators.  On every path a
 pair's weight scales its a side when encoded, with its share of the common
 denominator, and decoding divides by that denominator.  The kernel's
-encoding, accumulation and decoding are one object, ``_Grid``, which two
-loops share, each encoding once and decoding once at the end: ``horner``,
-with each step acc*x + c one accumulation over the pairs (acc, x) and
-(c, 1), and the lift of S = P*B (``hensel._lift``), whose P, B and residual
-stay encoded sequences, updated with ``_Grid.collect`` and ``_Grid.merge``.
+encoding, accumulation and decoding are one object, ``_Grid``.  Its loops
+encode once and decode once at the end: the lift of S = P*B
+(``hensel._lift``), whose P, B and residual are updated with
+``_Grid.collect`` and ``_Grid.merge``; ``_Grid.horner`` (``horner``), each
+step acc*x + c one accumulation over the pairs (acc, x) and (c, 1);
+``_Grid.invert`` (``LcNumber.invert``); and Newton's iteration
+(``hensel.newton_root``), which runs on both of the last two.
 
 Two numbers are ordered by the first exponent where they differ, as the
 field's order is: ``LcNumber.compare`` walks both term lists and stops
@@ -86,7 +88,7 @@ class Exponent:
     that it sorts below an absent index, closed by a (0, 0) sentinel.
     """
 
-    __slots__ = ("mode", "data", "key")
+    __slots__ = ("mode", "data", "key", "_hash")  # _hash is set on first use
 
     def __init__(self, mode, data):
         self.mode = mode
@@ -200,7 +202,11 @@ class Exponent:
         return self.compare(other) >= 0
 
     def __hash__(self):
-        return hash((self.mode, self.data))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.mode, self.data))
+            return h
 
     def min_multiple_at_least(self, target):
         """Smallest n >= 0 with n*self >= target, or None if no n works."""
@@ -580,49 +586,11 @@ class LcNumber:
     # --------------------------------------------------------------- inversion
 
     def invert(self, cutoff):
-        """y with self*y = 1 + O(cutoff); exact for exact monomials.
-
-        Leading-term division, then Newton's iteration y <- y*(2 - u*y) for
-        the inverse of the unit u = self/leading term, which doubles the
-        precision each round; y itself is correct below cutoff -
-        valuation(self).  The caps are those of the geometric series in
-        m = u - 1: in hahn mode a cutoff that no multiple of val(m) reaches
-        raises ResourceCapError up front (no multiple of a low-index
-        increment passes a higher-index cutoff), and so does one needing
-        more than _GEOMETRIC_CAP powers of m.
-        """
-        if not self.terms:
-            raise (ZeroDivisionError("inverse of zero") if self.cutoff is None else
-                   TruncationError("inverse undecidable: no terms below the cutoff"))
-        e, c = self.terms[0]
-        lead_inv = LcNumber.monomial(-e, c.inverse())
-        if len(self.terms) == 1 and self.cutoff is None:
-            return lead_inv
-        unit = self * lead_inv  # u = 1 + m, val(m) > 0
-        prec = _min_cut(unit.cutoff, cutoff)  # input truncation caps the accuracy
-        y = LcNumber.one(self.mode)
-        if len(unit.terms) > 1:
-            vm = unit.terms[1][0]
-            rounds = vm.min_multiple_at_least(cutoff)
-            if rounds is None:
-                raise ResourceCapError(
-                    "inversion cutoff unreachable in this value group")
-            if rounds > _GEOMETRIC_CAP:
-                raise ResourceCapError("inversion did not reach the cutoff")
-            # u and y are exact, y = 1/u + O(reached) has no terms from
-            # reached on, and u*y = 1 + d with val(d) >= reached; then
-            # y*(2 - u*y) = y - y*d is 1/u + O(2*reached), and y*d starts
-            # where y ends
-            u = LcNumber._build(self.mode, unit.terms, None)
-            reached = vm
-            while reached.compare(prec) < 0:
-                reached = _min_cut(reached.scale(2), prec)
-                uy = sum_of_products([((u,), (y,))], reached)[0]
-                d = LcNumber._build(self.mode, uy.terms[1:], None)
-                yd = sum_of_products([((y,), (d,))], reached)[0]
-                y = LcNumber._build(self.mode, y.terms + (-yd).terms, None)
-        y = LcNumber._build(self.mode, y.terms, prec)
-        return (y * lead_inv).truncate(cutoff - e)
+        """y with self*y = 1 + O(cutoff); exact for exact monomials: self
+        encoded on the kernel's grid, one ``_Grid.invert`` and one decode."""
+        grid = _Grid(self.mode, [[self]], cutoff)
+        d = grid.cdens[0]
+        return grid.decode(*grid.invert(grid.encode([self], d)[0], d, grid.cut(cutoff)))
 
     def div(self, other, cutoff):
         """self/other with the quotient certified below ``cutoff``."""
@@ -687,6 +655,11 @@ class LcNumber:
 # ---------------------------------------------------- sum-of-products kernel
 
 
+def _num(terms, cut):
+    """An encoded number: (terms, valuation bound, cutoff)."""
+    return terms, terms[0][0] if terms else cut, cut
+
+
 def _vector(c, unit):
     """A coefficient's power-basis numerators over ``unit``."""
     f = c._frac
@@ -709,10 +682,11 @@ class _Grid:
     """
 
     __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "width", "exps",
-                 "max_terms")
+                 "max_terms", "zero")
 
-    def __init__(self, mode, polys, den=1):
+    def __init__(self, mode, polys, cutoff=None):
         lc = mode == LC
+        den = cutoff.data.denominator if lc and cutoff is not None else 1
         gen = None
         multi = False
         cdens = []
@@ -741,6 +715,7 @@ class _Grid:
         self.width = 2 * len(gen.minpoly) - 3 if self.gen is not None else 0  # 2d - 1
         self.exps = {}
         self.max_terms = None  # read when a number first has more than one term
+        self.zero = 0 if lc else Exponent.zero(mode)  # the exponent of 1 on the grid
 
     def encode(self, poly, unit):
         """Per number of ``poly``: (terms, valuation bound, cutoff) on the
@@ -756,11 +731,25 @@ class _Grid:
                       else _vector(c, unit) if vectors
                       else (c if c._frac is None else c._frac) * unit)
                      for e, c in x.terms]
-            cut = x.cutoff
-            if lc and cut is not None:
-                cut = cut.data.numerator * (den // cut.data.denominator)
-            enc.append((terms, terms[0][0] if terms else cut, cut))
+            enc.append(_num(terms, self.cut(x.cutoff)))
         return enc
+
+    def encoded(self, poly):
+        """(numbers, denominator): ``poly`` encoded over the lcm of its own
+        coefficient denominators."""
+        d = _Grid(self.mode, [poly]).cdens[0]
+        return self.encode(poly, d), d
+
+    def const(self, k):
+        """The integer k as an encoded sequence of one exact number."""
+        v = k if self.rational else (k,) if self.gen is not None else Fraction(k)
+        return [([(self.zero, v)], self.zero, None)]
+
+    def cut(self, exp):
+        """An Exponent or None as a grid cutoff."""
+        if self.lc and exp is not None:
+            return exp.data.numerator * (self.den // exp.data.denominator)
+        return exp
 
     def accumulate(self, operands, k, cut):
         """(terms, s, cut) for coefficient k of the sum of the products of
@@ -882,8 +871,22 @@ class _Grid:
                 self.max_terms = self.max_terms or max_terms_cap()
                 if len(ts) > self.max_terms:
                     raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
-            out[i] = (ts, ts[0][0] if ts else cut, cut)
+            out[i] = _num(ts, cut)
         return out, m
+
+    def primitive(self, nums, unit):
+        """Encoded numbers over ``unit`` divided by their content: on
+        integers by the gcd of the unit and every numerator; values are
+        divided by the unit, which becomes 1."""
+        vec = self.gen is not None
+        if not (self.rational or vec):
+            return ([([(q, v / unit) for q, v in t], b, c) for t, b, c in nums], 1) \
+                if unit != 1 else (nums, 1)
+        g = gcd(unit, *[u for t, _, _ in nums for _, v in t for u in (v if vec else (v,))])
+        if g == 1:
+            return nums, unit
+        return [([(q, [u // g for u in v] if vec else v // g) for q, v in t], b, c)
+                for t, b, c in nums], unit // g
 
     def collect(self, operands, length, cut, unit):
         """Coefficients 0 .. length-1 of the sum of the products of
@@ -891,14 +894,74 @@ class _Grid:
         sequence (numbers, denominator): over the lcm s of the extra
         denominators, then divided by the content of all its integers."""
         outs = [self.accumulate(operands, k, cut) for k in range(length)]
-        s, vec = lcm(*[sk for _, sk, _ in outs]), self.gen is not None
-        nums = [ts if sk == s else [(q, [u * (s // sk) for u in v]) for q, v in ts]
-                for ts, sk, _ in outs]
-        g = gcd(unit * s, *[u for ts in nums for _, v in ts for u in (v if vec else (v,))]) \
-            if self.rational or vec else 1
-        if g > 1:
-            nums = [[(q, [u // g for u in v] if vec else v // g) for q, v in ts] for ts in nums]
-        return [(t, t[0][0] if t else c, c) for t, (_, _, c) in zip(nums, outs)], unit * s // g
+        s = lcm(*[sk for _, sk, _ in outs])
+        return self.primitive([self.scale([_num(t, c)], s // sk)[0] if sk != s else _num(t, c)
+                               for t, sk, c in outs], unit * s)
+
+    def horner(self, poly, cd, x, dx):
+        """(terms, cut, denominator) of p(x), for ``poly`` encoded over
+        ``cd`` and x encoded over ``dx``: Horner's loop acc = acc*x + c from
+        an exact zero, each step one accumulation over the pairs (acc, x)
+        and (c, 1), the 1 carrying c's share of the step's common
+        denominator."""
+        at, acut, ad = [], None, cd
+        for c in reversed(poly):
+            common = ad * dx
+            at, s, acut = self.accumulate(
+                [([_num(at, acut)], [x]), ([c], self.const(common // cd))], 0, None)
+            ad = common * s
+        return at, acut, ad
+
+    def invert(self, x, unit, cutoff):
+        """(terms, cut, denominator) of y with x*y = 1 + O(cutoff), for x
+        encoded over ``unit`` and a grid cutoff; exact for an exact monomial.
+
+        Leading-term division, then Newton's iteration y <- y*(2 - u*y) =
+        y - y*d for the inverse of the unit u = x/lead, which doubles the
+        precision each round: u*y and y*d are one accumulation each, y is
+        rescaled by an integer to stand over the denominator of y*d, and
+        the sum is divided by its content (``primitive``).  y itself is
+        correct below cutoff - val(x).  The caps are those of the geometric
+        series in m = u - 1: in hahn mode a cutoff that no multiple of val(m)
+        reaches raises ResourceCapError up front (no multiple of a low-index
+        increment passes a higher-index cutoff), and so does one needing
+        more than _GEOMETRIC_CAP powers of m.
+        """
+        terms, _, cut = x
+        if not terms:
+            raise (ZeroDivisionError("inverse of zero") if cut is None else
+                   TruncationError("inverse undecidable: no terms below the cutoff"))
+        ((e, c),) = self.decode(terms[:1], None, unit).terms
+        (lead,), dl = self.encoded([LcNumber.monomial(-e, c.inverse())])
+        e = terms[0][0]
+        if len(terms) == 1 and cut is None:
+            return lead[0], None, dl
+        ut, s, ucut = self.accumulate([([x], [lead])], 0, None)  # u = 1 + m, val(m) > 0
+        (u,), du = self.primitive([_num(ut, None)], unit * dl * s)
+        prec = _min_cut(ucut, cutoff)  # input truncation caps the accuracy
+        (y,), dy = self.const(1), 1
+        if len(ut) > 1:
+            vm = ut[1][0]
+            rounds = (0 if cutoff <= 0 else -(-cutoff // vm)) if self.lc \
+                else vm.min_multiple_at_least(cutoff)
+            if rounds is None:
+                raise ResourceCapError("inversion cutoff unreachable in this value group")
+            if rounds > _GEOMETRIC_CAP:
+                raise ResourceCapError("inversion did not reach the cutoff")
+            # u and y are exact, y = 1/u + O(reached) has no terms from
+            # reached on, and u*y = 1 + d with val(d) >= reached; then
+            # y - y*d is 1/u + O(2*reached), and y*d starts where y ends
+            reached = vm
+            while reached < prec:
+                reached = _min_cut(reached + reached, prec)
+                t, s, _ = self.accumulate([([u], [y])], 0, reached)
+                k = du * dy * s  # d = t[1:] over k
+                t, s, _ = self.accumulate([([y], [_num(t[1:], None)])], 0, reached)
+                k *= s
+                (yt, _, _), (dt, _, _) = self.scale([y], k) + self.scale([_num(t, None)], -1)
+                (y,), dy = self.primitive([_num(yt + dt, None)], dy * k)
+        t, s, cut = self.accumulate([([(y[0], y[1], prec)], [lead])], 0, cutoff - e)
+        return t, cut, dy * dl * s
 
 
 def sum_of_products(pairs, cutoff=None, length=None, weights=None):
@@ -942,18 +1005,14 @@ def sum_of_products(pairs, cutoff=None, length=None, weights=None):
     mode = pairs[0][0][0].mode
     if length is None:
         length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
-    grid = _Grid(mode, [poly for a, b, _ in pairs for poly in (a, b)],
-                 cutoff.data.denominator if mode == LC and cutoff is not None else 1)
+    grid = _Grid(mode, [poly for a, b, _ in pairs for poly in (a, b)], cutoff)
     cdens = grid.cdens
     pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
     common = lcm(*pair_dens)
     # a's unit carries the pair's weight and its share of the common denominator
     operands = [(grid.encode(a, w * da * (common // pden)), grid.encode(b, db))
                 for (a, b, w), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
-    cap = cutoff
-    if mode == LC and cap is not None:
-        cap = cap.data.numerator * (grid.den // cap.data.denominator)
-    out = []
+    cap, out = grid.cut(cutoff), []
     for k in range(length):
         terms, s, cut = grid.accumulate(operands, k, cap)
         out.append(grid.decode(terms, cut, common * s))
@@ -965,29 +1024,17 @@ def horner(polys, x):
     from an exact zero, with that loop's cutoffs, dropped zero terms and
     exact zeros, and the same exponents and coefficients.
 
-    x and the polynomials are encoded once on the kernel's grid
-    (``_Grid``), in either mode and on whichever coefficient path they
-    allow.  Each step is one kernel accumulation over the two pairs
-    (acc, x) and (c, 1), the 1 carrying c's share of the step's common
-    denominator; the result keeps its encoding for the next step, with one
+    x and the polynomials are encoded once on the kernel's grid, in either
+    mode and on whichever coefficient path they allow; each value is one
+    ``_Grid.horner`` pass, whose accumulator stays encoded, with one
     ``_Generator.reduce`` per term over one generator and the
-    LCIVT_MAX_TERMS cap checked, and each value is decoded once.
+    LCIVT_MAX_TERMS cap checked, and is decoded once.
     """
     grid = _Grid(x.mode, [[x], *polys])
     dx = grid.cdens[0]
     (xe,) = grid.encode([x], dx)
-    one = [LcNumber.one(x.mode)]
-    out = []
-    for poly, cd in zip(polys, grid.cdens[1:]):
-        at, acut, ad = [], None, cd  # the exact zero, over a multiple of cd
-        for ce in reversed(grid.encode(poly, cd)):
-            common = ad * dx
-            (oe,) = grid.encode(one, common // cd)
-            at, s, acut = grid.accumulate(
-                [([(at, at[0][0] if at else acut, acut)], [xe]), ([ce], [oe])], 0, None)
-            ad = common * s
-        out.append(grid.decode(at, acut, ad))
-    return out
+    return [grid.decode(*grid.horner(grid.encode(poly, cd), cd, xe, dx))
+            for poly, cd in zip(polys, grid.cdens[1:])]
 
 
 def _render_eps_power(exp):

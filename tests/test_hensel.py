@@ -5,21 +5,24 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcivt import hensel
-from lcivt.errors import CertificateError, ResourceCapError
+from lcivt import hensel, rootfind
+from lcivt.errors import CertificateError, ResourceCapError, TruncationError
 from lcivt.hensel import (
     n_poly_root,
+    newton_root,
+    poly_deriv,
     poly_divmod_monic,
     poly_eval,
     poly_mul,
     weierstrass_factor,
     weierstrass_factor_batched,
 )
-from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, _Grid, eps
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, _Grid, eps, eps_n, horner
 from lcivt.pseries import PolySeries, normalize
 from lcivt.realalg import RealAlgebraic
 
 from conftest import E, L
+from test_lcnum import geometric_invert
 
 
 def binomial_sqrt(u, order):
@@ -122,6 +125,130 @@ def test_precondition_errors():
         n_poly_root([one, one, one], E(3))
     with pytest.raises(ValueError, match="linear"):
         n_poly_root([eps(), eps(), one], E(3))
+
+
+def reference_newton_root(coeffs, x0, cutoff):
+    """``newton_root`` as the loop over decoded LcNumbers: ``horner`` per
+    step, the geometric-series inverse, and LcNumber -, * and truncate."""
+    dcoeffs = poly_deriv(coeffs)
+    x, last = x0, None
+    for _ in range(hensel._NEWTON_CAP):
+        full, d = horner([coeffs, dcoeffs], x)
+        if full.is_exact_zero:
+            return x, None
+        if not d.terms:
+            return None
+        vd = d.terms[0][0]
+        target = cutoff + (vd if vd.sign() > 0 else Exponent.zero(x.mode))
+        r = full.truncate(target)
+        if not r.terms:
+            return x.truncate(cutoff).truncate(r.cutoff - vd), full.val_lb()
+        rv = r.terms[0][0]
+        if last is not None and rv.compare(last) <= 0:
+            return None
+        last = rv
+        upd = x - r * geometric_invert(d, target - rv)
+        x = upd if upd.cutoff is None else upd.truncate(cutoff)
+    return None
+
+
+def newton_outcome(f, coeffs, x0, cutoff):
+    """A root's terms, cutoff and bound, None, or the error raised."""
+    try:
+        hit = f(coeffs, x0, cutoff)
+    except (ResourceCapError, TruncationError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return hit and (hit[0].terms, hit[0].cutoff, hit[1])
+
+
+SQRT2 = RealAlgebraic(2).nth_root(2)
+
+
+@st.composite
+def newton_cases(draw, mode):
+    """f = (X - z0)(X - z1)(X - z2)?, every coefficient perturbed by small
+    infinitesimal terms, sometimes truncated, and sometimes times 1/eps,
+    seeded at z0 (or near it): simple roots, double roots and seeds that
+    stall, over Q or Q(sqrt 2)."""
+    exp = Exponent.lc if mode == LC else lambda q: Exponent.hahn({1: q})
+    pos = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)])
+    field = draw(st.sampled_from(["rational", "sqrt2"]))
+    residues = [F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+    residues += [SQRT2, 1 + SQRT2, -SQRT2 / 2] if field == "sqrt2" else []
+    roots = [RealAlgebraic(z) for z in draw(st.lists(st.sampled_from(residues), min_size=2,
+                                                     max_size=3))]
+    coeffs = [LcNumber.one(mode)]
+    for z in roots:  # times (X - z)
+        coeffs = [a - b for a, b in zip([LcNumber.zero(mode)] + coeffs,
+                                        [c * z for c in coeffs] + [LcNumber.zero(mode)])]
+    for i in range(len(coeffs) - 1):
+        for _ in range(draw(st.integers(0, 2))):
+            coeffs[i] = coeffs[i] + LcNumber.monomial(exp(draw(pos)), draw(st.integers(-3, 3)))
+        if draw(st.integers(0, 3)) == 0:
+            coeffs[i] = coeffs[i].truncate(exp(draw(pos) + 1))
+    if draw(st.booleans()):  # val f' < 0: the root is certified past the cutoff
+        coeffs = [c * LcNumber.monomial(exp(-1), 1) for c in coeffs]
+    x0 = LcNumber.from_scalar(mode, roots[0])
+    if draw(st.booleans()):
+        x0 = x0 + LcNumber.monomial(exp(draw(pos)), draw(st.integers(-2, 2)))
+    return coeffs, x0, exp(draw(st.sampled_from([F(2), F(5, 2), F(4)])))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_newton_root_matches_the_reference_loop(mode, data):
+    coeffs, x0, cutoff = data.draw(newton_cases(mode))
+    assert (newton_outcome(newton_root, coeffs, x0, cutoff)
+            == newton_outcome(reference_newton_root, coeffs, x0, cutoff))
+
+
+def test_newton_root_matches_the_reference_loop_across_generators(monkeypatch):
+    # the third root's seed lies on its own generator, off sqrt 2, so that
+    # Newton call takes the kernel's values path
+    r2, zero = SQRT2, LcNumber.zero(LC)
+    coeffs = [(eps(F(2, 3)) + zero).truncate(E(3)),
+              eps(F(2, 3)) - eps(F(7, 3)) * (5 - r2 / 2) + eps(3) * (F(5, 3) + 2 * r2),
+              -eps(F(1, 2)) + eps(F(7, 3)) * F(1, 2), eps(5) * (F(3, 4) + r2 / 3)]
+    paths = []
+
+    def checked(f, x0, cutoff):
+        grid = _Grid(LC, [[x0], f])
+        paths.append("values" if grid.gen is None and not grid.rational else "other")
+        got = newton_outcome(newton_root, f, x0, cutoff)
+        assert got == newton_outcome(reference_newton_root, f, x0, cutoff)
+        return newton_root(f, x0, cutoff)
+
+    monkeypatch.setattr(rootfind, "newton_root", checked)
+    hits = rootfind.poly_roots(coeffs, E(5))
+    assert len(hits) == 3 and all(h.multiplicity == 1 for h in hits)
+    assert "values" in paths
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_newton_root_gives_up(mode):
+    one, zero = LcNumber.one(mode), LcNumber.zero(mode)
+    e = eps() if mode == LC else eps_n(1)
+    cut = E(6) if mode == LC else Exponent.hahn({1: 6})
+    # f'(0) = 0: the derivative has no terms below any cutoff
+    assert newton_root([-e, zero, one], zero, cut) is None
+    # X^2 - 2 from 1: the residual stays at valuation 0, it never rises
+    assert newton_root([one * -2, zero, one], one, cut) is None
+    for case in (([-e, zero, one], zero), ([one * -2, zero, one], one)):
+        assert reference_newton_root(*case, cut) is None
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_newton_root_cuts_the_root_at_the_cutoff(mode):
+    # f = (X - 1)/eps + O(eps^5), vd = -1: the residual at the exact seed 1
+    # certifies it below eps^5, past the cutoff eps^4
+    exp = Exponent.lc if mode == LC else lambda q: Exponent.hahn({1: q})
+    inv = LcNumber.monomial(exp(-1), 1)
+    coeffs = [-inv + LcNumber.zero(mode).truncate(exp(5)), inv]
+    one, cut = LcNumber.one(mode), exp(4)
+    want = (one.truncate(cut).terms, cut, exp(5))
+    assert newton_outcome(newton_root, coeffs, one, cut) == want
+    assert newton_outcome(reference_newton_root, coeffs, one, cut) == want
 
 
 # ------------------------------------------------------------------ factorization

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lcivt import lcnum, realalg
 from lcivt.errors import ResourceCapError, TruncationError
@@ -229,6 +229,32 @@ def test_invert_matches_geometric_series(x_exp, data):
     if not x.terms:
         return
     cutoff = exp(data.draw(point))
+    assert outcome(x.invert, cutoff) == outcome(geometric_invert, x, cutoff)
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@pytest.mark.parametrize("path", ["vectors", "values"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_invert_matches_geometric_series_over_algebraic_coefficients(mode, path, data):
+    # the kernel's integer-vector path (Q(sqrt 2)) and values path (sqrt 2
+    # and sqrt 3); values stay few and shallow, their sums build resultants
+    exp = Exponent.lc if mode == LC else lambda q: Exponent.hahn({1: q})
+    halves = st.sampled_from([F(k, 2) for k in range(5)])
+    if path == "vectors":
+        x = data.draw(generator_numbers(mode, SQRT[2]))
+        points = small_fractions(12, 3) if mode == LC else small_fractions(6, 2)
+    else:
+        x = sum((LcNumber.monomial(exp(data.draw(halves)), data.draw(small_fractions(6, 3)) * c)
+                 for c in (1, SQRT[3])), LcNumber.zero(mode))
+        points = halves.map(lambda q: q + 1)
+    x = x + LcNumber.monomial(exp(data.draw(halves)), SQRT[2] * data.draw(small_fractions(6, 3)))
+    trunc = data.draw(st.none() | points)
+    if trunc is not None:
+        x = x.truncate(exp(trunc))
+    grid = lcnum._Grid(mode, [[x]])
+    assume(not grid.rational and (grid.gen is None) == (path == "values") and x.terms)
+    cutoff = exp(data.draw(points))
     assert outcome(x.invert, cutoff) == outcome(geometric_invert, x, cutoff)
 
 
