@@ -682,7 +682,7 @@ class _Grid:
     """
 
     __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "width", "exps",
-                 "max_terms", "zero")
+                 "inverses", "max_terms", "zero")
 
     def __init__(self, mode, polys, cutoff=None):
         lc = mode == LC
@@ -713,7 +713,7 @@ class _Grid:
         self.rational = gen is None
         self.gen = None if multi else gen
         self.width = 2 * len(gen.minpoly) - 3 if self.gen is not None else 0  # 2d - 1
-        self.exps = {}
+        self.exps, self.inverses = {}, {}
         self.max_terms = None  # read when a number first has more than one term
         self.zero = 0 if lc else Exponent.zero(mode)  # the exponent of 1 on the grid
 
@@ -916,7 +916,9 @@ class _Grid:
         """(terms, cut, denominator) of y with x*y = 1 + O(cutoff), for x
         encoded over ``unit`` and a grid cutoff; exact for an exact monomial.
 
-        Leading-term division, then Newton's iteration y <- y*(2 - u*y) =
+        Leading-term division, the lead's inverse kept on the grid by the
+        lead's value (``inverses``: Newton's f'(x) keeps its lead across
+        steps), then Newton's iteration y <- y*(2 - u*y) =
         y - y*d for the inverse of the unit u = x/lead, which doubles the
         precision each round: u*y and y*d are one accumulation each, y is
         rescaled by an integer to stand over the denominator of y*d, and
@@ -932,7 +934,10 @@ class _Grid:
             raise (ZeroDivisionError("inverse of zero") if cut is None else
                    TruncationError("inverse undecidable: no terms below the cutoff"))
         ((e, c),) = self.decode(terms[:1], None, unit).terms
-        (lead,), dl = self.encoded([LcNumber.monomial(-e, c.inverse())])
+        key = (e, c._frac if c._frac is not None else (c._gen, c._rep))
+        if key not in self.inverses:
+            self.inverses[key] = self.encoded([LcNumber.monomial(-e, c.inverse())])
+        (lead,), dl = self.inverses[key]
         e = terms[0][0]
         if len(terms) == 1 and cut is None:
             return lead[0], None, dl

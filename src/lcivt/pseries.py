@@ -14,20 +14,23 @@ presented, each series can answer two certified questions:
 The second is the convergence certificate: evaluation, normalization and
 factorization never silently drop terms they cannot bound.
 
-Each series computes a coefficient once per (n, cutoff), in the memo of
-``PSeries.coeff``, and a tail index once per query (``PSeries.tail_index``).
-A substituted coefficient is one weighted ``sum_of_products`` and one
-product; ``evaluate`` is one ``horner`` call.
+Each series computes a coefficient once per n at the deepest cutoff asked
+so far, in the memo of ``PSeries.coeff``, which answers shallower requests
+by truncation (a rule whose answer ignores the cutoff keeps it under None,
+a sum one per cutoff), and a tail index once per query
+(``PSeries.tail_index``).  A substituted series encodes one Taylor shift per
+cutoff on the kernel's grid and forms each coefficient from it with two
+accumulations and one decode; ``evaluate`` is one ``horner`` call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial, lcm
 
 from .errors import CertificateError, ResourceCapError, TruncationError
 from .hensel import poly_deriv, poly_mul
-from .lcnum import LC, Exponent, LcNumber, horner, sum_of_products
+from .lcnum import LC, Exponent, LcNumber, _Grid, _num, horner, sum_of_products
 from .polys import cauchy_bound, pderiv, peval, pmul, pshift, render, trim
 from .realalg import RealAlgebraic
 
@@ -43,17 +46,28 @@ def _index_beyond_roots(p):
 class PSeries:
     """Base class; subclasses provide the rules ``_coeff`` and ``_tail_index``."""
 
+    cutoff_free = False  # True for rules whose answer does not depend on the cutoff
+
     def __init__(self, mode):
         self.mode = mode
         self._memo, self._tails = {}, {}  # immutable values; single writes suit concurrent readers
 
     def coeff(self, n, cutoff=None):
         """The n-th coefficient, certified below ``cutoff`` (exact when the
-        rule allows); each (n, cutoff) is computed once per series."""
-        key = (n, cutoff)
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = self._coeff(n, cutoff)
+        rule allows).  The memo keeps one entry per n, at the deepest cutoff
+        asked so far (None the deepest): a shallower request gets its
+        truncation, an exact answer serves any cutoff but None, and a
+        ``cutoff_free`` rule keeps its answer, markers and all, under None."""
+        cutoff = None if self.cutoff_free else cutoff
+        hit = self._memo.get(n)
+        if hit is not None:
+            cut, out = hit
+            if cut is cutoff or cut == cutoff or cutoff is not None and out.cutoff is None:
+                return out
+            if cutoff is not None and (cut is None or cutoff < cut):
+                return out.truncate(cutoff)
+        out = self._coeff(n, cutoff)
+        self._memo[n] = (cutoff, out)
         return out
 
     def _coeff(self, n, cutoff):
@@ -95,6 +109,8 @@ class PSeries:
 class PolySeries(PSeries):
     """A polynomial: finitely many explicit coefficients."""
 
+    cutoff_free = True
+
     def __init__(self, mode, coeffs):
         super().__init__(mode)
         cs = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
@@ -129,6 +145,8 @@ class TermRuleSeries(PSeries):
     ``expo`` is either ("poly", rational polynomial in n) in lc mode, or
     ("seq", shift) in hahn mode where the exponent is that of eps_{n+shift}.
     """
+
+    cutoff_free = True
 
     def __init__(self, mode, sign_base, prefactor, expo, offset=0):
         if sign_base not in (1, -1):
@@ -175,9 +193,7 @@ class TermRuleSeries(PSeries):
         kind, payload = self.expo
         if kind == "poly":
             # psi(m) = expo(m) + (m + offset)*xval - target; need >= 0 (>) beyond
-            psi = [Fraction(c) for c in payload]
-            while len(psi) < 2:
-                psi.append(Fraction(0))
+            psi = [Fraction(c) for c in payload] + [Fraction(0)] * (2 - len(payload))
             psi[0] += self.offset * xval.data - target.data
             psi[1] += xval.data
             psi = trim(psi)
@@ -244,6 +260,8 @@ class RatFunSeries(PSeries):
     otherwise the expansion coefficients are not finitely representable and
     no valuation-growth certificate exists.
     """
+
+    cutoff_free = True
 
     def __init__(self, mode, num, den):
         super().__init__(mode)
@@ -344,8 +362,12 @@ class SumSeries(PSeries):
         super().__init__(a.mode)
         self.a, self.b = a, b
 
-    def _coeff(self, n, cutoff):
-        return self.a.coeff(n, cutoff) + self.b.coeff(n, cutoff)
+    def coeff(self, n, cutoff=None):
+        # kept per (n, cutoff): the parts' memos answer other cutoffs, at their markers
+        out = self._memo.get((n, cutoff))
+        if out is None:
+            out = self._memo[n, cutoff] = self.a.coeff(n, cutoff) + self.b.coeff(n, cutoff)
+        return out
 
     def _tail_index(self, xval, target, strict):
         return max(self.a.tail_index(xval, target, strict),
@@ -353,9 +375,7 @@ class SumSeries(PSeries):
 
     def finite_degree(self):
         da, db = self.a.finite_degree(), self.b.finite_degree()
-        if da is None or db is None:
-            return None
-        return max(da, db)
+        return None if da is None or db is None else max(da, db)
 
     def derivative(self):
         return SumSeries(self.a.derivative(), self.b.derivative())
@@ -371,8 +391,7 @@ class ScaledSeries(PSeries):
         if scalar.mode != inner.mode:
             raise ValueError("mode mismatch in scale")
         super().__init__(inner.mode)
-        self.scalar = scalar
-        self.inner = inner
+        self.scalar, self.inner = scalar, inner
 
     def _coeff(self, n, cutoff):
         vs = self.scalar.val_lb()
@@ -416,20 +435,12 @@ class PolyMulSeries(PSeries):
         return acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
 
     def _tail_index(self, xval, target, strict):
-        n0 = 0
-        for k, p in enumerate(self.poly):
-            if p.is_exact_zero:
-                continue
-            vp = p.val_lb()
-            t = target - vp - xval.scale(k)
-            n0 = max(n0, self.inner.tail_index(xval, t, strict) + k)
-        return n0
+        return max((self.inner.tail_index(xval, target - p.val_lb() - xval.scale(k), strict) + k
+                    for k, p in enumerate(self.poly) if not p.is_exact_zero), default=0)
 
     def finite_degree(self):
         di = self.inner.finite_degree()
-        if di is None:
-            return None
-        return di + max(len(self.poly) - 1, 0)
+        return None if di is None else di + max(len(self.poly) - 1, 0)
 
     def derivative(self):
         dpoly = poly_deriv(self.poly)
@@ -447,7 +458,14 @@ class SubstitutedSeries(PSeries):
 
     For k != 0 each coefficient is an infinite sum, so coefficient queries
     need a cutoff unless the inner series is a polynomial; the sum is cut at
-    the inner tail index and the coefficient truncated at the cutoff.
+    the inner tail index and the coefficient truncated at the cutoff.  The
+    sums below one cutoff C share one Taylor shift on one ``lcnum._Grid``:
+    m!*T_m/h^m = sum over n of (n!*c_n)*k^(n-m)/(n-m)!, a correlation of the
+    encoded sequences n!*c_n, reversed, and k^j*(N-1)!/j!.  Each c_n is
+    fetched once, below C - n*min(val h, val k), where every T_m needs it;
+    T_m is then one accumulation below C - m*val(h), one product by h^m
+    below C and one decode; a T_m whose inner tail index lies past the
+    shift rebuilds it longer.  For k = 0, T_m = c_m*h^m.
     """
 
     def __init__(self, inner, h, k):
@@ -456,38 +474,59 @@ class SubstitutedSeries(PSeries):
         if h.is_exact_zero:
             raise ValueError("substitution scale must be nonzero")
         super().__init__(inner.mode)
-        self.inner = inner
-        self.h = h
-        self.k = k
-        self._hpow = [LcNumber.one(self.mode)]
-        self._kpow = [LcNumber.one(self.mode)]
-
-    def _pow(self, cache, base, n):
-        while len(cache) <= n:
-            cache.append(cache[-1] * base)
-        return cache[n]
+        self.inner, self.h, self.k = inner, h, k
+        self._shifts = {}  # cutoff -> the Taylor shift's encoding below it
 
     def _coeff(self, m, cutoff):
         fin = self.inner.finite_degree()
         if cutoff is None and fin is None:
             raise CertificateError(
                 "coefficients of a substituted series need a cutoff")
-        # one kernel call with binomial weights, each c_n below its term's cutoff
-        hcut = None if cutoff is None else cutoff - self.h.val_lb().scale(m)
-        if self.k.is_exact_zero:
-            ns, vk = [m], Exponent.zero(self.mode)
-        else:
-            vk = self.k.val_lb()
-            n1 = fin + 1 if fin is not None else self.inner.tail_index(vk, hcut + vk.scale(m))
-            ns = range(m, max(n1, m))
-        pairs = [([self.inner.coeff(n, None if hcut is None else hcut - vk.scale(n - m))],
-                  [self._pow(self._kpow, self.k, n - m)]) for n in ns]
-        # an infinite sum is known only below the cutoff: both calls stop there
-        cap = None if fin is not None or self.k.is_exact_zero else cutoff
-        acc = sum_of_products(pairs, None if cap is None else hcut,
-                              weights=[comb(n, m) for n in ns]) or [self._zero()]
-        out = sum_of_products([(acc, [self._pow(self._hpow, self.h, m)])], cap)[0]
+        vh, vk = self.h.val_lb(), self.k.val_lb()
+        if vk is None:  # k = 0: T_m = c_m*h^m
+            out = self.inner.coeff(m, None if cutoff is None else cutoff - vh.scale(m))
+            out = out * self.h.pow_int(m)
+            return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
+        n1 = fin + 1 if fin is not None else \
+            self.inner.tail_index(vk, cutoff - vh.scale(m) + vk.scale(m))
+        if n1 <= m:  # no inner terms
+            return self._zero() if fin is not None else LcNumber._build(self.mode, (), cutoff)
+        shift = self._shifts.get(cutoff)
+        if shift is None or len(shift[1]) < n1:
+            shift = self._shifts[cutoff] = self._shift(cutoff, n1, min(vh, vk))
+        grid, a, b, unit, hpow, (h, dh) = shift
+        while len(hpow) <= m:
+            x, dx = hpow[-1]
+            t, s, cut = grid.accumulate([([x], [h])], 0, None)
+            hpow.append((_num(t, cut), dx * dh * s))
+        # an infinite sum is known only below the cutoff: both steps stop there
+        cap = None if fin is not None else cutoff
+        t, s, cut = grid.accumulate([(a[len(a) - n1:], b)], n1 - 1 - m,
+                                    None if cap is None else grid.cut(cap - vh.scale(m)))
+        x, dx = hpow[m]
+        t, hs, cut = grid.accumulate([([_num(t, cut)], [x])], 0, grid.cut(cap))
+        out = grid.decode(t, cut, unit * s * dx * hs * factorial(m))
         return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
+
+    def _shift(self, cutoff, n1, w):
+        """(grid, a, b, unit, powers of h, encoded h) for coefficients n < n1
+        of the inner series, each below cutoff - n*w: a[i] = n!*c_n with
+        n = n1-1-i, and b[j] = k^j*(n1-1)!/j!, over unit; the powers of h
+        grow on demand, each (number, denominator)."""
+        cs = [self.inner.coeff(n, None if cutoff is None else cutoff - w.scale(n))
+              for n in range(n1)]
+        grid = _Grid(self.mode, [cs, [self.k], [self.h]], cutoff)
+        dc, dk, dh = grid.cdens
+        (k,), (h,) = grid.encode([self.k], dk), grid.encode([self.h], dh)
+        kpow = [(grid.const(1)[0], 1)]
+        while len(kpow) < n1:
+            x, dx = kpow[-1]
+            t, s, cut = grid.accumulate([([x], [k])], 0, None)
+            kpow.append((_num(t, cut), dx * dk * s))
+        d, f = lcm(*[dx for _, dx in kpow]), factorial(n1 - 1)
+        b = [grid.scale([x], f // factorial(j) * (d // dx))[0] for j, (x, dx) in enumerate(kpow)]
+        a = [grid.scale([x], factorial(n))[0] for n, x in enumerate(grid.encode(cs, dc))]
+        return grid, a[::-1], b, dc * d * f, [kpow[0]], (h, dh)
 
     def _tail_index(self, xval, target, strict):
         vh = self.h.val_lb()
@@ -514,18 +553,14 @@ class SubstitutedSeries(PSeries):
         if psi is None or self.mode != LC:
             raise CertificateError(
                 "no convergence certificate for this substituted series")
-        cond = list(psi)
-        while len(cond) < 2:
-            cond.append(Fraction(0))
+        cond = list(psi) + [Fraction(0)] * (2 - len(psi))
         cond[0] -= target.data
         cond[1] += vh.data + xval.data
         cond = trim(cond)
         if len(cond) < 2 or cond[-1] < 0:
             raise CertificateError(
                 "no convergence certificate for this substituted series")
-        vert = list(psi)
-        while len(vert) < 2:
-            vert.append(Fraction(0))
+        vert = list(psi) + [Fraction(0)] * (2 - len(psi))
         vert[1] += vk_eff.data
         dvert = pderiv(vert)
         if not dvert or dvert[-1] < 0:

@@ -102,6 +102,20 @@ def test_track_zeros_csv(capsys):
     assert lines[2].split(",")[-1] == "inf"
 
 
+def test_track_zeros_on_a_substitution_with_k_zero(capsys):
+    # ivt fills the substituted series' coefficients under cutoffs; its exact
+    # k = 0 answers must not pass for coefficients without one, or partial
+    # sums past the filled indices fail
+    code, out = run_cli(
+        capsys, "track-zeros", "--inline",
+        "term: sign=(-1)^n scale=1 expo=n^2\nsubst: h=eps^-1 k=0",
+        "--interval", "0,2", "--n-list", "1,3,30", "--cutoff", "8", "--output", "csv")
+    assert code == 0
+    root = "1 + eps^2 + 2*eps^4 + 4*eps^6 + 9*eps^8 + 21*eps^10 + O(eps^12)"
+    assert out.strip().splitlines()[1:] == [
+        "1,zero,1,2", "3,zero,%s,inf" % root, "30,zero,%s,inf" % root]
+
+
 def test_track_zeros_bracket_at_zero(capsys):
     # a bracket with endpoint 0 still prunes the root branches outside it;
     # unpruned, the hahn request failed with a ResourceCapError

@@ -251,6 +251,26 @@ def test_newton_root_cuts_the_root_at_the_cutoff(mode):
     assert newton_outcome(reference_newton_root, coeffs, one, cut) == want
 
 
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@pytest.mark.parametrize("c", [F(3, 2), SQRT2], ids=["rational", "sqrt2"])
+def test_newton_root_inverts_the_lead_once(monkeypatch, mode, c):
+    # X^2 - c^2*(1 + e) from c: f'(x) = 2x keeps its lead 2c through every
+    # step while x's encoding changes, so the lead is inverted once per call
+    e = eps() if mode == LC else eps_n(1)
+    cut = E(12) if mode == LC else Exponent.hahn({1: 12})
+    csq = LcNumber.from_scalar(mode, RealAlgebraic(c) * c)
+    coeffs = [-csq - csq * e, LcNumber.zero(mode), LcNumber.one(mode)]
+    x0 = LcNumber.from_scalar(mode, c)
+    steps, inverses = [], []
+    invert, inverse = _Grid.invert, RealAlgebraic.inverse
+    monkeypatch.setattr(_Grid, "invert", lambda *a: steps.append(1) or invert(*a))
+    monkeypatch.setattr(RealAlgebraic, "inverse", lambda x: inverses.append(x) or inverse(x))
+    got = newton_outcome(newton_root, coeffs, x0, cut)
+    monkeypatch.undo()
+    assert len(steps) >= 3 and len(inverses) == 1
+    assert got == newton_outcome(reference_newton_root, coeffs, x0, cut)
+
+
 # ------------------------------------------------------------------ factorization
 
 

@@ -391,20 +391,66 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
-def test_substituted_coeff_takes_two_kernel_calls(monkeypatch):
-    t = SubstitutedSeries(alternating_square_series(), LcNumber.one(LC) + eps(), eps())
-    for m in range(4):
-        t.coeff(m, E(16))  # fills the caches of h^m and k^j for shallower cutoffs
+def test_substituted_coeff_is_one_shift_per_cutoff(monkeypatch):
+    # the ivt-gappy transform: val h = val k = -6, so one shift serves every m
+    inner = alternating_square_series()
+    t = transform_interval(inner, eps(-4), eps(-6))
+    grids, asked, products = [], [], []
+
+    class CountedGrid(lcnum._Grid):
+        def __init__(self, *args):
+            grids.append(args)
+            super().__init__(*args)
+
+    rule, accumulate = inner.coeff, lcnum._Grid.accumulate
+    monkeypatch.setattr(pseries, "_Grid", CountedGrid)
+    monkeypatch.setattr(inner, "coeff", lambda n, cutoff=None: asked.append(n) or rule(n, cutoff))
+    monkeypatch.setattr(lcnum._Grid, "accumulate",
+                        lambda *args: products.append(args) or accumulate(*args))
     calls = count_kernel_calls(monkeypatch)
-    sizes = set()
-    for cut in (E(6), E(9), E(12)):
-        for m in range(4):
-            del calls[:]
-            t.coeff(m, cut)
-            # the weighted sum over every inner term, then the product by h^m
-            assert len(calls) == 2 and calls[1] == 1
-            sizes.add(calls[0])
-    assert len(sizes) > 2
+    deep = [t.coeff(m, E(23)) for m in range(10)]
+    # one grid, each c_n asked for once, no sum_of_products
+    assert len(grids) == 1 and calls == []
+    assert sorted(asked) == list(range(len(asked))) and len(asked) > 10
+    del grids[:], asked[:], products[:]
+    shallow = [t.coeff(m, E(14)) for m in range(10)]
+    # shallower requests truncate the deeper answers: no grid, no inner
+    # coefficient, no accumulation
+    assert grids == [] and asked == [] and products == [] and calls == []
+    assert [v.terms for v in shallow] == [v.truncate(E(14)).terms for v in deep]
+    assert all(v.cutoff == E(14) for v in shallow)
+
+
+def test_cutoff_none_is_answered_only_from_an_entry_under_none():
+    # k = 0 gives an exact T_m under a cutoff, but an infinite inner series
+    # still has no coefficient without one; track-zeros reads that raise
+    t = SubstitutedSeries(alternating_square_series(), L("2"), LcNumber.zero(LC))
+    assert str(t.coeff(0, E(8))) == "1"
+    with pytest.raises(CertificateError):
+        t.coeff(0)
+    scaled = ScaledSeries(eps(), t)
+    scaled.coeff(1, E(8))
+    with pytest.raises(CertificateError):
+        scaled.coeff(1)
+
+
+def test_shallower_request_keeps_the_marker_a_fresh_series_gives():
+    leaf = (L("1") + eps() + eps(6)).truncate(E(5))  # 1 + eps + O(eps^5)
+    makers = [lambda: PolySeries(LC, [leaf, eps()]),
+              lambda: RatFunSeries(LC, [leaf], [LcNumber.one(LC), -eps()]),
+              lambda: SumSeries(PolySeries(LC, [leaf, eps()]),
+                                ScaledSeries(eps(), alternating_square_series())),
+              lambda: ScaledSeries(L("3"), PolySeries(LC, [leaf, eps()])),
+              lambda: PolyMulSeries([L("1"), eps()], PolySeries(LC, [leaf, eps()]))]
+    for make in makers:
+        for n in range(3):
+            fresh = make().coeff(n, E(3))
+            s = make()
+            s.coeff(n, E(7))
+            got = s.coeff(n, E(3))
+            assert (got.terms, got.cutoff) == (fresh.terms, fresh.cutoff), (make(), n)
+    # the cutoff-free leaf keeps its own marker under any cutoff
+    assert PolySeries(LC, [leaf]).coeff(0, E(3)).cutoff == E(5)
 
 
 def test_repeated_coefficient_query_makes_no_kernel_call(monkeypatch):
@@ -451,9 +497,10 @@ def test_tail_index_is_computed_once_per_query():
 
 def binomial_loop_coeff(t, m, cutoff):
     """T_m of T(Z) = S(h*Z + k) for k != 0, one binomial term at a time,
-    each product merged into the sum by ``__add__``: the loop that
-    ``SubstitutedSeries.coeff`` replaced by one weighted kernel call and
-    one product.  An infinite inner sum is truncated at the cutoff."""
+    each product merged into the sum by ``__add__``, each c_n asked for
+    below its own term's cutoff: the loop that ``SubstitutedSeries.coeff``
+    replaced by the encoded Taylor shift.  An infinite inner sum is
+    truncated at the cutoff."""
     one = LcNumber.one(t.mode)
     hpow, kpow = [one], [one]
     fin = t.inner.finite_degree()
@@ -489,38 +536,60 @@ SQRT2 = RealAlgebraic(2).nth_root(2)
 
 
 def substitution_cases():
-    """Inners of each rule kind in both modes; rational h and k, a k with a
-    sqrt(2) coefficient, and that k with an h with a sqrt(3) coefficient,
-    whose products mix two generators."""
+    """Inners of each rule kind in both modes, one of them substituted (its
+    coefficients are truncated where they are asked); rational h and k of
+    equal valuations, or one of them infinitesimal; a k with a sqrt(2)
+    coefficient, and that k with an h with a sqrt(3) coefficient, whose
+    products mix two generators.  Each case gets fresh inner series, whose
+    memos would otherwise carry answers from run to run."""
     sqrt3 = RealAlgebraic(3).nth_root(2)
-    inners = {
-        LC: {"poly": PolySeries(LC, [L("1"), L("-2") + eps(), eps(), L("3")]),
-             "term": alternating_square_series(),
-             "ratfun": geometric_tail_ratfun()},
-        HAHN: {"poly": PolySeries(HAHN, [eps_n(1), LcNumber.one(HAHN), -eps_n(2)]),
-               "term": hahn_alternating_series(),
-               "ratfun": RatFunSeries(HAHN, [LcNumber.one(HAHN)],
-                                      [LcNumber.one(HAHN), -eps_n(1)])},
-    }
+
+    def inners(mode):
+        if mode == LC:
+            return {"poly": PolySeries(LC, [L("1"), L("-2") + eps(), eps(), L("3")]),
+                    "term": alternating_square_series(),
+                    "ratfun": geometric_tail_ratfun(),
+                    "subst": SubstitutedSeries(alternating_square_series(), L("1"), eps())}
+        one = LcNumber.one(HAHN)
+        return {"poly": PolySeries(HAHN, [eps_n(1), one, -eps_n(2)]),
+                "term": hahn_alternating_series(),
+                "ratfun": RatFunSeries(HAHN, [one], [one, -eps_n(1)]),
+                "subst": SubstitutedSeries(hahn_alternating_series(), one, eps_n(1))}
+
     for mode, x, cut in ((LC, eps(), E(4)), (HAHN, eps_n(1), Exponent.hahn({1: 3}))):
         def c(v):
             return LcNumber.from_scalar(mode, v) + x
         for hk, h, k in (("rational", c(F(1, 2)), c(F(-1, 2))),
+                         ("small-k", c(F(1, 2)), x), ("small-h", x, c(F(-1, 2))),
                          ("sqrt2", c(F(1, 2)), c(SQRT2)),
                          ("sqrt3-sqrt2", c(sqrt3), c(SQRT2))):
-            for iname, inner in inners[mode].items():
-                yield pytest.param(inner, h, k, cut, id="%s-%s-%s" % (mode, iname, hk))
+            for iname in inners(mode):
+                yield pytest.param(lambda mode=mode, iname=iname: inners(mode)[iname],
+                                   h, k, cut, id="%s-%s-%s" % (mode, iname, hk))
 
 
-@pytest.mark.parametrize("inner, h, k, cutoff", substitution_cases())
-def test_substituted_coeff_matches_binomial_loop(inner, h, k, cutoff):
-    t = SubstitutedSeries(inner, h, k)
-    for m in range(4):
-        got, want = t.coeff(m, cutoff), binomial_loop_coeff(t, m, cutoff)
-        assert_same_rendering(got, want)
-        assert got.cutoff == want.cutoff
-        assert [e for e, _ in got.terms] == [e for e, _ in want.terms]
-        assert all(cg == cw for (_, cg), (_, cw) in zip(got.terms, want.terms))
+@pytest.mark.parametrize("make_inner, h, k, cutoff", substitution_cases())
+def test_substituted_coeff_matches_binomial_loop(make_inner, h, k, cutoff):
+    zeros = 0
+    # deep then shallow, and shallow then deep, each on fresh series; the
+    # oracle on fresh series too, so that no memo answers it
+    for cuts in ([cutoff + cutoff, cutoff], [cutoff, cutoff + cutoff]):
+        t = SubstitutedSeries(make_inner(), h, k)
+        for cut, m in [(cut, m) for cut in cuts for m in range(8)]:
+            got = t.coeff(m, cut)
+            want = binomial_loop_coeff(SubstitutedSeries(make_inner(), h, k), m, cut)
+            # the same terms below the oracle's marker, and a marker no lower
+            if want.cutoff is None:
+                assert got.cutoff is None
+            else:
+                assert got.cutoff is not None and got.cutoff >= want.cutoff
+                got = got.truncate(want.cutoff)
+            assert_same_rendering(got, want)
+            assert got.cutoff == want.cutoff
+            assert [e for e, _ in got.terms] == [e for e, _ in want.terms]
+            assert all(cg == cw for (_, cg), (_, cw) in zip(got.terms, want.terms))
+            zeros += not want.terms
+    assert zeros  # some m lies past the inner tail index
 
 
 @pytest.mark.parametrize("mode", [LC, HAHN])

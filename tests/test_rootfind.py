@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from lcivt import rootfind
-from lcivt.errors import ResourceCapError
+from lcivt import cli, rootfind
+from lcivt.errors import ResourceCapError, TruncationError
 from lcivt.hensel import poly_eval, poly_mul
 from lcivt.lcnum import LC, LcNumber, eps
 from lcivt.pseries import (
@@ -189,6 +190,46 @@ def test_ivt_alternating_square_series():
     assert rep.root.compare(eps(-4)) > 0
     assert rep.root.compare(eps(-6)) < 0
     assert rep.root.valuation() == E(-5)
+
+
+def test_ivt_retries_at_a_deeper_working_cutoff(monkeypatch):
+    # a TruncationError at extra = 0 is retried at extra = 8, which certifies
+    s = PolySeries(LC, [-ONE, ONE, eps()])
+    rule, extras = rootfind._series_roots_on_interval, []
+
+    def shallow_fails(*args):
+        extras.append(args[-1])
+        if args[-1] == 0:
+            raise TruncationError("working cutoff too shallow")
+        return rule(*args)
+
+    monkeypatch.setattr(rootfind, "_series_roots_on_interval", shallow_fails)
+    rep = ivt_root(s, ZERO, num(F(3, 2)), E(8))
+    assert extras == [0, 8]
+    assert rep.residual_valuation == E(8) and rep.multiplicity == 1
+    assert evaluate(s, rep.root, E(8)).is_zero_below(E(8))
+    assert (rep.root - fixed_point_oracle(12)).is_zero_below(E(8))
+
+
+def test_ivt_failing_at_every_working_cutoff_raises_the_last_error(monkeypatch, capsys):
+    extras = []
+
+    def always_fails(*args):
+        extras.append(args[-1])
+        raise TruncationError("no root at extra = %d" % args[-1])
+
+    monkeypatch.setattr(rootfind, "_series_roots_on_interval", always_fails)
+    s = PolySeries(LC, [-ONE, ONE, eps()])
+    with pytest.raises(TruncationError, match="extra = 24"):
+        ivt_root(s, ZERO, num(F(3, 2)), E(8))
+    assert extras == [0, 8, 24]
+    # through the command line: exit code 4 and one failure record
+    code = cli.main(["ivt", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2",
+                     "--cutoff", "8"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4 and payload["ok"] is False and payload["results"] is None
+    assert payload["failures"] == [{"error": "TruncationError",
+                                    "message": "no root at extra = 24"}]
 
 
 # ------------------------------------------------------------------ count_zeros
