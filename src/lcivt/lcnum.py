@@ -21,13 +21,13 @@ with nonzero integer weights w_j, is accumulated once into one dict below a
 cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
 ``hensel.poly_mul`` one call of it, and a substituted-series coefficient
 (binomial weights) and the rational-function derivative take one call
-each.  Coefficients take one of three paths: integers over one denominator
-when all are rational (the lifting of S = P*B; FLINT's ``fmpq_poly``),
-integer vectors in the power basis of one number field Q(alpha) (Newton
-steps on a residue root such as sqrt(m)/b; Antic's ``nf_elem``), and
-RealAlgebraic values across two or more generators.  On every path a
-pair's weight scales its a side when encoded, with its share of the common
-denominator, and decoding divides by that denominator.  The kernel's
+each.  Coefficients take one of two paths: integers over one denominator
+when all are rational (the lifting of S = P*B; FLINT's ``fmpq_poly``), or
+integer vectors in the power basis of one number field Q(alpha), which
+``realalg`` composes from theirs (Newton steps on a residue root such as
+sqrt(m)/b; Antic's ``nf_elem``).  On either path a pair's weight scales
+its a side when encoded, with its share of the common denominator, and
+decoding divides by that denominator.  The kernel's
 encoding, accumulation and decoding are one object, ``_Grid``.  Its loops
 encode once and decode once at the end: the lift of S = P*B
 (``hensel._lift``), whose P, B and residual are updated with
@@ -53,7 +53,7 @@ from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
 from .errors import ResourceCapError, TruncationError
-from .realalg import RealAlgebraic
+from .realalg import RealAlgebraic, common_field
 
 LC = "lc"
 HAHN = "hahn"
@@ -458,7 +458,7 @@ class LcNumber:
 
     def __mul__(self, other):
         """One product in the kernel ``sum_of_products``, on whichever of
-        its three coefficient paths the two numbers allow."""
+        its two coefficient paths the two numbers allow."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -673,23 +673,21 @@ class _Grid:
 
     lc exponents and cutoffs are integers on one grid 1/den, den the lcm of
     the given ``den`` and of every exponent and cutoff denominator; hahn
-    exponents stay Exponents.  Coefficients take one of the three paths of
-    ``sum_of_products``: integer numerators (``rational``), integer vectors
-    of ``width`` = 2d - 1 entries in the power basis of ``gen`` when every
-    algebraic coefficient lies on that one generator, or else values.
-    ``cdens`` holds, per scanned sequence, the lcm of its coefficients'
-    denominators.
+    exponents stay Exponents.  Coefficients take one of the two paths of
+    ``sum_of_products``: integer numerators (``rational``), or integer
+    vectors of ``width`` = 2d - 1 entries in the power basis of ``gen``, the
+    one generator that ``realalg.common_field`` finds for every algebraic
+    coefficient, which ``onto`` brings onto it.  ``cdens`` holds, per
+    scanned sequence, the lcm of its coefficients' denominators on ``gen``.
     """
 
-    __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "width", "exps",
+    __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "onto", "width", "exps",
                  "inverses", "max_terms", "zero")
 
     def __init__(self, mode, polys, cutoff=None):
         lc = mode == LC
         den = cutoff.data.denominator if lc and cutoff is not None else 1
-        gen = None
-        multi = False
-        cdens = []
+        gens, cdens = {}, []
         for poly in polys:
             cden = 1
             for x in poly:
@@ -699,37 +697,37 @@ class _Grid:
                     if lc:
                         den = lcm(den, e.data.denominator)
                     if c._frac is None:
-                        g = c._gen
-                        if g is not gen:
-                            if gen is None:
-                                gen = g
-                            else:
-                                multi = True
+                        gens[c._gen] = None
                         cden = lcm(cden, *[r.denominator for r in c._rep])
                     else:
                         cden = lcm(cden, c._frac.denominator)
             cdens.append(cden)
-        self.mode, self.lc, self.den, self.cdens = mode, lc, den, cdens
-        self.rational = gen is None
-        self.gen = None if multi else gen
-        self.width = 2 * len(gen.minpoly) - 3 if self.gen is not None else 0  # 2d - 1
+        self.mode, self.lc, self.den = mode, lc, den
+        self.gen, self.onto = common_field(gens) if gens else (None, None)
+        self.rational = self.gen is None
+        self.cdens = [self.cden(poly) for poly in polys] if len(gens) > 1 else cdens
+        self.width = 2 * len(self.gen.minpoly) - 3 if self.gen is not None else 0  # 2d - 1
         self.exps, self.inverses = {}, {}
         self.max_terms = None  # read when a number first has more than one term
         self.zero = 0 if lc else Exponent.zero(mode)  # the exponent of 1 on the grid
 
+    def cden(self, poly):
+        """The lcm of the denominators of ``poly``'s coefficients on ``gen``."""
+        return lcm(1, *[c._frac.denominator if c._frac is not None
+                        else lcm(*[r.denominator for r in self.onto(c)._rep])
+                        for x in poly for _, c in x.terms])
+
     def encode(self, poly, unit):
         """Per number of ``poly``: (terms, valuation bound, cutoff) on the
         grid, each coefficient times the nonzero integer ``unit`` as an
-        integer numerator (``unit`` a multiple of its denominator), a
-        power-basis vector (``_vector``) or a Fraction or RealAlgebraic
-        value."""
-        lc, den, rational, vectors = self.lc, self.den, self.rational, self.gen is not None
+        integer numerator (``unit`` a multiple of its denominator) or a
+        power-basis vector on ``gen`` (``_vector``)."""
+        lc, den, rational, onto = self.lc, self.den, self.rational, self.onto
         enc = []
         for x in poly:
             terms = [(e.data.numerator * (den // e.data.denominator) if lc else e,
                       c._frac.numerator * (unit // c._frac.denominator) if rational
-                      else _vector(c, unit) if vectors
-                      else (c if c._frac is None else c._frac) * unit)
+                      else _vector(onto(c), unit))
                      for e, c in x.terms]
             enc.append(_num(terms, self.cut(x.cutoff)))
         return enc
@@ -737,13 +735,12 @@ class _Grid:
     def encoded(self, poly):
         """(numbers, denominator): ``poly`` encoded over the lcm of its own
         coefficient denominators."""
-        d = _Grid(self.mode, [poly]).cdens[0]
+        d = self.cden(poly)
         return self.encode(poly, d), d
 
     def const(self, k):
         """The integer k as an encoded sequence of one exact number."""
-        v = k if self.rational else (k,) if self.gen is not None else Fraction(k)
-        return [([(self.zero, v)], self.zero, None)]
+        return [([(self.zero, k if self.rational else (k,))], self.zero, None)]
 
     def cut(self, exp):
         """An Exponent or None as a grid cutoff."""
@@ -760,8 +757,8 @@ class _Grid:
         ascending exponent, over one more denominator s: on a generator
         each vector is reduced modulo the minimal polynomial
         (``_Generator.reduce``) and all are brought over the lcm s of the
-        scalings that needed, and values become RealAlgebraic.  More than
-        LCIVT_MAX_TERMS terms raise ResourceCapError."""
+        scalings that needed.  More than LCIVT_MAX_TERMS terms raise
+        ResourceCapError."""
         nums = []
         for ta, tb in operands:
             for i in range(max(0, k - len(tb) + 1), min(k + 1, len(ta))):
@@ -797,14 +794,11 @@ class _Grid:
         s = 1
         if self.rational:
             terms = [(q, v) for q in order if (v := acc[q])]
-        elif width:
+        else:
             red = [(q, *self.gen.reduce(acc[q])) for q in order]
             s = lcm(*[sq for _, _, sq in red])
             terms = [(q, v if sq == s else [u * (s // sq) for u in v])
                      for q, v, sq in red if any(v)]
-        else:
-            terms = [(q, RealAlgebraic(acc[q])) for q in order]
-            terms = [(q, v) for q, v in terms if not v.is_zero]
         if len(terms) > 1:
             if self.max_terms is None:
                 self.max_terms = max_terms_cap()
@@ -823,13 +817,8 @@ class _Grid:
                 if e is None:
                     e = exps[q] = Exponent._mk_lc(Fraction(q, den))
                 q = e
-            if rational:
-                v = RealAlgebraic._rat(Fraction(v, unit))
-            elif gen is not None:
-                v = RealAlgebraic._from_ints(gen, v, unit)
-            else:
-                v = RealAlgebraic(v / unit)  # a Fraction until accumulated
-            out.append((q, v))
+            out.append((q, RealAlgebraic._rat(Fraction(v, unit)) if rational
+                        else RealAlgebraic._from_ints(gen, v, unit)))
         if lc and cut is not None:
             cut = Exponent._mk_lc(Fraction(cut, den))
         return LcNumber._build(self.mode, out, cut)
@@ -850,7 +839,7 @@ class _Grid:
         with its cutoffs and LCIVT_MAX_TERMS check, touching only where
         delta is not an exact zero and rescaling a side only if its d grows."""
         (a, da), (b, db) = seq, delta
-        m, vec, values = lcm(da, db), self.gen is not None, not self.rational and self.gen is None
+        m, vec = lcm(da, db), self.gen is not None
         a, b = (a if m == da else self.scale(a, m // da)), (b if m == db else self.scale(b, m // db))
         out, first = a + [([], None, None)] * (len(b) - len(a)), itemgetter(0)
         for i, (tb, vb, cb) in enumerate(b):
@@ -861,9 +850,8 @@ class _Grid:
                 j = bisect_left(ts, q, key=first)
                 if j < len(ts) and ts[j][0] == q:  # add in place; a zero sum drops q
                     u = ts.pop(j)[1]
-                    v = ([x + y for x, y in zip_longest(u, v, fillvalue=0)] if vec
-                         else RealAlgebraic(u + v) if values else u + v)
-                    if not (any(v) if vec else not v.is_zero if values else v):
+                    v = [x + y for x, y in zip_longest(u, v, fillvalue=0)] if vec else u + v
+                    if not (any(v) if vec else v):
                         continue
                 ts.insert(j, (q, v))
             del ts[len(ts) if cut is None else bisect_left(ts, cut, key=first):]
@@ -875,13 +863,9 @@ class _Grid:
         return out, m
 
     def primitive(self, nums, unit):
-        """Encoded numbers over ``unit`` divided by their content: on
-        integers by the gcd of the unit and every numerator; values are
-        divided by the unit, which becomes 1."""
+        """Encoded numbers over ``unit`` divided by their content, the gcd
+        of the unit and every numerator."""
         vec = self.gen is not None
-        if not (self.rational or vec):
-            return ([([(q, v / unit) for q, v in t], b, c) for t, b, c in nums], 1) \
-                if unit != 1 else (nums, 1)
         g = gcd(unit, *[u for t, _, _ in nums for _, v in t for u in (v if vec else (v,))])
         if g == 1:
             return nums, unit
@@ -987,22 +971,19 @@ def sum_of_products(pairs, cutoff=None, length=None, weights=None):
     Each pair's a side is encoded times its weight and its share of one
     common denominator, the lcm over the pairs of the product of a's and
     b's denominators, and each output coefficient is decoded over that
-    denominator.  Coefficients take one of three paths:
+    denominator.  Coefficients take one of two paths:
 
     * all rational: integer numerators; each output coefficient becomes one
       Fraction.
-    * every algebraic one over one generator alpha of degree d: each
+    * otherwise over one generator alpha of degree d, the compositum of
+      every coefficient's generator (``realalg.common_field``): each
       coefficient a vector of integer numerators in the basis 1, alpha,
       ..., alpha^(d-1) (a rational is a vector of length 1); term products
       are integer convolutions, and each output term is reduced modulo the
       minimal polynomial once (``_Generator.reduce``).  The representation
-      of a value over one generator is canonical, so the grouping of the
-      sum does not show.
-    * over two or more generators: RealAlgebraic (or Fraction) values,
-      summed term product by term product in the same loop as the rational
-      path.  A sum across generators builds a new generator, but a value
-      renders from its minimal polynomial alone, so the grouping does not
-      show.
+      of a value over one generator is canonical, and a value renders from
+      its minimal polynomial alone, so neither the grouping of the sum nor
+      the generator shows.
     """
     pairs = [(a, b, w) for (a, b), w in zip(pairs, weights or (1,) * len(pairs)) if a and b]
     if not pairs:

@@ -464,8 +464,9 @@ class SubstitutedSeries(PSeries):
     encoded sequences n!*c_n, reversed, and k^j*(N-1)!/j!.  Each c_n is
     fetched once, below C - n*min(val h, val k), where every T_m needs it;
     T_m is then one accumulation below C - m*val(h), one product by h^m
-    below C and one decode; a T_m whose inner tail index lies past the
-    shift rebuilds it longer.  For k = 0, T_m = c_m*h^m.
+    below C and one decode.  A T_m whose inner tail index N lies past the
+    shift rebuilds it, as long as every T_j with m <= j < N needs (for
+    val k > val h, N grows with j).  For k = 0, T_m = c_m*h^m.
     """
 
     def __init__(self, inner, h, k):
@@ -493,7 +494,9 @@ class SubstitutedSeries(PSeries):
             return self._zero() if fin is not None else LcNumber._build(self.mode, (), cutoff)
         shift = self._shifts.get(cutoff)
         if shift is None or len(shift[1]) < n1:
-            shift = self._shifts[cutoff] = self._shift(cutoff, n1, min(vh, vk))
+            n = n1 if fin is not None or vk <= vh else max(self.inner.tail_index(
+                vk, cutoff - vh.scale(j) + vk.scale(j)) for j in range(m, n1))
+            shift = self._shifts[cutoff] = self._shift(cutoff, n, min(vh, vk))
         grid, a, b, unit, hpow, (h, dh) = shift
         while len(hpow) <= m:
             x, dx = hpow[-1]

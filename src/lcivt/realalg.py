@@ -6,11 +6,13 @@ rational isolating interval and ``rep`` is a rational polynomial of smaller
 degree.  Keeping generators irreducible makes zero-testing trivial (a nonzero
 rep can never vanish at alpha) and keeps inversion a plain extended-Euclid.
 
-Every value built from other values (a minimal polynomial, mixed-field sums
-and products, n-th roots, roots of polynomials with algebraic coefficients)
-is chosen by one rule, ``_select_root``: factor an integer polynomial that
-vanishes at the target, then narrow a rational enclosure of the target until
-exactly one factor has exactly one root in it.
+Every value built from other values (a minimal polynomial, a compositum,
+n-th roots, roots of polynomials with algebraic coefficients) is chosen by
+one rule, ``_select_root``: factor an integer polynomial that vanishes at
+the target, then narrow a rational enclosure of the target until exactly
+one factor has exactly one root in it; ``_root_of`` interns one generator
+per root.  Mixed-field sums and products, ``algebraic_roots`` and the
+kernel's grids first bring values onto their compositum (``common_field``).
 
 No floating point is used anywhere; interval refinement is exact rational
 bisection.  Comparisons refine generator brackets in place, as a cache; a
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import count
 from math import comb, isqrt, lcm
 
 from . import polys
+from .errors import ResourceCapError
 from .polys import (
     cauchy_bound,
     clear_denominators,
@@ -77,14 +81,16 @@ def _factor_int_poly(coeffs):
 
 class _Generator:
     """Irreducible integer polynomial (ascending ints) with an interval
-    isolating one real root."""
+    isolating one real root, and the roots of the generators known to embed
+    in its field (``images``)."""
 
-    __slots__ = ("minpoly", "lo", "hi")
+    __slots__ = ("minpoly", "lo", "hi", "images")
 
     def __init__(self, minpoly, lo, hi):
         self.minpoly = tuple(minpoly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+        self.images = {}  # generator -> its root as a value over this one
 
     def reduce(self, vec):
         """(r, s) with sum(vec[i]*alpha^i) = sum(r[i]*alpha^i) / s and
@@ -123,21 +129,12 @@ class _Generator:
             self.lo = mid
 
 
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _imul(a, b):
-    cands = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(cands), max(cands))
-
-
 def _interval_eval(rep, lo, hi):
     """Rational interval enclosing rep(alpha) for alpha in (lo, hi)."""
     acc = (Fraction(rep[-1]), Fraction(rep[-1]))
     for c in reversed(rep[:-1]):
-        acc = _imul(acc, (lo, hi))
-        acc = _iadd(acc, (Fraction(c), Fraction(c)))
+        cands = (acc[0] * lo, acc[0] * hi, acc[1] * lo, acc[1] * hi)
+        acc = (min(cands) + c, max(cands) + c)
     return acc
 
 
@@ -253,9 +250,9 @@ class RealAlgebraic:
             rep = list(a._rep)
             rep[0] = rep[0] + b._frac
             return RealAlgebraic._from_rep(a._gen, rep)
-        if a._gen is b._gen:
-            return RealAlgebraic._from_rep(a._gen, polys.padd(a._rep, b._rep))
-        return _cross_binop(a, b, "add")
+        if a._gen is not b._gen:  # onto their compositum
+            a, b = map(common_field((a._gen, b._gen))[1], (a, b))
+        return RealAlgebraic._from_rep(a._gen, polys.padd(a._rep, b._rep))
 
     __radd__ = __add__
 
@@ -289,11 +286,11 @@ class RealAlgebraic:
             if b._frac == 0:
                 return RealAlgebraic.from_rational(0)
             return RealAlgebraic._from_rep(a._gen, [c * b._frac for c in a._rep])
-        if a._gen is b._gen:
-            va, da = _int_vector(a._rep)
-            vb, db = _int_vector(b._rep)
-            return RealAlgebraic._from_ints(a._gen, pmul(va, vb), da * db)
-        return _cross_binop(a, b, "mul")
+        if a._gen is not b._gen:  # onto their compositum
+            a, b = map(common_field((a._gen, b._gen))[1], (a, b))
+        va, da = _int_vector(a._rep)
+        vb, db = _int_vector(b._rep)
+        return RealAlgebraic._from_ints(a._gen, pmul(va, vb), da * db)
 
     __rmul__ = __mul__
 
@@ -336,23 +333,26 @@ class RealAlgebraic:
     # ------------------------------------------------------------- comparisons
 
     def compare(self, other):
+        """-1, 0 or +1: over one generator the sign of the difference; over
+        two, from brackets refined until they part, unless both render
+        equal (the same minimal polynomial and canonical interval)."""
         other = _coerce(other)
         a, b = self, other
         if a._frac is not None and b._frac is not None:
             return sgn(a._frac - b._frac)
-        for _ in range(4):
-            alo, ahi = a.bounds()
-            blo, bhi = b.bounds()
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
+        if a._frac is not None or b._frac is not None or a._gen is b._gen:
+            return (a - b).sign()
+        for i in count():
+            (alo, ahi), (blo, bhi) = a.bounds(), b.bounds()
+            if ahi < blo or bhi < alo:
+                return -1 if ahi < blo else 1
+            if i == 4 and str(a) == str(b):
+                return 0
             a.refine()
             b.refine()
-        return (a - b).sign()
 
     def __eq__(self, other):
-        if self._frac is not None and isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):  # a value on a generator is irrational
             return self._frac == other
         other = _coerce(other)
         if other is NotImplemented:
@@ -492,8 +492,9 @@ def _poly_det(mat):
     return m[n - 1][n - 1]
 
 
-def _resultant_y(A, B):
-    """Resultant in y of two polynomials whose coefficients are polys in z.
+def _resultant_y(A, B, j=0):
+    """The j-th subresultant in y of two polynomials whose coefficients are
+    polys in z, as its coefficients of y^0 .. y^j: for j = 0 the resultant.
 
     A and B are lists over powers of y; each entry is a Fraction-poly in z.
     """
@@ -503,18 +504,15 @@ def _resultant_y(A, B):
         B = B[:-1]
     m, n = len(A) - 1, len(B) - 1
     if m < 0 or n < 0:
-        return []
-    size = m + n
+        return [[]]
+    size = m + n - j
     if size == 0:
-        return [Fraction(1)]
-    rows = []
-    arow = list(reversed(A))
-    brow = list(reversed(B))
-    for i in range(n):
-        rows.append([[] for _ in range(i)] + arow + [[] for _ in range(size - m - 1 - i)])
-    for i in range(m):
-        rows.append([[] for _ in range(i)] + brow + [[] for _ in range(size - n - 1 - i)])
-    return _poly_det(rows)
+        return [[Fraction(1)]]
+    arow, brow = list(reversed(A)), list(reversed(B))
+    rows = [[[]] * i + arow + [[]] * (size - m - 1 - i) for i in range(n - j)]
+    rows += [[[]] * i + brow + [[]] * (size - n - 1 - i) for i in range(m - j)]
+    # the columns of y^(size-1) .. y^(j+1), then that of y^k
+    return [_poly_det([r[:size - j - 1] + [r[size - 1 - k]] for r in rows]) for k in range(j + 1)]
 
 
 def _minpoly_of_rep(gen, rep):
@@ -527,7 +525,7 @@ def _minpoly_of_rep(gen, rep):
             B.append([-Fraction(c), Fraction(1)])
         else:
             B.append([-Fraction(c)] if c else [])
-    cand = _resultant_y(B, A) if len(B) > len(A) else _resultant_y(A, B)
+    cand = (_resultant_y(B, A) if len(B) > len(A) else _resultant_y(A, B))[0]
     fac, _, _ = _select_root(
         cand, lambda: _interval_eval(rep, gen.lo, gen.hi), gen.refine)
     return fac
@@ -563,46 +561,80 @@ def _sole_factor(factors, lo, hi):
     return found
 
 
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _generators_of(minpoly):
+    """The interned generators of one minimal polynomial, one per root."""
+    return []
+
+
 def _root_of(fac, lo, hi):
-    """The root of irreducible integer ``fac`` isolated by (lo, hi)."""
+    """The root of irreducible integer ``fac`` isolated by (lo, hi), on its
+    one interned generator: two isolating intervals hold the same root
+    exactly when their intersection holds a root."""
     if len(fac) == 2:
         return RealAlgebraic.from_rational(Fraction(-fac[0], fac[1]))
-    return RealAlgebraic._from_rep(_Generator(fac, lo, hi), (0, 1))
+    gens, poly = _generators_of(tuple(fac)), [Fraction(c) for c in fac]
+    for gen in gens:
+        a, b = max(lo, gen.lo), min(hi, gen.hi)
+        if a < b and count_roots_open(poly, a, b):
+            break
+    else:
+        gen = _Generator(fac, lo, hi)
+        gens.append(gen)
+    return RealAlgebraic._from_rep(gen, (0, 1))
 
 
-def _cross_binop(a, b, op):
-    """Arithmetic between values over unrelated generators, via resultants."""
-    pa = a.defining_polynomial()
-    pb = b.defining_polynomial()
-    if (len(pa) - 1) * (len(pb) - 1) > _MAX_ALG_DEGREE:
-        raise ArithmeticError("algebraic degree cap exceeded in mixed-field arithmetic")
-    A = [[Fraction(c)] if c else [] for c in pa]
-    n = len(pb) - 1
-    if op == "add":
-        B = [[] for _ in range(n + 1)]
-        for k, bk in enumerate(pb):
-            if bk == 0:
-                continue
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _compositum(pair):
+    """A generator for both roots of a frozenset of two generators, whose
+    ``images`` then take both and theirs."""
+    gamma, images = _compose(*sorted(pair, key=lambda g: len(g.minpoly), reverse=True))
+    for g, image in images.items():
+        gamma.images.update({h: peval(v._rep, image) for h, v in g.images.items()})
+        gamma.images[g] = image
+    return gamma
+
+
+def _compose(a, b):
+    """gamma = alpha + t*beta, alpha the root of larger degree, for the
+    first integer t >= 1 for which gcd(m_alpha(gamma - t*y), m_beta(y)) over
+    Q(gamma) is linear, g1*y + g0: then beta = -g0/g1 and alpha = gamma -
+    t*beta.  m_gamma is the factor of Res_y(m_alpha(z - t*y), m_beta(y))
+    that ``_select_root`` picks."""
+    da, db = len(a.minpoly) - 1, len(b.minpoly) - 1
+    if da * db > _MAX_ALG_DEGREE:
+        raise ResourceCapError("a compositum of degrees %d and %d may reach degree %d, "
+                               "past _MAX_ALG_DEGREE = %d" % (da, db, da * db, _MAX_ALG_DEGREE))
+    t = 0
+    while True:
+        t += 1
+        B = [[] for _ in a.minpoly]  # m_alpha(z - t*y) by powers of y, polys in z
+        for k, ak in enumerate(a.minpoly):
             for j in range(k + 1):
-                coef = Fraction(bk) * comb(k, j) * (-1) ** j
-                entry = B[j]
-                while len(entry) < k - j + 1:
-                    entry.append(Fraction(0))
-                entry[k - j] += coef
-        B = [trim(e) for e in B]
-    else:  # mul
-        B = []
-        for j in range(n + 1):
-            bk = pb[n - j]
-            B.append(([Fraction(0)] * (n - j) + [Fraction(bk)]) if bk else [])
-    combine = _iadd if op == "add" else _imul
+                B[j].extend([Fraction(0)] * (k - j + 1 - len(B[j])))
+                B[j][k - j] += ak * comb(k, j) * (-t) ** j
+        B, A = [trim(e) for e in B], [[Fraction(c)] if c else [] for c in b.minpoly]
+        z = _root_of(*_select_root(_resultant_y(A, B)[0], lambda t=t: (
+            a.lo + t * b.lo, a.hi + t * b.hi), lambda: (a.refine(), b.refine())))
+        # the gcd has degree 1 exactly when the first subresultant s1*y + s0
+        # keeps s1(gamma) != 0, and is then that subresultant at z = gamma
+        s0, s1 = (peval(c, z) for c in _resultant_y(A, B, 1))
+        if not s1.is_zero:
+            beta = -s0 / s1
+            return z._gen, {a: z - beta * t, b: beta}
 
-    def refine():
-        a.refine()
-        b.refine()
 
-    return _root_of(*_select_root(
-        _resultant_y(A, B), lambda: combine(a.bounds(), b.bounds()), refine))
+def common_field(gens):
+    """(gamma, onto): one generator that all of ``gens`` embed in, composed
+    in turn, composita first (None for none), and the map of a rational, or
+    a value over one of ``gens``, onto gamma: its rep at its generator's
+    image there.  A generator already in gamma's images is not composed."""
+    gamma = None
+    for g in sorted(gens, key=lambda g: (len(g.minpoly), len(g.images)), reverse=True):
+        if gamma is None or g is not gamma and g not in gamma.images:
+            gamma = g if gamma is None else _compositum(frozenset((gamma, g)))
+    return gamma, lambda c: (c if c._gen is None or c._gen is gamma
+                             else peval(c._rep, gamma.images[c._gen]))
 
 
 # ------------------------------------------------------------------ module API
@@ -643,15 +675,11 @@ def sign_at(coeffs, x):
     return acc.sign()
 
 
-def compare(a, b):
-    """Total-order comparison of two values as -1, 0 or +1."""
-    return RealAlgebraic(a).compare(b)
-
-
 def algebraic_roots(coeffs):
     """Real roots with multiplicity of a poly with RealAlgebraic coefficients.
 
-    Coefficients may mix rationals with members of one common extension field.
+    Coefficients may mix rationals with values over any generators; they
+    are brought onto one common generator first (``common_field``).
     """
     cs = [RealAlgebraic(c) for c in coeffs]
     while cs and cs[-1].is_zero:
@@ -660,10 +688,8 @@ def algebraic_roots(coeffs):
         raise ValueError("indeterminate roots: zero polynomial")
     if all(c.is_rational for c in cs):
         return isolate_real_roots([c.as_fraction() for c in cs])
-    gens = {id(c._gen): c._gen for c in cs if c._gen is not None}
-    if len(gens) > 1:
-        raise ArithmeticError("coefficients span several unrelated extension fields")
-    gen = next(iter(gens.values()))
+    gen, onto = common_field({c._gen: None for c in cs if c._gen is not None})
+    cs = [onto(c) for c in cs]
 
     out = []
     for factor, mult in yun_decomposition(cs):
@@ -672,26 +698,12 @@ def algebraic_roots(coeffs):
             for r, _ in isolate_real_roots([c.as_fraction() for c in factor]):
                 out.append((r, mult))
             continue
-        # eliminate the generator: C(z) = Res_t(minpoly(t), sum rep_i(t) z^i)
-        B = []
-        for c in factor:
-            if c._frac is not None:
-                B.append([Fraction(c._frac)] if c._frac else [])
-            else:
-                B.append(list(c._rep))
-        # swap roles: we need the resultant in t, coefficients polys in z.
-        # Build polys in t whose entries are polys in z instead.
-        deg_t = len(gen.minpoly) - 1
-        At = [[Fraction(gen.minpoly[i])] if gen.minpoly[i] else [] for i in range(deg_t + 1)]
-        max_rep = max(len(b) for b in B)
-        Bt = []
-        for ti in range(max_rep):
-            entry = [Fraction(0)] * len(B)
-            for zi, b in enumerate(B):
-                if ti < len(b):
-                    entry[zi] = Fraction(b[ti])
-            Bt.append(trim(entry))
-        cand = _resultant_y(At, Bt)
+        # eliminate the generator: C(z) = Res_t(minpoly(t), sum rep_i(t) z^i),
+        # both sides by powers of t with polys in z as entries
+        reps = [(c._frac,) if c._frac is not None else c._rep for c in factor]
+        cand = _resultant_y([[Fraction(c)] if c else [] for c in gen.minpoly],
+                            [trim([r[i] if i < len(r) else Fraction(0) for r in reps])
+                             for i in range(max(map(len, reps)))])[0]
         if not trim(cand):
             raise ArithmeticError("degenerate elimination for algebraic coefficients")
         for lo, hi in _isolate_generic(factor):

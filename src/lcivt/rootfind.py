@@ -305,9 +305,10 @@ def certified_sign(s, x):
         v = evaluate(s, x, default_exponent(s.mode, depth))
         try:
             return v.sign()
-        except TruncationError:
+        except TruncationError as exc:
             if depth >= _SIGN_DEPTH_CAP:
-                raise
+                raise TruncationError("sign undecided at depth %d, the cap _SIGN_DEPTH_CAP = %d"
+                                      % (depth, _SIGN_DEPTH_CAP)) from exc
             depth *= 4
 
 

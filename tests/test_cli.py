@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -178,6 +179,31 @@ def test_determinism_modulo_timing(capsys):
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     assert first["results"]["roots"][0]["root"].startswith(
         "root(x^2-2, 11/8, 23/16) - 1/2*eps + root(128*x^2-1, 1/16, 1/8)*eps^2")
+
+
+def test_zeros_over_two_generators_is_one_report(capsys):
+    # roots sqrt 2 -+ sqrt 3*eps + ...: Newton runs on the compositum of
+    # sqrt 2 and sqrt 3; a rerun, and one after the generator and
+    # compositum caches are emptied, give the same report
+    from lcivt import realalg
+
+    argv = ("zeros", "--inline", "poly: 4 - 12*eps^2 + 9*eps^4 + eps^3, 0, -4 - 6*eps^2, 0, 1",
+            "--interval", "0,2", "--cutoff", "4")
+    texts = []
+    for clear in (False, False, True):
+        if clear:
+            realalg._generators_of.cache_clear()
+            realalg._compositum.cache_clear()
+        code, payload = run_json(capsys, *argv)
+        payload.pop("timing_seconds")
+        texts.append(json.dumps(payload, sort_keys=True))
+        assert code == 0 and payload["results"]["count"] == 2
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert [r["root"][:60] for r in payload["results"]["roots"]] == [
+        "root(x^2-2, 11/8, 23/16) - root(x^2-3, 27/16, 7/4)*eps + roo",
+        "root(x^2-2, 11/8, 23/16) + root(x^2-3, 27/16, 7/4)*eps - roo"]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == (
+        "cdb6c9c82a48f818593583f84d3499456bbb81db9414a57512aea94e42934a01")
 
 
 def test_example_exit_contract(capsys, monkeypatch):

@@ -205,16 +205,18 @@ def test_newton_root_matches_the_reference_loop(mode, data):
 
 def test_newton_root_matches_the_reference_loop_across_generators(monkeypatch):
     # the third root's seed lies on its own generator, off sqrt 2, so that
-    # Newton call takes the kernel's values path
+    # Newton call encodes on the compositum of the two: both lie in Q(sqrt 2),
+    # so it has degree 2
     r2, zero = SQRT2, LcNumber.zero(LC)
     coeffs = [(eps(F(2, 3)) + zero).truncate(E(3)),
               eps(F(2, 3)) - eps(F(7, 3)) * (5 - r2 / 2) + eps(3) * (F(5, 3) + 2 * r2),
               -eps(F(1, 2)) + eps(F(7, 3)) * F(1, 2), eps(5) * (F(3, 4) + r2 / 3)]
-    paths = []
+    fields = []
 
     def checked(f, x0, cutoff):
         grid = _Grid(LC, [[x0], f])
-        paths.append("values" if grid.gen is None and not grid.rational else "other")
+        gens = {c._gen for x in [x0, *f] for _, c in x.terms if c._gen is not None}
+        fields.append((len(gens), 0 if grid.rational else len(grid.gen.minpoly) - 1))
         got = newton_outcome(newton_root, f, x0, cutoff)
         assert got == newton_outcome(reference_newton_root, f, x0, cutoff)
         return newton_root(f, x0, cutoff)
@@ -222,7 +224,7 @@ def test_newton_root_matches_the_reference_loop_across_generators(monkeypatch):
     monkeypatch.setattr(rootfind, "newton_root", checked)
     hits = rootfind.poly_roots(coeffs, E(5))
     assert len(hits) == 3 and all(h.multiplicity == 1 for h in hits)
-    assert "values" in paths
+    assert (2, 2) in fields
 
 
 @pytest.mark.parametrize("mode", [LC, HAHN])
@@ -342,8 +344,8 @@ def _assert_schedules_agree(ns, cap, cut):
 
 @pytest.mark.parametrize("radicands", [(2,), (2, 3)], ids=["one-generator", "two-generators"])
 def test_lift_schedules_agree_over_algebraic_coefficients(radicands):
-    # coefficients over one generator take the kernel's integer-vector path,
-    # over two its RealAlgebraic values path; st(P) is irrational either way
+    # coefficients over one generator, or over two that the kernel encodes
+    # on their compositum of degree 4; st(P) is irrational either way
     r = [RealAlgebraic(m).nth_root(2) for m in radicands]
     one, zero = LcNumber.one(LC), LcNumber.zero(LC)
     cases = [[one * (r[0] - 1) + eps() * r[-1], one, eps(F(1, 2)) * r[-1], zero,
@@ -354,7 +356,7 @@ def test_lift_schedules_agree_over_algebraic_coefficients(radicands):
     for coeffs in cases:
         ns = normalize(PolySeries(LC, coeffs), cap, cut)
         grid = _Grid(LC, [[ns.coeff(n, cut) for n in range(cap + 1)]])
-        assert not grid.rational and (grid.gen is None) == (len(r) == 2)
+        assert not grid.rational and len(grid.gen.minpoly) - 1 == 2 * len(r)
         _assert_schedules_agree(ns, cap, cut)
 
 

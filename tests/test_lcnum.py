@@ -237,8 +237,9 @@ def test_invert_matches_geometric_series(x_exp, data):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_invert_matches_geometric_series_over_algebraic_coefficients(mode, path, data):
-    # the kernel's integer-vector path (Q(sqrt 2)) and values path (sqrt 2
-    # and sqrt 3); values stay few and shallow, their sums build resultants
+    # the kernel's integer vectors on Q(sqrt 2), and on the compositum of
+    # sqrt 2 and sqrt 3 ("values", which once took a path of its own);
+    # those stay few and shallow, their first sum builds a resultant
     exp = Exponent.lc if mode == LC else lambda q: Exponent.hahn({1: q})
     halves = st.sampled_from([F(k, 2) for k in range(5)])
     if path == "vectors":
@@ -253,7 +254,10 @@ def test_invert_matches_geometric_series_over_algebraic_coefficients(mode, path,
     if trunc is not None:
         x = x.truncate(exp(trunc))
     grid = lcnum._Grid(mode, [[x]])
-    assume(not grid.rational and (grid.gen is None) == (path == "values") and x.terms)
+    assume(not grid.rational and x.terms)
+    degree = len(grid.gen.minpoly) - 1
+    assume(path == "vectors" or degree > 2)  # both roots appear
+    assert degree == (2 if path == "vectors" else 4)
     cutoff = exp(data.draw(points))
     assert outcome(x.invert, cutoff) == outcome(geometric_invert, x, cutoff)
 
@@ -621,7 +625,9 @@ def test_grid_merge_matches_collect(mode, path, data):
         a.append(LcNumber.monomial(zero, SQRT[2]))
         b.append(LcNumber.monomial(zero, SQRT[3]))
     grid = lcnum._Grid(mode, [a, b])
-    assert grid.rational == (path == "integers") and (grid.gen is None) == (path != "vectors")
+    # "values": sqrt 2 and sqrt 3, encoded on their compositum of degree 4
+    assert grid.rational == (path == "integers")
+    assert grid.rational or len(grid.gen.minpoly) - 1 == (2 if path == "vectors" else 4)
     # each side over a multiple of its denominator, so that d' need not divide d
     ka, kb = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     da, db = grid.cdens[0] * ka, grid.cdens[1] * kb
@@ -684,7 +690,7 @@ def test_lazy_compare_rejects_other_types():
 
 def test_lazy_compare_stops_at_first_difference(monkeypatch):
     # the terms after the first difference span two generators; forming the
-    # difference would sum them through _cross_binop
+    # difference would sum them on their compositum
     s2, s3 = RealAlgebraic(2).nth_root(2), RealAlgebraic(3).nth_root(2)
     a = LcNumber(LC, [(E(0), 1), (E(1), s2)])
     b = LcNumber(LC, [(E(0), 2), (E(1), s3)])
@@ -693,7 +699,7 @@ def test_lazy_compare_stops_at_first_difference(monkeypatch):
     def refuse(*args):
         raise AssertionError("the difference was formed")
 
-    monkeypatch.setattr(realalg, "_cross_binop", refuse)
+    monkeypatch.setattr(realalg, "_compositum", refuse)
     assert a.compare(b) == -1 and b.compare(a) == 1
     with pytest.raises(TruncationError):
         a.compare(c)

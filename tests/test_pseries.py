@@ -592,6 +592,23 @@ def test_substituted_coeff_matches_binomial_loop(make_inner, h, k, cutoff):
     assert zeros  # some m lies past the inner tail index
 
 
+def test_substituted_coeff_builds_one_shift_when_val_k_exceeds_val_h(monkeypatch):
+    # h = 1 + eps, k = eps: at eps^12 the inner tail index of T_m is 15 + m
+    def make():
+        return SubstitutedSeries(alternating_square_series(), L("1") + eps(), eps())
+
+    lengths, shift = [], pseries.SubstitutedSeries._shift
+    monkeypatch.setattr(pseries.SubstitutedSeries, "_shift",
+                        lambda self, *args: lengths.append(args[1]) or shift(self, *args))
+    t = make()
+    got = [t.coeff(m, E(12)) for m in range(8)]
+    assert len(lengths) == 1 and lengths[0] >= 22
+    for m, g in enumerate(got):
+        want = binomial_loop_coeff(make(), m, E(12))
+        assert g.cutoff is not None and g.cutoff >= want.cutoff
+        assert_same_rendering(g.truncate(want.cutoff), want)
+
+
 @pytest.mark.parametrize("mode", [LC, HAHN])
 def test_ratfun_derivative_matches_separate_products(mode):
     x = eps() if mode == LC else eps_n(1)

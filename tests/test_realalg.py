@@ -3,11 +3,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcivt import realalg
+from lcivt.errors import ResourceCapError
 from lcivt.polys import peval, pshift
 from lcivt.realalg import (
     RealAlgebraic,
     algebraic_roots,
-    compare,
+    common_field,
     isolate_real_roots,
     sign_at,
 )
@@ -52,7 +54,7 @@ def test_compare_examples():
     assert r2.compare(F(3, 2)) == -1
     assert r2.compare(r2) == 0
     r3 = isolate_real_roots([-3, 0, 1])[1][0]
-    assert compare(r2, r3) == -1
+    assert r2.compare(r3) == -1
 
 
 def test_arith_examples():
@@ -103,6 +105,55 @@ def test_cross_field_arithmetic():
     assert (s * s - 5 - 2 * r6).is_zero
     assert ((r2 * r3) - r6).is_zero
     assert ((r6 / r2) - r3).is_zero
+
+
+def test_a_root_found_twice_is_one_generator():
+    # sqrt 2 isolated from x^2 - 2 and from (x^2 - 2)(x - 1)
+    r2 = isolate_real_roots([-2, 0, 1])[1][0]
+    again = [r for r, _ in isolate_real_roots([2, -2, -1, 1]) if r.compare(1) > 0]
+    assert [r._gen for r in again] == [r2._gen]
+    assert isolate_real_roots([-2, 0, 1])[0][0]._gen is not r2._gen
+
+
+def test_compositum_degrees():
+    r2, r3, r5 = (isolate_real_roots([-m, 0, 1])[1][0] for m in (2, 3, 5))
+    near = isolate_real_roots([1, -4, 2])[0][0]  # 1 - sqrt(2)/2
+    for values, degree in (((r2, r3), 4), ((r2, near), 2), ((r2, r3, r5), 8)):
+        gamma, onto = common_field({v._gen: None for v in values})
+        assert len(gamma.minpoly) - 1 == degree
+        for v in values:
+            moved = onto(v)
+            assert moved._gen is gamma and moved.compare(v) == 0 and str(moved) == str(v)
+            assert (moved * moved - v * v).is_zero
+    assert (r2 / 2 + near).as_fraction() == 1
+    assert str((r2 + r3) * (r2 - r3)) == "-1"
+
+
+def test_a_generator_is_not_composed_with_its_compositum(monkeypatch):
+    r2, r3 = (isolate_real_roots([-m, 0, 1])[1][0] for m in (2, 3))
+    s = r2 + r3
+    near = r2 + isolate_real_roots([1, -4, 2])[0][0]  # on a compositum of degree 2
+
+    def refuse(*args):
+        raise AssertionError("composed again")
+
+    monkeypatch.setattr(realalg, "_compose", refuse)
+    realalg._compositum.cache_clear()
+    assert str(s - r3) == str(r2) and str((s - r2) * r3) == "3"
+    assert common_field({r2._gen: None, s._gen: None, r3._gen: None})[0] is s._gen
+    assert common_field({r2._gen: None, near._gen: None})[0] is near._gen
+    assert str((near - r2) * 2) == str(2 - r2)
+
+
+def test_compositum_degree_cap_names_itself(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a resultant was built")
+
+    a, b = RealAlgebraic(2).nth_root(8), RealAlgebraic(3).nth_root(9)
+    monkeypatch.setattr(realalg, "_resultant_y", refuse)
+    with pytest.raises(ResourceCapError,
+                       match="degrees 9 and 8 may reach degree 72, past _MAX_ALG_DEGREE = 64"):
+        a + b
 
 
 @given(rationals, rationals)
@@ -188,6 +239,11 @@ def test_algebraic_coefficient_roots():
     pos = roots[1][0]
     assert pos.defining_polynomial() == (-2, 0, 0, 0, 1)
     assert ((pos * pos) - r2).is_zero
+    # sqrt3*z^2 - sqrt2: coefficients over two generators, folded onto one
+    r3 = isolate_real_roots([-3, 0, 1])[1][0]
+    roots = algebraic_roots([-r2, 0, r3])
+    assert [str(r) for r, _ in roots] == ["root(3*x^4-2, -15/16, -7/8)", "root(3*x^4-2, 7/8, 15/16)"]
+    assert all((r * r * r3 - r2).is_zero for r, _ in roots)
 
 
 def test_render_formats():
@@ -254,7 +310,7 @@ def test_same_generator_product_matches_fraction_remainder(gen, data):
 
 
 def fresh_sqrt(m):
-    """sqrt(m) on a generator of its own, with a fresh bracket."""
+    """sqrt(m), freshly isolated: on the one generator of its root."""
     return isolate_real_roots([-m, 0, 1])[-1][0]
 
 

@@ -133,6 +133,29 @@ def test_branch_cap_names_itself(monkeypatch):
         poly_roots(p, E(6))
 
 
+def test_uncertified_point_on_an_edge_leaves_the_edge_uncertified(monkeypatch):
+    # eps^2 + (0 + O(eps))*X + X^2: the middle point may lie on the edge
+    # from (0, 2) to (2, 0), so the pair of roots stays one unresolved report
+    edges, find = [], rootfind._edges
+    monkeypatch.setattr(rootfind, "_edges", lambda points: edges.append(find(points)) or edges[-1])
+    hits = poly_roots([eps(2), ZERO.truncate(E(1)), ONE], E(4))
+    assert edges == [[(E(1), 0, E(2), 2, False)]]
+    assert [(str(h.value), h.multiplicity, h.unresolved) for h in hits] == [("0 + O(eps)", 2, True)]
+
+
+def test_certified_sign_deepens_until_decided(monkeypatch):
+    depths, evaluate_ = [], rootfind.evaluate
+    monkeypatch.setattr(rootfind, "evaluate",
+                        lambda s, x, cutoff: depths.append(cutoff) or evaluate_(s, x, cutoff))
+    # eps^2 + eps^3 has no term below eps, one below eps^4
+    assert rootfind.certified_sign(PolySeries(LC, [eps(2), 1]), eps(3)) == 1
+    assert depths == [E(1), E(4)]
+    del depths[:]
+    with pytest.raises(TruncationError, match="_SIGN_DEPTH_CAP = 64"):
+        rootfind.certified_sign(PolySeries(LC, [eps(100)]), eps(3))
+    assert depths == [E(1), E(4), E(16), E(64)]
+
+
 def test_newton_root_precision_follows_truncated_coefficients():
     # c0 = 1 + eps + eps^6 agrees with the truncated c0 below eps^6, and that
     # polynomial's root near 1 + eps is 1 + eps - eps^5 + ...: with a
