@@ -9,8 +9,8 @@ or through a ``sign()`` method).
 
 Truncated ``LcNumber`` coefficients cannot decide ``== 0``, so their lists are
 served by the ``poly_*`` helpers in ``hensel``, which skip only exact zeros
-and never trim.  ``pshift`` needs only ring operations (+ and *), so it serves
-both domains.
+and never trim; their Taylor shift is ``pseries.SubstitutedSeries`` with
+h = 1.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def peval(a, x):
 
 
 def pshift(p, c):
-    """p(x + c) by repeated synthetic division; ring operations only.
+    """p(x + c) over an exact field, by repeated synthetic division.
 
     Leaves a trimmed input trimmed and never tests a coefficient for zero.
     """

@@ -343,7 +343,8 @@ class RatFunSeries(PSeries):
             if ok:
                 return n
             n += 1
-        raise ResourceCapError("tail certificate scan exceeded its cap")
+        raise ResourceCapError("tail certificate scan reached the cap _SCAN_CAP = %d at target %s"
+                               % (_SCAN_CAP, target))
 
     def derivative(self):
         num, den = self.num, self.den
@@ -466,7 +467,9 @@ class SubstitutedSeries(PSeries):
     T_m is then one accumulation below C - m*val(h), one product by h^m
     below C and one decode.  A T_m whose inner tail index N lies past the
     shift rebuilds it, as long as every T_j with m <= j < N needs (for
-    val k > val h, N grows with j).  For k = 0, T_m = c_m*h^m.
+    val k > val h, N grows with j).  For k = 0, T_m = c_m*h^m.  The root
+    layer's Taylor shift of a polynomial is the case h = 1 over a
+    ``PolySeries``.
     """
 
     def __init__(self, inner, h, k):
@@ -547,7 +550,8 @@ class SubstitutedSeries(PSeries):
                 if self._m_ok(m, w, vk_eff, target, strict):
                     return m
                 m += 1
-            raise ResourceCapError("substitution tail scan exceeded its cap")
+            raise ResourceCapError("substitution tail scan reached the cap _SCAN_CAP = %d "
+                                   "at target %s" % (_SCAN_CAP, target))
         # w < 0: need an exact valuation polynomial with superlinear growth.
         # For m past the vertex of psi(n) + n*vk the inner minimum over
         # n >= m sits at n = m, so the condition collapses to the rational

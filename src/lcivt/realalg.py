@@ -668,11 +668,7 @@ _ROOT_ORDER = cmp_to_key(lambda x, y: x[0].compare(y[0]))
 
 def sign_at(coeffs, x):
     """Exact sign of a polynomial with RealAlgebraic coefficients at x."""
-    x = RealAlgebraic(x)
-    acc = RealAlgebraic.from_rational(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + RealAlgebraic(c)
-    return acc.sign()
+    return sgn(peval([RealAlgebraic(c) for c in coeffs], RealAlgebraic(x)))
 
 
 def algebraic_roots(coeffs):

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateError, ResourceCapError, TruncationError
-from .hensel import newton_root, poly_deriv, poly_eval, weierstrass_factor
+from .hensel import newton_root, poly_deriv, weierstrass_factor
 from .lcnum import LC, Exponent, LcNumber
-from .polys import pshift
-from .pseries import evaluate, normalize, partial_sum, transform_interval
+from .pseries import (PolySeries, SubstitutedSeries, evaluate, normalize, partial_sum,
+                      transform_interval)
 from .realalg import RealAlgebraic, algebraic_roots
 
 # Below Python's default recursion limit of 1000, so the cap fires first.
@@ -184,8 +184,9 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
                 full = acc + x
                 out.append(RootHit(full, 1, full.is_exact and rv is None, False, rv))
                 continue
-            shifted = pshift(coeffs, point)
-            _roots_rec(shifted, cutoff, acc + point, lam, out, depth_budget - 1)
+            shifted = SubstitutedSeries(PolySeries(mode, coeffs), LcNumber.one(mode), point)
+            _roots_rec([shifted.coeff(m) for m in range(len(coeffs))],
+                       cutoff, acc + point, lam, out, depth_budget - 1)
 
     if merged_mult > 0:
         # roots indistinguishable from acc at this depth: one summed report,
@@ -571,19 +572,16 @@ def _exact_coeffs(s):
 
 
 def _classify_extreme(sn_coeffs, x, cutoff):
-    """min/max/None from the first nonvanishing higher derivative."""
-    d = poly_deriv(sn_coeffs)
-    order = 1
-    while True:
-        d = poly_deriv(d)
-        order += 1
-        if not d:
-            return None
-        v = poly_eval(d, x).truncate(cutoff)
+    """min/max/None from the first nonvanishing higher derivative: the m-th
+    derivative at x is m! times the m-th coefficient of S_n(X + x)."""
+    shifted = SubstitutedSeries(PolySeries(x.mode, sn_coeffs), LcNumber.one(x.mode), x)
+    for m in range(2, len(sn_coeffs)):
+        v = shifted.coeff(m).truncate(cutoff)
         if v.terms:
-            if order % 2 == 1:
+            if m % 2 == 1:
                 return None  # inflection, not an extreme
             return "min" if v.sign() > 0 else "max"
+    return None
 
 
 def track_extremes(s, target, n_list, window):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcivt import lcnum, pseries
-from lcivt.errors import CertificateError, TruncationError
+from lcivt.errors import CertificateError, ResourceCapError, TruncationError
 from lcivt.hensel import poly_deriv, poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
+from lcivt.polys import pshift
 from lcivt.pseries import (
     NormalizedSeries,
     PolyMulSeries,
@@ -607,6 +608,71 @@ def test_substituted_coeff_builds_one_shift_when_val_k_exceeds_val_h(monkeypatch
         want = binomial_loop_coeff(make(), m, E(12))
         assert g.cutoff is not None and g.cutoff >= want.cutoff
         assert_same_rendering(g.truncate(want.cutoff), want)
+
+
+@st.composite
+def shift_cases(draw, mode):
+    """(p, c): up to 6 coefficients, each an exact zero, a truncated zero or
+    up to three terms, some with a sqrt(2) coefficient, some truncated, the
+    last one nonzero; c drawn the same way.  hahn exponents sometimes carry
+    a second index."""
+    def exponent(lo, hi):
+        q = F(draw(st.integers(lo, hi)), draw(st.sampled_from([1, 2])))
+        if mode == LC:
+            return Exponent.lc(q)
+        more = draw(st.sampled_from([{}, {}, {2: F(draw(st.integers(-2, 2)))}]))
+        return Exponent.hahn({1: q, **more})
+
+    def number():
+        kind = draw(st.sampled_from(["zero", "truncated zero", "terms", "terms", "terms"]))
+        x = LcNumber.zero(mode)
+        if kind == "truncated zero":
+            return x.truncate(exponent(0, 6))
+        for _ in range(draw(st.integers(1, 3)) if kind == "terms" else 0):
+            c = RealAlgebraic(F(draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1])),
+                                draw(st.sampled_from([1, 2]))))
+            x = x + LcNumber.monomial(exponent(-2, 4), c * SQRT2 if draw(st.booleans()) else c)
+        return x.truncate(exponent(0, 6)) if draw(st.booleans()) else x
+
+    p = [number() for _ in range(draw(st.integers(1, 6)))]
+    if p[-1].is_exact_zero:
+        p[-1] = LcNumber.one(mode)
+    return p, number()
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_polynomial_taylor_shift_matches_pshift(mode, data):
+    # pshift needs ring operations only, so it is the reference: the same
+    # exponents, coefficients and marker for every coefficient
+    p, c = data.draw(shift_cases(mode))
+    t = SubstitutedSeries(PolySeries(mode, p), LcNumber.one(mode), c)
+    for got, want in zip([t.coeff(m) for m in range(len(p))], pshift(p, c), strict=True):
+        assert got.cutoff == want.cutoff
+        assert [e for e, _ in got.terms] == [e for e, _ in want.terms]
+        assert all(cg == cw for (_, cg), (_, cw) in zip(got.terms, want.terms))
+
+
+def test_ratfun_tail_scan_cap_names_itself(monkeypatch):
+    # the coefficients -eps^(n+1) clear eps^10 from n = 9 on: one index is
+    # not enough
+    assert geometric_tail_ratfun().tail_index(E(0), E(10)) == 9
+    monkeypatch.setattr(pseries, "_SCAN_CAP", 1)
+    with pytest.raises(ResourceCapError, match=r"_SCAN_CAP = 1 at target 10"):
+        geometric_tail_ratfun().tail_index(E(0), E(10))
+
+
+def test_substituted_tail_scan_cap_names_itself(monkeypatch):
+    # S(Z + 1) with S = sum (-1)^n eps^(n^2) X^n, whose own tail index is a
+    # closed form: the scan over m runs to 4, the first n with n^2 >= 10
+    def make():
+        return SubstitutedSeries(alternating_square_series(), L("1"), L("1"))
+
+    assert make().tail_index(E(0), E(10)) == 4
+    monkeypatch.setattr(pseries, "_SCAN_CAP", 1)
+    with pytest.raises(ResourceCapError, match=r"substitution .* _SCAN_CAP = 1 at target 10"):
+        make().tail_index(E(0), E(10))
 
 
 @pytest.mark.parametrize("mode", [LC, HAHN])

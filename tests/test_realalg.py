@@ -69,6 +69,7 @@ def test_sign_at_examples():
     assert sign_at([-2, 0, 1], r2) == 0
     assert sign_at([-1, 1], RealAlgebraic(2)) == 1
     assert sign_at([-3, 0, 1], r2) == -1
+    assert sign_at([], r2) == 0
 
 
 def test_division_by_zero():

@@ -6,7 +6,7 @@ import pytest
 
 from lcivt import cli, rootfind
 from lcivt.errors import ResourceCapError, TruncationError
-from lcivt.hensel import poly_eval, poly_mul
+from lcivt.hensel import poly_deriv, poly_eval, poly_mul
 from lcivt.lcnum import LC, LcNumber, eps
 from lcivt.pseries import (
     PolyMulSeries,
@@ -418,6 +418,61 @@ def test_track_extremes_exact_square():
         assert kind == "min"
         assert str(loc) == "1"
         assert dist is None
+
+
+def derivative_ladder_kind(sn_coeffs, x, cutoff):
+    """min/max/None read off the derivatives of S_n evaluated at x, one
+    after another: the loop that ``_classify_extreme`` replaced by one
+    Taylor shift."""
+    d = poly_deriv(sn_coeffs)
+    order = 1
+    while True:
+        d = poly_deriv(d)
+        order += 1
+        if not d:
+            return None
+        v = poly_eval(d, x).truncate(cutoff)
+        if v.terms:
+            if order % 2 == 1:
+                return None  # inflection, not an extreme
+            return "min" if v.sign() > 0 else "max"
+
+
+@pytest.mark.parametrize("coeffs, x, kind", [
+    # (X - 1)^3 at 1 and X^3 at 0: the first nonvanishing derivative is odd
+    ([-ONE, 3 * ONE, -3 * ONE, ONE], ONE, None),
+    # (X - 1)^2 + eps^5 X^3 at 1: S'' = 2 + 6 eps^5
+    ([ONE, -2 * ONE, ONE, eps(5)], ONE, "min"),
+    # -(X - 1)^2 at 1 + O(eps^3): S'' = -2 survives the truncated point
+    ([-ONE, 2 * ONE, -ONE], ONE.truncate(E(3)), "max"),
+    ([-ONE, 2 * ONE, -ONE + eps(), eps(6)], ONE + eps(2), "max"),
+    ([ZERO, ZERO, ZERO, ONE], ZERO, None),
+    # nothing above the first derivative survives below the cutoff
+    ([ONE, ONE, eps(4), eps(5)], ONE, None),
+    # a line has no higher derivative at all
+    ([ONE, ONE], ONE, None),
+], ids=["inflection-at-1", "min", "max-truncated-point", "max", "inflection-at-0",
+        "vanishing-below-the-cutoff", "line"])
+def test_classify_extreme_exits(coeffs, x, kind):
+    assert derivative_ladder_kind(coeffs, x, E(4)) == kind
+    assert rootfind._classify_extreme(coeffs, x, E(4)) == kind
+
+
+def test_classify_extreme_matches_the_derivative_ladder():
+    rng = random.Random(20261019)
+    kinds = []
+    for _ in range(200):
+        x = sum((LcNumber.monomial(E(F(rng.randint(-2, 4), 2)), rng.randint(-3, 3))
+                 for _ in range(rng.randint(0, 2))), ZERO)
+        if rng.random() < 0.3:
+            x = x.truncate(E(rng.randint(1, 6)))
+        coeffs = [sum((LcNumber.monomial(E(rng.randint(0, 5)), rng.randint(-3, 3))
+                       for _ in range(rng.randint(0, 2))), ZERO)
+                  for _ in range(rng.randint(2, 6))]
+        cutoff = E(rng.randint(1, 6))
+        kinds.append(derivative_ladder_kind(coeffs, x, cutoff))
+        assert rootfind._classify_extreme(coeffs, x, cutoff) == kinds[-1]
+    assert {"min", "max", None} <= set(kinds)
 
 
 def test_track_extremes_requires_even_target():
