@@ -166,15 +166,19 @@ def emit_report(report, fmt, stream=None):
         json.dump(payload, stream, indent=2)
         stream.write("\n")
     elif fmt == "csv":
+        def records(obj):  # every track record, nested ones included
+            if isinstance(obj, dict) and "items" in obj:
+                return [obj]
+            subs = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+            return [rec for sub in subs for rec in records(sub)]
+        if not (recs := records(payload["results"])):  # raised before anything is written
+            raise UsageError("--output csv writes track records, and this report has none")
         writer = csv.writer(stream)
         writer.writerow(["n", "kind", "location", "distance_valuation"])
-        rows = report.results if isinstance(report.results, list) else []
-        for rec in rows:
-            rec = jsonable(rec)
-            if isinstance(rec, dict) and "items" in rec:
-                for item in rec["items"]:
-                    writer.writerow([rec["n"], item["kind"], item["location"],
-                                     item["distance_valuation"]])
+        for rec in recs:
+            for item in rec["items"]:
+                writer.writerow([rec["n"], item["kind"], item["location"],
+                                 item["distance_valuation"]])
     elif fmt == "text":
         def walk(obj, indent=0):
             pad = "  " * indent
@@ -514,14 +518,14 @@ def main(argv=None):
                            if k in RunConfig.__dataclass_fields__ and v is not None})
         max_terms_cap()  # read once, so a malformed value fails every command
         report = run(cfg)
+        emit_report(report, cfg.output)
     except Exception as exc:  # every error, typed or not, is exit code 4
         if not isinstance(exc, LcivtError):
             traceback.print_exc(file=sys.stderr)
         err = Report(config=cfg.echo(), results=None,
                      failures=[{"error": type(exc).__name__, "message": str(exc)}])
-        emit_report(err, cfg.output)
+        emit_report(err, "json" if cfg.output == "csv" else cfg.output)
         return 4
-    emit_report(report, cfg.output)
     return 0 if report.ok else 1
 
 

@@ -3,7 +3,8 @@ monic-polynomial x unit-series factorization of a restricted series.
 
 ``newton_root`` is the library's one Newton iteration: ``n_poly_root``,
 ``LcNumber.nth_root`` and ``rootfind.poly_roots`` lift their roots with it,
-each call on one encoding of the kernel's grid (``lcnum._Grid``).
+each call on one encoding of the kernel's grid (``lcnum._Grid``) and each
+step only as deep as Hensel's lemma says that step reaches.
 
 The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
 start from P = S[:pivot+1], B = 1; each round a split rule turns the
@@ -80,45 +81,65 @@ def newton_root(coeffs, x0, cutoff):
     seeded at x0: the library's one Newton loop.
 
     f, f' and x0 are encoded once on the kernel's grid (``lcnum._Grid``), in
-    either mode and over any number of generators.  Each step is two
-    ``_Grid.horner`` passes, one ``_Grid.invert`` of f'(x), and x - r/f'(x)
-    as one accumulation over (x, 1) and (-r, f'(x)^-1), x then divided by
-    its content; cutoffs and the stall test are read off grid exponents,
-    and only the root and its bound are decoded.
+    either mode and over any number of generators; a step is a Horner pass
+    each for r = f(x) and f'(x), a ``_Grid.invert`` of f'(x), and x - r/f'(x)
+    as one accumulation, and only the root and its bound are decoded.  With
+    lam = val x, rv = val r, vd = val f'(x) and vc = min val(a_i) + i*lam (a
+    truncated zero at its cutoff), Hensel's margin g = rv + vc - 2*(lam + vd)
+    > 0 makes the new x right below w = rv - vd + g and keeps lam and vd.  If
+    also v1 = min over i > 0 of val(a_i) + i*lam is lam + vd (f'(x)'s lead
+    does not cancel), x's full-step marker stays put, so a step may invert
+    f'(x) to relative precision w - (rv - vd) and form x below w only, and
+    the next takes vd from the lemma.  Other steps, hahn steps whose g has
+    no multiple reaching the cutoff, and a linear f's steps run at the cutoff.
 
     Returns (root, f(root).val_lb()), the bound None when f(root) is
     exactly zero; or None when f'(x) vanishes below the cutoff, the
-    residual's valuation stops rising, or _NEWTON_CAP steps pass.  With
-    vd = val f'(x) the residual r is truncated at cutoff + max(vd, 0);
-    truncated coefficients leave it known below r.cutoff only, so the root
-    is certified below r.cutoff - vd.
+    residual's valuation stops rising, or _NEWTON_CAP steps pass.  r is
+    truncated at cutoff + max(vd, 0); truncated coefficients leave it known
+    below r.cutoff only, so the root is certified below r.cutoff - vd.
     """
     grid = _Grid(x0.mode, [[x0], coeffs], cutoff)
-    (dx, cf), cap, last = grid.cdens, grid.cut(cutoff), None
+    (dx, cf), cap, last, lemma = grid.cdens, grid.cut(cutoff), None, False
     (x,), f = grid.encode([x0], dx), grid.encode(coeffs, cf)
     df = [grid.scale([c], i)[0] for i, c in enumerate(f) if i]  # f' over cf
     for _ in range(_NEWTON_CAP):
-        (ft, fcut, fd), (dt, dcut, dd) = grid.horner(f, cf, x, dx), grid.horner(df, cf, x, dx)
+        ft, fcut, fd = grid.horner(f, cf, x, dx)
         if not ft and fcut is None:
             return grid.decode(x[0], x[2], dx), None
-        if not dt:
+        d = None if lemma else grid.horner(df, cf, x, dx)  # else vd is the lemma's, kept
+        if d and not d[0]:
             return None
-        vd = dt[0][0]
+        vd = d[0][0][0] if d else vd
         target = cap + vd if vd > grid.zero else cap
         rt, rcut = [t for t in ft if t[0] < target], _min_cut(fcut, target)  # r = f(x) + O(target)
         if not rt:
             cut = _min_cut(_min_cut(x[2], cap), rcut - vd)
             return (grid.decode([t for t in x[0] if t[0] < cut], cut, dx),
                     grid.decode(ft[:1], fcut, fd).val_lb())
+        dt, dcut, dd = d or grid.horner(df, cf, x, dx)
+        if not dt or dt[0][0] != vd:
+            raise CertificateError("val f'(x) left the value Hensel's lemma gives it")
         rv = rt[0][0]
         if last is not None and rv <= last:
             return None
-        last = rv
-        it, icut, di = grid.invert(_num(dt, dcut), dd, target - rv)
+        last, w, lemma = rv, cap, False
+        if x[0] and len(f) > 2:
+            lam, ilam, v1 = x[0][0][0], grid.zero, None
+            for _, v, _ in f[1:]:
+                ilam = ilam + lam
+                v1 = v1 if v is None else _min_cut(v1, v + ilam)
+            g = rv + _min_cut(v1, f[0][1]) - (lam + vd) - (lam + vd)  # the margin
+            lemma = v1 == lam + vd and g > grid.zero and (
+                grid.lc or g.min_multiple_at_least(cap - rv + vd) is not None)
+            w = _min_cut(cap, rv - vd + g) if lemma else cap
+        it, icut, di = grid.invert(_num(dt, dcut), dd, target - rv - (cap - w))
         c = lcm(dx, fd * di)
-        xt, s, xcut = grid.accumulate([([x], grid.const(c // dx)),
-                                       (grid.scale([_num(rt, rcut)], -c // (fd * di)),
-                                        [_num(it, icut)])], 0, cap)
+        xt, s, _ = grid.accumulate([([x], grid.const(c // dx)),
+                                    (grid.scale([_num(rt, rcut)], -c // (fd * di)),
+                                     [_num(it, icut)])], 0, w)
+        xcut = _min_cut(_min_cut(x[2], rcut - vd), cap if dcut is None else  # a full
+                        _min_cut(cap, dcut + rv - vd - vd))  # step's marker
         (x,), dx = grid.primitive([_num(xt, xcut)], c * s)
     return None
 

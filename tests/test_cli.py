@@ -103,6 +103,30 @@ def test_track_zeros_csv(capsys):
     assert lines[2].split(",")[-1] == "inf"
 
 
+def test_example_csv_writes_nested_track_records(capsys):
+    # double-zero nests one track record per n under "extremes"
+    code, out = run_cli(capsys, "example", "double-zero", "--output", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,kind,location,distance_valuation"
+    assert [(r[0], r[1], r[-1]) for r in (line.split(",") for line in lines[1:])] == [
+        ("5", "min", "5"), ("10", "min", "10"), ("20", "min", "20")]
+    assert all(line.split(",")[2].startswith("1 - ") for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "nilpotent-signs"],
+    ["eval", "--inline", "poly: 1, 1", "--at", "eps", "--cutoff", "4"],
+], ids=["example", "eval"])
+def test_csv_without_a_track_record_is_a_usage_error(capsys, argv):
+    code = cli.main(argv + ["--output", "csv"])
+    captured = capsys.readouterr()
+    assert code == 4
+    failure = json.loads(captured.out)["failures"][0]  # no lone CSV header
+    assert failure["error"] == "UsageError"
+    assert "track record" in failure["message"]
+
+
 def test_track_zeros_on_a_substitution_with_k_zero(capsys):
     # ivt fills the substituted series' coefficients under cutoffs; its exact
     # k = 0 answers must not pass for coefficients without one, or partial

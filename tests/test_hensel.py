@@ -196,7 +196,7 @@ def newton_cases(draw, mode):
 
 @pytest.mark.parametrize("mode", [LC, HAHN])
 @given(data=st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_newton_root_matches_the_reference_loop(mode, data):
     coeffs, x0, cutoff = data.draw(newton_cases(mode))
     assert (newton_outcome(newton_root, coeffs, x0, cutoff)
@@ -263,14 +263,206 @@ def test_newton_root_inverts_the_lead_once(monkeypatch, mode, c):
     csq = LcNumber.from_scalar(mode, RealAlgebraic(c) * c)
     coeffs = [-csq - csq * e, LcNumber.zero(mode), LcNumber.one(mode)]
     x0 = LcNumber.from_scalar(mode, c)
-    steps, inverses = [], []
-    invert, inverse = _Grid.invert, RealAlgebraic.inverse
+    steps, inverses, passes = [], [], []
+    invert, inverse, horner_pass = _Grid.invert, RealAlgebraic.inverse, _Grid.horner
     monkeypatch.setattr(_Grid, "invert", lambda *a: steps.append(1) or invert(*a))
     monkeypatch.setattr(RealAlgebraic, "inverse", lambda x: inverses.append(x) or inverse(x))
+    monkeypatch.setattr(_Grid, "horner", lambda *a: passes.append(1) or horner_pass(*a))
     got = newton_outcome(newton_root, coeffs, x0, cut)
     monkeypatch.undo()
     assert len(steps) >= 3 and len(inverses) == 1
+    # five steps, each under Hensel's condition: a pass each for f and f',
+    # but none for f' on the step that certifies, where vd is the lemma's
+    assert len(passes) == 9
     assert got == newton_outcome(reference_newton_root, coeffs, x0, cut)
+
+
+def hahn_or_lc(mode):
+    """Exponent q of eps in lc mode, of eps[1] in hahn mode."""
+    return Exponent.lc if mode == LC else lambda q: Exponent.hahn({1: q})
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_newton_root_pinned_cases(mode):
+    exp = hahn_or_lc(mode)
+    one, zero, e = LcNumber.one(mode), LcNumber.zero(mode), LcNumber.monomial(exp(1), 1)
+    inv = LcNumber.monomial(exp(-1), 1)
+    # the double root (X - 1)^2 + O(e^3) from 1 + e: val f(x) = 2 = 2 val f'(x),
+    # outside Hensel's condition, so the step runs at the cap; then f(x) is
+    # O(e^2), which certifies 1 below e^2 less val f'(x) = e
+    double = ([one.truncate(exp(3)), -2 * one, one], one + e, exp(F(5, 2)))
+    # (X + 3/2)^2 + (2e^2 + e^3)X + 3e^2 from -3/2: val f(x) = 3 < 4 = 2 val f'(x),
+    # so the next step may not take val f'(x) from the lemma
+    near = ([F(9, 4) * one + 3 * e * e, 3 * one + 2 * e * e + e * e * e, one],
+            F(-3, 2) * one, exp(2))
+    # ((X - 1)(X + 2) + e)/e from 1: val f' = -1; the root is certified below
+    # the residual's e^3 less val f', here the cutoff e^4
+    negative = ([(-2 * one + e) * inv, inv, inv], one, exp(4))
+    root = one - e * F(1, 3) - e * e * F(1, 27) - e * e * e * F(2, 243)
+    # X^2 - 2 - e from sqrt 2
+    sqrt2 = ([-2 * one - e, zero, one], LcNumber.from_scalar(mode, SQRT2), exp(6))
+    # (2e - 3)X^3 + (3 + O(h^7))X^2 - (h + O(h^7))X + h, h = e^(1/2), from -e^4:
+    # the first step jumps to the root near 1, and f'(-e^4) = -h + O(h^7) leaves
+    # it known below h^7 + val r - 2 val f' = e^3.  The later residuals, at
+    # val f' = 0, alone would certify it below e^(7/2)
+    h = LcNumber.monomial(exp(F(1, 2)), 1)
+    jump = ([h, (zero - h).truncate(exp(F(7, 2))), (3 * one + zero).truncate(exp(F(7, 2))),
+             2 * e - 3 * one], -e * e * e * e, exp(6))
+    near_one = one + e * F(2, 3) - h * e * F(2, 9) + e * e * F(14, 27) - h * e * e * F(2, 81)
+    for case, want in ((double, (one.truncate(exp(1)).terms, exp(1), exp(2))),
+                       (near, ((F(-3, 2) * one).terms, exp(1), exp(2))),
+                       (negative, (root.terms, exp(4), exp(3))),
+                       (jump, (near_one.terms, exp(3), exp(3))),
+                       (sqrt2, None)):
+        got = newton_outcome(newton_root, *case)
+        assert got == newton_outcome(reference_newton_root, *case)
+        assert want is None or got == want
+    x, bound = newton_root(*sqrt2)
+    assert bound == exp(6) and x.cutoff == exp(6) and len(x.terms) == 6
+    assert (x * x - 2 * one - e).is_zero_below(exp(6))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_newton_root_steps_a_linear_f_at_the_cap(monkeypatch, mode):
+    # (1 + e)X - (1 + e + e^2) from 1: a linear f's step is exact, so it runs at
+    # the cap e^8 and the next step certifies: two passes each
+    exp = hahn_or_lc(mode)
+    one, e = LcNumber.one(mode), LcNumber.monomial(exp(1), 1)
+    case = ([-(one + e + e * e), one + e], one, exp(8))
+    passes, horner_pass = [], _Grid.horner
+    monkeypatch.setattr(_Grid, "horner", lambda *a: passes.append(1) or horner_pass(*a))
+    got = newton_outcome(newton_root, *case)
+    monkeypatch.undo()
+    assert len(passes) == 4
+    assert got == newton_outcome(reference_newton_root, *case)
+    x, _ = newton_root(*case)
+    assert x.cutoff == exp(8) and (x * (one + e) - one - e - e * e).is_zero_below(exp(8))
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_newton_root_certifies_where_the_reference_loop_does(mode):
+    # where f'(x)'s lead cancels, each step lowers x's marker by the same
+    # amount, so where the root is certified depends on the step count.  Both
+    # cases have coefficients of val -1 and val f'(x) = -1/2 at the seed, and
+    # are under Hensel's condition; steps below its bound there took one step
+    # less (early) and one more (late) than the reference loop, which certify
+    # 1 below e^2 and -1 - 3e below e^(3/2).  Such steps run at the cutoff
+    exp = hahn_or_lc(mode)
+    one, zero = LcNumber.one(mode), LcNumber.zero(mode)
+    m = lambda q, c=1: LcNumber.monomial(exp(q), c)
+    # e^-1 X^2 - (2e^-1 + 3e^(-1/2) + e^2)X + e^-1 + 3e^(-1/2) + O(e^2) from 1 - 2e
+    early = ([m(-1) + m(F(-1, 2), 3) + zero.truncate(exp(2)),
+              m(-1, -2) + m(F(-1, 2), -3) - m(2), m(-1)], one - m(1, 2), exp(4))
+    # e^-1 X^3 + (3e^-1 - e^(-1/2) + 3e^(1/2))X^2 + (3e^-1 - e^(-1/2))X
+    # + e^-1 + 2e + O(e^2) from -1
+    late = ([m(-1) + m(1, 2) + zero.truncate(exp(2)), m(-1, 3) - m(F(-1, 2)),
+             m(-1, 3) - m(F(-1, 2)) + m(F(1, 2), 3), m(-1)], -one, exp(F(5, 2)))
+    for case, want in ((early, (one.terms, exp(F(3, 2)), exp(1))),
+                       (late, ((-one - m(1, 3) - m(F(3, 2), 2)).terms, exp(2), exp(F(3, 2))))):
+        got = newton_outcome(newton_root, *case)
+        assert got == want
+        assert got == newton_outcome(reference_newton_root, *case)
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@pytest.mark.parametrize("c", [F(3, 2), SQRT2], ids=["rational", "sqrt2"])
+def test_newton_root_steps_at_hensel_precision(monkeypatch, mode, c):
+    # X^2 - c^2*(1 + e) from c: lambda = vc = vd = 0, so the step from a residual
+    # at e^(2^k) reaches e^(2^(k+1)): iterate k carries the terms below e^(2^k)
+    # and none from there on, until the step that reaches the cap e^12
+    exp = hahn_or_lc(mode)
+    csq = LcNumber.from_scalar(mode, RealAlgebraic(c) * c)
+    e, cut = LcNumber.monomial(exp(1), 1), exp(12)
+    coeffs = [-csq - csq * e, LcNumber.zero(mode), LcNumber.one(mode)]
+    x0 = LcNumber.from_scalar(mode, c)
+    iterates, horner_pass = [], _Grid.horner
+    monkeypatch.setattr(_Grid, "horner", lambda grid, poly, cd, x, dx: iterates.append(
+        (grid, x)) or horner_pass(grid, poly, cd, x, dx))
+    got = newton_outcome(newton_root, coeffs, x0, cut)
+    monkeypatch.undo()
+    iterates = iterates[::2]  # f(x) and f'(x) see the same x
+    assert [[q for q, _ in x[0]] for _, x in iterates] == [
+        [grid.cut(exp(i)) for i in range(n)] for (grid, _), n in zip(iterates, (1, 2, 4, 8, 12))]
+    assert [x[2] for _, x in iterates] == [None] + [iterates[0][0].cut(cut)] * 4
+    assert got == newton_outcome(reference_newton_root, coeffs, x0, cut)
+
+
+def test_newton_root_fails_like_the_reference_where_the_cap_is_out_of_reach(monkeypatch):
+    # X^2 - 1 - eps[1] from 1 at eps[2]: the root's tail in eps[1] has no end
+    # below eps[2], and no multiple of a margin in eps[1] reaches eps[2].  Each
+    # step runs at the cap, so the inverse of f'(x) = 2 + eps[1] fails as in the
+    # reference loop; steps below the cap would double x's terms until
+    # LCIVT_MAX_TERMS (here 64) fired
+    monkeypatch.setenv("LCIVT_MAX_TERMS", "64")
+    one, cut = LcNumber.one(HAHN), Exponent.hahn({2: 1})
+    case = ([-one - eps_n(1), LcNumber.zero(HAHN), one], one, cut)
+    want = ("ResourceCapError", "inversion cutoff unreachable in this value group")
+    assert newton_outcome(newton_root, *case) == want
+    assert newton_outcome(reference_newton_root, *case) == want
+    # (eps[1]/eps[2])(X - 1/2)(X^2 - 1) + 2eps[1]^(3/2)/eps[2] from 1/2 at eps[1]^2:
+    # the second step inverts an f'(x) whose terms step by powers of eps[1] to
+    # a relative precision of eps[2], and fails as the reference loop's does
+    u = LcNumber.monomial(Exponent.hahn({1: 1, 2: -1}), 1)
+    case = ([u * F(1, 2) + LcNumber.monomial(Exponent.hahn({1: F(3, 2), 2: -1}), 2), -u,
+             -u * F(1, 2), u], LcNumber.from_scalar(HAHN, F(1, 2)), Exponent.hahn({1: 2}))
+    assert newton_outcome(newton_root, *case) == want
+    assert newton_outcome(reference_newton_root, *case) == want
+
+
+def caller_outcomes(monkeypatch, call):
+    """call()'s root terms and cutoff, or its error, with ``newton_root`` and
+    with ``reference_newton_root`` in its place."""
+    def outcome():
+        try:
+            x = call()
+        except (ResourceCapError, TruncationError, ZeroDivisionError) as exc:
+            return type(exc).__name__, str(exc)
+        return x.terms, x.cutoff
+
+    got = outcome()
+    with monkeypatch.context() as patched:
+        patched.setattr(hensel, "newton_root", reference_newton_root)
+        return got, outcome()
+
+
+def random_element(rng, mode, lead, positive):
+    """lead + small terms at positive exponents, sometimes truncated."""
+    exp = hahn_or_lc(mode)
+    pos = [F(1, 2), F(1), F(3, 2), F(2), F(3)]
+    x = LcNumber.from_scalar(mode, lead)
+    for _ in range(rng.randint(0, 2)):
+        x = x + LcNumber.monomial(exp(rng.choice(pos)), rng.choice([-2, -1, 1, 3]))
+    if rng.random() < 0.25:
+        x = x.truncate(exp(rng.choice(pos) + (1 if lead or not positive else 0)))
+    return x
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_n_poly_root_matches_the_reference_loop(monkeypatch, mode):
+    rng, exp = random.Random(1801), hahn_or_lc(mode)
+    for _ in range(60):
+        leads = [rng.choice([0, 1, -2, F(1, 2), SQRT2]) for _ in range(rng.randint(0, 2))]
+        coeffs = [random_element(rng, mode, 0, True),
+                  random_element(rng, mode, rng.choice([-2, -1, 1, 2, SQRT2]), False),
+                  *[random_element(rng, mode, c, False) for c in leads], LcNumber.one(mode)]
+        if not coeffs[0].terms and coeffs[0].cutoff is None:
+            coeffs[0] = LcNumber.monomial(exp(1), 1)
+        cut = exp(rng.choice([2, F(5, 2), 4, 6]))
+        got, want = caller_outcomes(monkeypatch, lambda: n_poly_root(coeffs, cut))
+        assert got == want
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_nth_root_matches_the_reference_loop(monkeypatch, mode):
+    rng, exp = random.Random(1802), hahn_or_lc(mode)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        lead = rng.choice([1, 2, F(9, 4), F(1, 3), SQRT2]) * rng.choice([1, -1] if n % 2 else [1])
+        x = random_element(rng, mode, lead, False) * LcNumber.monomial(
+            exp(rng.choice([-1, 0, F(1, 2), 2])), 1)
+        cut = exp(rng.choice([2, F(5, 2), 4, 6]))
+        got, want = caller_outcomes(monkeypatch, lambda: x.nth_root(n, cut))
+        assert got == want
 
 
 # ------------------------------------------------------------------ factorization
