@@ -48,9 +48,6 @@ from .rootfind import (
     track_partial_sum_zeros,
 )
 
-EXAMPLES = ("nilpotent-signs", "nilpotent-roots", "hahn-signs", "double-zero")
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -179,7 +176,7 @@ def emit_report(report, fmt, stream=None):
             for item in rec["items"]:
                 writer.writerow([rec["n"], item["kind"], item["location"],
                                  item["distance_valuation"]])
-    elif fmt == "text":
+    else:  # text; argparse's choices admit no other format
         def walk(obj, indent=0):
             pad = "  " * indent
             if isinstance(obj, dict):
@@ -197,8 +194,6 @@ def emit_report(report, fmt, stream=None):
             else:
                 stream.write("%s%s\n" % (pad, obj))
         walk(payload)
-    else:
-        raise LcivtError("unknown output format %r" % fmt)
 
 
 # ------------------------------------------------------------------- commands
@@ -206,8 +201,6 @@ def emit_report(report, fmt, stream=None):
 
 def cmd_eval(cfg):
     s = cfg.load_series()
-    if cfg.at is None:
-        raise LcivtError("eval needs --at <literal>")
     x = parse_literal(cfg.at, cfg.mode)
     cut = cfg.resolved_cutoff(1)
     value = evaluate(s, x, cut)
@@ -240,8 +233,6 @@ def cmd_factor(cfg):
 
 def cmd_ivt(cfg):
     s = cfg.load_series()
-    if cfg.interval is None:
-        raise LcivtError("ivt needs --interval a,b")
     a, b = cfg.parse_pair(cfg.interval, "--interval")
     cut = cfg.resolved_cutoff(50)
     rep = ivt_root(s, a, b, cut, cfg.degree_cap)
@@ -250,8 +241,6 @@ def cmd_ivt(cfg):
 
 def cmd_zeros(cfg):
     s = cfg.load_series()
-    if cfg.interval is None:
-        raise LcivtError("zeros needs --interval a,b")
     a, b = cfg.parse_pair(cfg.interval, "--interval")
     cut = cfg.resolved_cutoff(50)
     count, reports = count_zeros(s, a, b, cut, cfg.degree_cap)
@@ -260,8 +249,6 @@ def cmd_zeros(cfg):
 
 def cmd_mult(cfg):
     s = cfg.load_series()
-    if cfg.at is None:
-        raise LcivtError("mult needs --at <literal>")
     c = parse_literal(cfg.at, cfg.mode)
     cut = cfg.resolved_cutoff(50)
     m = multiplicity_at(s, c, cut)
@@ -274,8 +261,6 @@ def _parse_n_list(text):
 
 def cmd_track_zeros(cfg):
     s = cfg.load_series()
-    if cfg.interval is None or cfg.n_list is None:
-        raise LcivtError("track-zeros needs --interval a,b and --n-list")
     a, b = cfg.parse_pair(cfg.interval, "--interval")
     cut = cfg.resolved_cutoff(50)
     target = ivt_root(s, a, b, cut, cfg.degree_cap)
@@ -286,8 +271,6 @@ def cmd_track_zeros(cfg):
 
 def cmd_track_extremes(cfg):
     s = cfg.load_series()
-    if cfg.target is None or cfg.n_list is None or cfg.window is None:
-        raise LcivtError("track-extremes needs --target, --n-list and --window")
     c = parse_literal(cfg.target, cfg.mode)
     cut = cfg.resolved_cutoff(50)
     mult = multiplicity_at(s, c, cut)
@@ -421,18 +404,14 @@ def example_double_zero(cfg):
     return rows, {"target_kind": kind, "cutoff": cut}, failures
 
 
+EXAMPLES = {"nilpotent-signs": example_nilpotent_signs, "nilpotent-roots": example_nilpotent_roots,
+            "hahn-signs": example_hahn_signs, "double-zero": example_double_zero}
+
+
 def cmd_example(cfg):
-    name = cfg.example
-    if name == "nilpotent-signs":
-        return example_nilpotent_signs(cfg)
-    if name == "nilpotent-roots":
-        return example_nilpotent_roots(cfg)
-    if name == "hahn-signs":
+    if cfg.example == "hahn-signs":
         cfg.mode = HAHN
-        return example_hahn_signs(cfg)
-    if name == "double-zero":
-        return example_double_zero(cfg)
-    raise LcivtError("unknown example %r" % name)
+    return EXAMPLES[cfg.example](cfg)
 
 
 _COMMANDS = {

@@ -134,13 +134,10 @@ def newton_root(coeffs, x0, cutoff):
                 grid.lc or g.min_multiple_at_least(cap - rv + vd) is not None)
             w = _min_cut(cap, rv - vd + g) if lemma else cap
         it, icut, di = grid.invert(_num(dt, dcut), dd, target - rv - (cap - w))
-        c = lcm(dx, fd * di)
-        xt, s, _ = grid.accumulate([([x], grid.const(c // dx)),
-                                    (grid.scale([_num(rt, rcut)], -c // (fd * di)),
-                                     [_num(it, icut)])], 0, w)
-        xcut = _min_cut(_min_cut(x[2], rcut - vd), cap if dcut is None else  # a full
-                        _min_cut(cap, dcut + rv - vd - vd))  # step's marker
-        (x,), dx = grid.primitive([_num(xt, xcut)], c * s)
+        ((xt, _, _),), dx = grid.combine([(([x], dx), (grid.const(1), 1), 1), (
+            ([_num(rt, rcut)], fd), ([_num(it, icut)], di), -1)], 1, w)  # x - r*f'(x)^-1
+        x = _num(xt, _min_cut(_min_cut(x[2], rcut - vd), cap if dcut is None else  # a full
+                              _min_cut(cap, dcut + rv - vd - vd)))  # step's marker
     return None
 
 
@@ -184,19 +181,14 @@ def n_poly_root(coeffs, cutoff):
 class Factorization:
     """S = P*B with P monic over the valuation ring and B a unit series.
 
-    ``p_coeffs`` has degree ``pivot``; ``b_coeffs`` is B up to the X-degree
-    cap; every coefficient of S - P*B has valuation at least
-    ``achieved_cutoff``.
+    ``b_coeffs`` is B up to the X-degree cap; every coefficient of S - P*B
+    has valuation at least ``achieved_cutoff``.
     """
 
     p_coeffs: list
     b_coeffs: list
     achieved_cutoff: Exponent
     degree_cap: int
-
-    @property
-    def pivot(self):
-        return len(self.p_coeffs) - 1
 
     def residual(self, series_coeffs):
         """S - P*B (S is 0 beyond the cap) below ``achieved_cutoff``: the
@@ -235,20 +227,17 @@ def _extract_series(ns, degree_cap, cutoff):
 
 def _certify(grid, s, p, b, cap):
     """S - P*B below the grid cutoff ``cap``, recomputed from the encoded S,
-    P and B: one ``collect`` of (S, 1) - (P, B), P and B truncated at
+    P and B: one ``_Grid.combine`` of S*1 - P*B, P and B truncated at
     ``cap``, so that a coefficient of negative valuation fails the check."""
-    (sn, ds), (pn, dp), (bn, db) = s, *[  # adding 0 + O(cap) truncates at cap
-        grid.merge(x, ([([], cap, cap)] * len(x[0]), 1)) for x in (p, b)]
-    c = lcm(ds, dp * db)
-    return grid.collect([(sn, grid.const(c // ds)),
-                         (pn, grid.scale(bn, -c // (dp * db)))],
-                        max(len(sn), len(pn) + len(bn) - 1), cap, c)
+    p, b = [grid.merge(x, ([([], cap, cap)] * len(x[0]), 1)) for x in (p, b)]  # + O(cap)
+    return grid.combine([(s, (grid.const(1), 1), 1), (p, b, -1)],
+                        max(len(s[0]), len(p[0]) + len(b[0]) - 1), cap)
 
 
 def _lift(ns, degree_cap, cutoff, split):
     """The correction loop on encoded (numbers, denominator) sequences:
     ``split`` gives Q and R encoded, B += Q and P += R are ``_Grid.merge``,
-    and resid - Q*P - R*B = S - P*B for the new B is one ``_Grid.collect``.
+    and resid - Q*P - R*B = S - P*B for the new B is one ``_Grid.combine``.
     The certificate (``_certify``) never reads the loop's residual."""
     mode, pivot = ns.mode, ns.N
     s = _extract_series(ns, degree_cap, cutoff)
@@ -256,7 +245,8 @@ def _lift(ns, degree_cap, cutoff, split):
     zero = LcNumber.zero(mode).truncate(cutoff)
     enc, ds = grid.encode, grid.cdens[0]
     se = (enc(s, ds), ds)
-    p, b = (se[0][: pivot + 1], ds), (grid.const(1), 1)
+    one = (grid.const(1), 1)
+    p, b = (se[0][: pivot + 1], ds), one
     resid = (enc([zero] * (pivot + 1) + [c.truncate(cutoff) for c in s[pivot + 1:]], ds), ds)
     cap = grid.cut(cutoff)
     for _ in range(_LIFT_CAP):
@@ -264,10 +254,8 @@ def _lift(ns, degree_cap, cutoff, split):
             break
         (q, dq), (rem, drem) = split(grid, resid, p)
         b = grid.merge(b, (q, dq))
-        (rn, dr), (pn, dp), (bn, db) = resid, p, b
-        c = lcm(dr, dq * dp, drem * db)
-        resid = grid.collect([(rn, grid.const(c // dr)), (grid.scale(q, -c // (dq * dp)), pn),
-                              (grid.scale(rem, -c // (drem * db)), bn)], degree_cap + 1, cap, c)
+        resid = grid.combine([(resid, one, 1), ((q, dq), p, -1), ((rem, drem), b, -1)],
+                             degree_cap + 1, cap)
         p = grid.merge(p, (rem, drem))
     else:
         left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]

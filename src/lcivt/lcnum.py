@@ -23,18 +23,21 @@ cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
 (binomial weights) and the rational-function derivative take one call
 each.  Coefficients take one of two paths: integers over one denominator
 when all are rational (the lifting of S = P*B; FLINT's ``fmpq_poly``), or
-integer vectors in the power basis of one number field Q(alpha), which
+integer vectors in the power basis of one number field Q(theta), which
 ``realalg`` composes from theirs (Newton steps on a residue root such as
-sqrt(m)/b; Antic's ``nf_elem``).  On either path a pair's weight scales
-its a side when encoded, with its share of the common denominator, and
-decoding divides by that denominator.  The kernel's
-encoding, accumulation and decoding are one object, ``_Grid``.  Its loops
-encode once and decode once at the end: the lift of S = P*B
-(``hensel._lift``), whose P, B and residual are updated with
-``_Grid.collect`` and ``_Grid.merge``; ``_Grid.horner`` (``horner``), each
-step acc*x + c one accumulation over the pairs (acc, x) and (c, 1);
-``_Grid.invert`` (``LcNumber.invert``); and Newton's iteration
-(``hensel.newton_root``), which runs on both of the last two.
+sqrt(m)/b; Antic's ``nf_elem``).  Every generator theta is an algebraic
+integer, so reducing a product modulo its monic minimal polynomial keeps
+the integers integral: an accumulation adds no denominator.  On either
+path a pair's weight scales its a side when encoded, with its share of
+the common denominator, and decoding divides by that denominator.  The
+kernel's encoding, accumulation and decoding are one object, ``_Grid``,
+and the denominators stay inside it.  Its loops encode once and decode
+once at the end: the lift of S = P*B (``hensel._lift``), whose P, B and
+residual are updated with ``_Grid.combine`` and ``_Grid.merge``;
+``_Grid.horner`` (``horner``), each step acc*x + c one accumulation over
+the pairs (acc, x) and (c, 1); ``_Grid.invert`` (``LcNumber.invert``); and
+Newton's iteration (``hensel.newton_root``), which runs on both of the
+last two and forms each new x with ``_Grid.combine``.
 
 Two numbers are ordered by the first exponent where they differ, as the
 field's order is: ``LcNumber.compare`` walks both term lists and stops
@@ -677,8 +680,12 @@ class _Grid:
     ``sum_of_products``: integer numerators (``rational``), or integer
     vectors of ``width`` = 2d - 1 entries in the power basis of ``gen``, the
     one generator that ``realalg.common_field`` finds for every algebraic
-    coefficient, which ``onto`` brings onto it.  ``cdens`` holds, per
-    scanned sequence, the lcm of its coefficients' denominators on ``gen``.
+    coefficient, which ``onto`` brings onto it.  ``gen`` is an algebraic
+    integer, so products of integer vectors reduce to integer vectors.
+    ``cdens`` holds, per scanned sequence, the lcm of its coefficients'
+    denominators on ``gen``.  An encoded sequence travels with its
+    denominator as (numbers, denominator); ``combine`` and ``merge`` form
+    the common denominators of sums, so callers do no lcm arithmetic.
     """
 
     __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "onto", "width", "exps",
@@ -749,16 +756,15 @@ class _Grid:
         return exp
 
     def accumulate(self, operands, k, cut):
-        """(terms, s, cut) for coefficient k of the sum of the products of
-        ``operands``, pairs (a, b) of encoded sequences.  Each a[i], b[k-i]
-        in which neither number is an exact zero lowers the grid cutoff
-        ``cut`` to cut(x) + val(y) and cut(y) + val(x) before any term is
-        formed.  The sums below the cutoff become ``terms``, nonzero and by
-        ascending exponent, over one more denominator s: on a generator
-        each vector is reduced modulo the minimal polynomial
-        (``_Generator.reduce``) and all are brought over the lcm s of the
-        scalings that needed.  More than LCIVT_MAX_TERMS terms raise
-        ResourceCapError."""
+        """(terms, cut) for coefficient k of the sum of the products of
+        ``operands``, pairs (a, b) of encoded sequences, over the product
+        of a's and b's denominators.  Each a[i], b[k-i] in which neither
+        number is an exact zero lowers the grid cutoff ``cut`` to
+        cut(x) + val(y) and cut(y) + val(x) before any term is formed.  The
+        sums below the cutoff become ``terms``, nonzero and by ascending
+        exponent; on a generator each vector is divided by the monic
+        minimal polynomial (``_Generator.reduce``).  More than
+        LCIVT_MAX_TERMS terms raise ResourceCapError."""
         nums = []
         for ta, tb in operands:
             for i in range(max(0, k - len(tb) + 1), min(k + 1, len(ta))):
@@ -791,20 +797,17 @@ class _Grid:
                         v = ca * cb
                         acc[q] = v if ent is None else ent + v
         order = sorted(acc, key=None if self.lc else attrgetter("key"))
-        s = 1
         if self.rational:
             terms = [(q, v) for q in order if (v := acc[q])]
         else:
-            red = [(q, *self.gen.reduce(acc[q])) for q in order]
-            s = lcm(*[sq for _, _, sq in red])
-            terms = [(q, v if sq == s else [u * (s // sq) for u in v])
-                     for q, v, sq in red if any(v)]
+            reduce = self.gen.reduce
+            terms = [(q, v) for q in order if any(v := reduce(acc[q]))]
         if len(terms) > 1:
             if self.max_terms is None:
                 self.max_terms = max_terms_cap()
             if len(terms) > self.max_terms:
                 raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
-        return terms, s, cut
+        return terms, cut
 
     def decode(self, terms, cut, unit):
         """The LcNumber of accumulated terms over ``unit``, below the grid
@@ -835,9 +838,9 @@ class _Grid:
 
     def merge(self, seq, delta):
         """seq + delta for encoded sequences (numbers, denominator), over
-        lcm(d, d'): the sum ``collect`` forms from (seq, 1) and (delta, 1),
-        with its cutoffs and LCIVT_MAX_TERMS check, touching only where
-        delta is not an exact zero and rescaling a side only if its d grows."""
+        lcm(d, d'): the sum seq*1 + delta*1 that ``combine`` forms, with
+        its cutoffs and LCIVT_MAX_TERMS check, touching only where delta is
+        not an exact zero and rescaling a side only if its d grows."""
         (a, da), (b, db) = seq, delta
         m, vec = lcm(da, db), self.gen is not None
         a, b = (a if m == da else self.scale(a, m // da)), (b if m == db else self.scale(b, m // db))
@@ -872,15 +875,19 @@ class _Grid:
         return [([(q, [u // g for u in v] if vec else v // g) for q, v in t], b, c)
                 for t, b, c in nums], unit // g
 
-    def collect(self, operands, length, cut, unit):
-        """Coefficients 0 .. length-1 of the sum of the products of
-        ``operands`` below the grid cutoff ``cut``, over ``unit``, as one
-        sequence (numbers, denominator): over the lcm s of the extra
-        denominators, then divided by the content of all its integers."""
-        outs = [self.accumulate(operands, k, cut) for k in range(length)]
-        s = lcm(*[sk for _, sk, _ in outs])
-        return self.primitive([self.scale([_num(t, c)], s // sk)[0] if sk != s else _num(t, c)
-                               for t, sk, c in outs], unit * s)
+    def combine(self, products, length, cut):
+        """Coefficients 0 .. length-1 of w_1*a_1*b_1 + w_2*a_2*b_2 + ...
+        below the grid cutoff ``cut``, for (a, b, w) triples of encoded
+        sequences (numbers, denominator) and nonzero integer weights, as
+        one sequence (numbers, denominator): each a scaled by its weight
+        and its pair's share of the lcm of the pairs' denominators, then
+        the sum divided by the content of all its integers."""
+        dens = [da * db for (_, da), (_, db), _ in products]
+        common = lcm(*dens)
+        operands = [(a if w * common == d else self.scale(a, w * common // d), b)
+                    for ((a, _), (b, _), w), d in zip(products, dens)]
+        return self.primitive([_num(*self.accumulate(operands, k, cut)) for k in range(length)],
+                              common)
 
     def horner(self, poly, cd, x, dx):
         """(terms, cut, denominator) of p(x), for ``poly`` encoded over
@@ -890,10 +897,9 @@ class _Grid:
         denominator."""
         at, acut, ad = [], None, cd
         for c in reversed(poly):
-            common = ad * dx
-            at, s, acut = self.accumulate(
-                [([_num(at, acut)], [x]), ([c], self.const(common // cd))], 0, None)
-            ad = common * s
+            at, acut = self.accumulate(
+                [([_num(at, acut)], [x]), ([c], self.const(ad * dx // cd))], 0, None)
+            ad *= dx
         return at, acut, ad
 
     def invert(self, x, unit, cutoff):
@@ -925,8 +931,8 @@ class _Grid:
         e = terms[0][0]
         if len(terms) == 1 and cut is None:
             return lead[0], None, dl
-        ut, s, ucut = self.accumulate([([x], [lead])], 0, None)  # u = 1 + m, val(m) > 0
-        (u,), du = self.primitive([_num(ut, None)], unit * dl * s)
+        ut, ucut = self.accumulate([([x], [lead])], 0, None)  # u = 1 + m, val(m) > 0
+        (u,), du = self.primitive([_num(ut, None)], unit * dl)
         prec = _min_cut(ucut, cutoff)  # input truncation caps the accuracy
         (y,), dy = self.const(1), 1
         if len(ut) > 1:
@@ -943,14 +949,13 @@ class _Grid:
             reached = vm
             while reached < prec:
                 reached = _min_cut(reached + reached, prec)
-                t, s, _ = self.accumulate([([u], [y])], 0, reached)
-                k = du * dy * s  # d = t[1:] over k
-                t, s, _ = self.accumulate([([y], [_num(t[1:], None)])], 0, reached)
-                k *= s
+                t, _ = self.accumulate([([u], [y])], 0, reached)
+                k = du * dy  # d = t[1:] over k
+                t, _ = self.accumulate([([y], [_num(t[1:], None)])], 0, reached)
                 (yt, _, _), (dt, _, _) = self.scale([y], k) + self.scale([_num(t, None)], -1)
                 (y,), dy = self.primitive([_num(yt + dt, None)], dy * k)
-        t, s, cut = self.accumulate([([(y[0], y[1], prec)], [lead])], 0, cutoff - e)
-        return t, cut, dy * dl * s
+        t, cut = self.accumulate([([(y[0], y[1], prec)], [lead])], 0, cutoff - e)
+        return t, cut, dy * dl
 
 
 def sum_of_products(pairs, cutoff=None, length=None, weights=None):
@@ -979,8 +984,8 @@ def sum_of_products(pairs, cutoff=None, length=None, weights=None):
       every coefficient's generator (``realalg.common_field``): each
       coefficient a vector of integer numerators in the basis 1, alpha,
       ..., alpha^(d-1) (a rational is a vector of length 1); term products
-      are integer convolutions, and each output term is reduced modulo the
-      minimal polynomial once (``_Generator.reduce``).  The representation
+      are integer convolutions, and each output term is divided by the
+      monic minimal polynomial once (``_Generator.reduce``).  The representation
       of a value over one generator is canonical, and a value renders from
       its minimal polynomial alone, so neither the grouping of the sum nor
       the generator shows.
@@ -1000,8 +1005,7 @@ def sum_of_products(pairs, cutoff=None, length=None, weights=None):
                 for (a, b, w), da, db, pden in zip(pairs, cdens[0::2], cdens[1::2], pair_dens)]
     cap, out = grid.cut(cutoff), []
     for k in range(length):
-        terms, s, cut = grid.accumulate(operands, k, cap)
-        out.append(grid.decode(terms, cut, common * s))
+        out.append(grid.decode(*grid.accumulate(operands, k, cap), common))
     return out
 
 

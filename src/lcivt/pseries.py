@@ -26,7 +26,7 @@ accumulations and one decode; ``evaluate`` is one ``horner`` call.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import CertificateError, ResourceCapError, TruncationError
 from .hensel import poly_deriv, poly_mul
@@ -503,15 +503,14 @@ class SubstitutedSeries(PSeries):
         grid, a, b, unit, hpow, (h, dh) = shift
         while len(hpow) <= m:
             x, dx = hpow[-1]
-            t, s, cut = grid.accumulate([([x], [h])], 0, None)
-            hpow.append((_num(t, cut), dx * dh * s))
+            hpow.append((_num(*grid.accumulate([([x], [h])], 0, None)), dx * dh))
         # an infinite sum is known only below the cutoff: both steps stop there
         cap = None if fin is not None else cutoff
-        t, s, cut = grid.accumulate([(a[len(a) - n1:], b)], n1 - 1 - m,
-                                    None if cap is None else grid.cut(cap - vh.scale(m)))
+        t, cut = grid.accumulate([(a[len(a) - n1:], b)], n1 - 1 - m,
+                                 None if cap is None else grid.cut(cap - vh.scale(m)))
         x, dx = hpow[m]
-        t, hs, cut = grid.accumulate([([_num(t, cut)], [x])], 0, grid.cut(cap))
-        out = grid.decode(t, cut, unit * s * dx * hs * factorial(m))
+        t, cut = grid.accumulate([([_num(t, cut)], [x])], 0, grid.cut(cap))
+        out = grid.decode(t, cut, unit * dx * factorial(m))
         return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
 
     def _shift(self, cutoff, n1, w):
@@ -527,9 +526,8 @@ class SubstitutedSeries(PSeries):
         kpow = [(grid.const(1)[0], 1)]
         while len(kpow) < n1:
             x, dx = kpow[-1]
-            t, s, cut = grid.accumulate([([x], [k])], 0, None)
-            kpow.append((_num(t, cut), dx * dk * s))
-        d, f = lcm(*[dx for _, dx in kpow]), factorial(n1 - 1)
+            kpow.append((_num(*grid.accumulate([([x], [k])], 0, None)), dx * dk))
+        d, f = kpow[-1][1], factorial(n1 - 1)  # dk^j divides dk^(n1-1)
         b = [grid.scale([x], f // factorial(j) * (d // dx))[0] for j, (x, dx) in enumerate(kpow)]
         a = [grid.scale([x], factorial(n))[0] for n, x in enumerate(grid.encode(cs, dc))]
         return grid, a[::-1], b, dc * d * f, [kpow[0]], (h, dh)

@@ -1,10 +1,13 @@
 """Exact real algebraic numbers and real root isolation.
 
-A value is either a rational (``Fraction`` fast path) or ``rep(alpha)`` where
-``alpha`` is the unique root of an irreducible integer polynomial inside a
-rational isolating interval and ``rep`` is a rational polynomial of smaller
-degree.  Keeping generators irreducible makes zero-testing trivial (a nonzero
-rep can never vanish at alpha) and keeps inversion a plain extended-Euclid.
+A value is either a rational (``Fraction`` fast path) or ``rep(theta)`` where
+``theta`` is the unique root of an irreducible monic integer polynomial
+inside a rational isolating interval and ``rep`` is a rational polynomial of
+smaller degree.  Keeping generators irreducible makes zero-testing trivial
+(a nonzero rep can never vanish at theta) and keeps inversion a plain
+extended-Euclid.  Keeping them algebraic integers makes reduction modulo the
+minimal polynomial a plain division over the integers: a root of a non-monic
+e*x^d + ... is stored as theta/e on the generator of theta = e*root.
 
 Every value built from other values (a minimal polynomial, a compositum,
 n-th roots, roots of polynomials with algebraic coefficients) is chosen by
@@ -38,6 +41,7 @@ from .polys import (
     peval,
     pmul,
     pneg,
+    pshift,
     psub,
     sgn,
     trim,
@@ -80,9 +84,11 @@ def _factor_int_poly(coeffs):
 
 
 class _Generator:
-    """Irreducible integer polynomial (ascending ints) with an interval
-    isolating one real root, and the roots of the generators known to embed
-    in its field (``images``)."""
+    """Irreducible monic integer polynomial (ascending ints) with an
+    interval isolating one real root, an algebraic integer, and the roots of
+    the generators known to embed in its field (``images``).  Composita of
+    algebraic integers are algebraic integers, so by Gauss's lemma the
+    factors that ``_compose`` picks are monic too."""
 
     __slots__ = ("minpoly", "lo", "hi", "images")
 
@@ -93,32 +99,20 @@ class _Generator:
         self.images = {}  # generator -> its root as a value over this one
 
     def reduce(self, vec):
-        """(r, s) with sum(vec[i]*alpha^i) = sum(r[i]*alpha^i) / s and
-        len(r) <= degree: integer vec reduced modulo the minimal polynomial
-        by pseudo-division, s the product of the leading-coefficient
-        scalings it needed (1 for a monic minpoly)."""
+        """r with sum(vec[i]*alpha^i) = sum(r[i]*alpha^i) and len(r) <=
+        degree: integer vec divided by the monic minimal polynomial."""
         m = self.minpoly
         d = len(m) - 1
         if len(vec) <= d:
-            return vec, 1
-        lead = m[-1]
+            return vec
         v = list(vec)
-        s = 1
         for k in range(len(v) - 1, d - 1, -1):
             c = v.pop()
-            if not c:
-                continue
-            if lead != 1:
-                q, r = divmod(c, lead)
-                if r:
-                    v = [lead * x for x in v]
-                    s *= lead
-                else:
-                    c = q
-            off = k - d
-            for i in range(d):
-                v[off + i] -= c * m[i]
-        return v, s
+            if c:
+                off = k - d
+                for i in range(d):
+                    v[off + i] -= c * m[i]
+        return v
 
     def refine(self):
         mid = (self.lo + self.hi) / 2
@@ -180,8 +174,7 @@ class RealAlgebraic:
     @staticmethod
     def _from_ints(gen, vec, den):
         """sum(vec[i]*alpha^i) / den for integer vec, reduced by ``gen``."""
-        vec, s = gen.reduce(vec)
-        den *= s
+        vec = gen.reduce(vec)
         n = len(vec)
         while n and not vec[n - 1]:
             n -= 1
@@ -397,8 +390,10 @@ class RealAlgebraic:
         if self._frac is not None:
             return (-self._frac.numerator, self._frac.denominator)
         if self._minpoly is None:
-            if self._rep == (0, 1):
-                self._minpoly = self._gen.minpoly
+            if len(self._rep) == 2:  # r + c*theta: theta's minpoly at (x - r)/c
+                r, c = self._rep
+                self._minpoly = tuple(clear_denominators(pshift(
+                    [m / c ** i for i, m in enumerate(self._gen.minpoly)], -r)))
             else:
                 self._minpoly = _minpoly_of_rep(self._gen, self._rep)
         return self._minpoly
@@ -568,12 +563,17 @@ def _generators_of(minpoly):
 
 
 def _root_of(fac, lo, hi):
-    """The root of irreducible integer ``fac`` isolated by (lo, hi), on its
-    one interned generator: two isolating intervals hold the same root
-    exactly when their intersection holds a root."""
+    """The root of irreducible integer ``fac`` isolated by (lo, hi), as
+    theta/e on the one interned generator of theta = e*root, e the leading
+    coefficient: theta is an algebraic integer, a root of the monic
+    x^d + sum over i < d of fac_i*e^(d-1-i)*x^i, isolated by (e*lo, e*hi).
+    Two isolating intervals hold the same root exactly when their
+    intersection holds a root."""
     if len(fac) == 2:
         return RealAlgebraic.from_rational(Fraction(-fac[0], fac[1]))
-    gens, poly = _generators_of(tuple(fac)), [Fraction(c) for c in fac]
+    d, e = len(fac) - 1, fac[-1]
+    fac, lo, hi = tuple(c * e ** (d - 1 - i) for i, c in enumerate(fac[:d])) + (1,), e * lo, e * hi
+    gens, poly = _generators_of(fac), [Fraction(c) for c in fac]
     for gen in gens:
         a, b = max(lo, gen.lo), min(hi, gen.hi)
         if a < b and count_roots_open(poly, a, b):
@@ -581,7 +581,7 @@ def _root_of(fac, lo, hi):
     else:
         gen = _Generator(fac, lo, hi)
         gens.append(gen)
-    return RealAlgebraic._from_rep(gen, (0, 1))
+    return RealAlgebraic._from_rep(gen, (0, Fraction(1, e)))
 
 
 @lru_cache(maxsize=_FACTOR_CACHE_SIZE)

@@ -292,6 +292,13 @@ def test_missing_series_file_is_an_error(capsys, tmp_path):
     assert "Traceback" in captured.err
 
 
+def test_no_series_given_is_an_error(capsys):
+    code, payload = run_json(capsys, "eval", "--at", "1")
+    assert code == 4
+    assert payload["failures"] == [
+        {"error": "LcivtError", "message": "no series given: use --series FILE or --inline DSL"}]
+
+
 def test_double_zero_example(capsys):
     code, payload = run_json(capsys, "example", "double-zero", "--n-list", "5,10")
     assert code == 0

@@ -609,7 +609,7 @@ def test_lift_term_cap_fires_in_the_residual_update(monkeypatch):
     with pytest.raises(ResourceCapError, match="LCIVT_MAX_TERMS") as err:
         weierstrass_factor(ns, 4, E(6))
     names = [entry.name for entry in err.traceback]
-    assert "collect" in names and "merge" not in names
+    assert "combine" in names and "merge" not in names
 
 
 def test_certificate_recomputes_the_product(monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import operator
 from fractions import Fraction as F
 from math import lcm
 
@@ -634,11 +635,9 @@ def test_grid_merge_matches_collect(mode, path, data):
     seq, delta = (grid.encode(a, da), da), (grid.encode(b, db), db)
     before = copy.deepcopy(seq)
     got = grid.merge(seq, delta)
-    m = lcm(da, db)
-    one = [LcNumber.one(mode)]
-    want = grid.collect([(seq[0], grid.encode(one, m // da)), (delta[0], grid.encode(one, m // db))],
-                        max(len(a), len(b)), None, m)
-    assert got[1] == m and seq == before
+    one = (grid.const(1), 1)
+    want = grid.combine([(seq, one, 1), (delta, one, 1)], max(len(a), len(b)), None)
+    assert got[1] == lcm(da, db) and seq == before
     assert len(got[0]) == len(want[0])
     assert all(same_number(g, w) for g, w in zip(grid.decode_all(got), grid.decode_all(want)))
 
@@ -677,6 +676,33 @@ def test_lazy_compare_matches_difference_sign(mode, data):
         assert lazy_order(b, a) == difference_sign(b, a)
     for scalar in (0, 1, F(-2, 3), SQRT[2]):
         assert lazy_order(a, scalar) == difference_sign(a, scalar)
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_operators_and_abs_match_compare(mode, data):
+    numbers = kernel_numbers(mode)
+    a, b = data.draw(numbers), data.draw(numbers)
+    undecided = LcNumber(mode, [], data.draw(kernel_exponents(mode)))  # 0 + O(cut)
+    for x, y in ((a, b), (a, a), (a, undecided)):
+        order = lazy_order(x, y)
+        for op, holds in ((operator.le, order != "undecidable" and order <= 0),
+                          (operator.gt, order != "undecidable" and order > 0),
+                          (operator.ge, order != "undecidable" and order >= 0)):
+            if order == "undecidable":
+                with pytest.raises(TruncationError):
+                    op(x, y)
+            else:
+                assert op(x, y) is holds
+    for x in (a, -a, undecided):
+        sign = lazy_order(x, 0)
+        if sign == "undecidable":
+            with pytest.raises(TruncationError):
+                abs(x)
+        else:
+            assert same_number(abs(x), -x if sign < 0 else x)
+            assert lazy_order(abs(x), 0) == abs(sign)
 
 
 def test_lazy_compare_rejects_other_types():

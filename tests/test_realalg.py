@@ -288,23 +288,66 @@ def test_factor_fast_path_matches_sympy():
 @given(st.sampled_from([([-2, 0, 1], 1), ([-3, 0, 2], 1), ([-2, 0, 0, 1], 0), ([1, -3, 0, 5], 0)]),
        st.data())
 def test_same_generator_product_matches_fraction_remainder(gen, data):
-    # the integer reduction modulo the minimal polynomial, monic or not,
-    # against the Fraction division with remainder it replaced
+    # the integer reduction modulo the generator's monic minimal polynomial
+    # (theta = 2*alpha for 2x^2 - 3, 5*alpha for 5x^3 - 3x + 1) against the
+    # Fraction division with remainder it replaced
     from lcivt.polys import pdivmod, pmul, trim
 
-    minpoly, k = gen
-    alpha = isolate_real_roots(minpoly)[k][0]
+    poly, k = gen
+    theta = isolate_real_roots(poly)[k][0]._gen
+    minpoly = theta.minpoly
+    assert minpoly[-1] == 1 and len(minpoly) == len(poly)
     reps = st.lists(rationals, min_size=1, max_size=len(minpoly) - 1)
     p, q = data.draw(reps), data.draw(reps)
-    x = RealAlgebraic._from_rep(alpha._gen, p)
-    y = RealAlgebraic._from_rep(alpha._gen, q)
+    x = RealAlgebraic._from_rep(theta, p)
+    y = RealAlgebraic._from_rep(theta, q)
     _, rem = pdivmod(pmul(p, q), [F(c) for c in minpoly])
     got = x * y
     rem = trim(rem)
     if len(rem) <= 1:
         assert got.is_rational and got.as_fraction() == (rem[0] if rem else 0)
     else:
-        assert got._gen is alpha._gen and got._rep == tuple(rem)
+        assert got._gen is theta and got._rep == tuple(rem)
+
+
+# 4x^2 - 3 and 3x^3 - 2x - 5: roots +-sqrt(3)/2 and one real cubic root
+NON_MONIC = ([-3, 0, 4], [-5, -2, 0, 3])
+
+
+def non_monic_generators():
+    """The generators of the roots of NON_MONIC and of a compositum of two."""
+    roots = [r for p in NON_MONIC for r, _ in isolate_real_roots(p)]
+    return [r._gen for r in roots] + [common_field({roots[1]._gen: None, roots[2]._gen: None})[0]]
+
+
+def test_every_generator_is_monic():
+    # a root of e*x^d + ... is theta/e on the generator of theta = e*root
+    gens = non_monic_generators()
+    assert [len(g.minpoly) - 1 for g in gens] == [2, 2, 3, 6]
+    assert all(g.minpoly[-1] == 1 for g in gens)
+    assert gens[0].minpoly == (-12, 0, 1)  # theta = 4*root = -+2*sqrt(3)
+    assert [r._rep for r, _ in isolate_real_roots(NON_MONIC[1])] == [(0, F(1, 3))]
+
+
+def test_a_non_monic_root_renders_from_its_own_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a resultant was built")
+
+    monkeypatch.setattr(realalg, "_minpoly_of_rep", refuse)  # linear reps need none
+    low, high = (r for r, _ in isolate_real_roots(NON_MONIC[0]))
+    assert str(high) == "root(4*x^2-3, 13/16, 7/8)"
+    assert str(low) == "root(4*x^2-3, -7/8, -13/16)"
+    assert str(isolate_real_roots(NON_MONIC[1])[0][0]).startswith("root(3*x^3-2*x-5, ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), rationals, rationals.filter(bool))
+def test_linear_value_minimal_polynomial_matches_the_resultant(k, r, c):
+    # r + c*theta: theta's minimal polynomial at (x - r)/c, made primitive,
+    # against the resultant and factorization of the general case
+    gen = non_monic_generators()[k]
+    value = RealAlgebraic._from_rep(gen, (r, c))
+    assert value.defining_polynomial() == realalg._minpoly_of_rep(gen, value._rep)
 
 
 # ------------------------------------------------------ canonical rendering
