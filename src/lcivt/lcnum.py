@@ -13,7 +13,10 @@ A number is a finite sorted map exponent -> RealAlgebraic coefficient plus a
 truncation marker: either exact, or "all terms below the cutoff are correct,
 terms at or above it are unspecified".  Every operation computes the tightest
 cutoff it can certify; queries the stored terms do not decide raise
-TruncationError instead of guessing.
+TruncationError instead of guessing.  Term lists are put in canonical form
+by one merge, ``_merge``: a sum concatenates its operands' sorted lists, and
+the validating constructor hands over its input in any order; both are
+sorted by exponent key, summed at equal keys and cut at the sum's cutoff.
 
 Every product and every sum of products goes through one kernel,
 ``sum_of_products``: each coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ...,
@@ -228,9 +231,8 @@ class Exponent:
             return None
         if ss > ts:
             return 1
-        st = dict(self.data)[ss]
-        tt = dict(target.data)[ts]
-        return max(int(tt // st) + 1, 0)
+        n = -(-target.data[-1][1] // self.data[-1][1])  # least n with n*self's top >= target's
+        return n if self.scale(n).compare(target) >= 0 else n + 1
 
     def __str__(self):
         if self.mode == LC:
@@ -245,6 +247,27 @@ class Exponent:
 
 def _hahn_key(data):
     return tuple((i if c > 0 else -i, c) for i, c in reversed(data)) + ((0, 0),)
+
+
+def _term_key(term):
+    return term[0].key
+
+
+def _merge(terms, cut):
+    """The term list of the sum of ``terms``, (Exponent, RealAlgebraic)
+    pairs in any order: sorted by exponent key (two sorted runs, as in a
+    sum of two numbers, Timsort merges in one pass), cut before the cutoff
+    ``cut`` (None: exact), the coefficients at equal keys summed, and zero
+    coefficients dropped."""
+    terms = sorted(terms, key=_term_key)
+    del terms[len(terms) if cut is None else bisect_left(terms, cut.key, key=_term_key):]
+    out = []
+    for t in terms:
+        if out and t[0].key == out[-1][0].key:
+            out[-1] = (out[-1][0], out[-1][1] + t[1])
+        else:
+            out.append(t)
+    return [t for t in out if not t[1].is_zero]
 
 
 def _min_cut(a, b):
@@ -276,25 +299,14 @@ class LcNumber:
     def __init__(self, mode, terms, cutoff=None):
         self.mode = mode
         self.cutoff = cutoff
-        acc = {}
+        checked = []
         for exp, coeff in terms:
             if exp.mode != mode:
                 raise ValueError("exponent mode %s in a %s-mode number" % (exp.mode, mode))
-            coeff = coeff if isinstance(coeff, RealAlgebraic) else RealAlgebraic(coeff)
-            if exp in acc:
-                acc[exp] = acc[exp] + coeff
-            else:
-                acc[exp] = coeff
-        cleaned = []
-        for exp in sorted(acc):
-            if cutoff is not None and exp.compare(cutoff) >= 0:
-                continue
-            c = acc[exp]
-            if not c.is_zero:
-                cleaned.append((exp, c))
-        if len(cleaned) > max_terms_cap():
+            checked.append((exp, coeff if isinstance(coeff, RealAlgebraic) else RealAlgebraic(coeff)))
+        self.terms = tuple(_merge(checked, cutoff))
+        if len(self.terms) > max_terms_cap():
             raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
-        self.terms = tuple(cleaned)
 
     # ------------------------------------------------------------ constructors
 
@@ -358,12 +370,6 @@ class LcNumber:
             return self.terms[0][0]
         return self.cutoff
 
-    def leading(self):
-        if not self.terms:
-            raise (ValueError("zero has no leading term") if self.cutoff is None else
-                   TruncationError("leading term undecidable at this cutoff"))
-        return self.terms[0]
-
     def coeff_at(self, exp):
         for e, c in self.terms:
             cmp = e.compare(exp)
@@ -389,63 +395,12 @@ class LcNumber:
         if other is None:
             return NotImplemented
         cut = _min_cut(self.cutoff, other.cutoff)
-        # two-pointer merge of the sorted term lists, ordered by exponent key
-        ta, tb = self.terms, other.terms
-        na, nb = len(ta), len(tb)
-        cutq = cut.key if cut is not None else None
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            ea, ca = ta[i]
-            eb, cb = tb[j]
-            qa, qb = ea.key, eb.key
-            if qa < qb:
-                if cutq is not None and qa >= cutq:
-                    i = na
-                    break
-                out.append(ta[i])
-                i += 1
-            elif qb < qa:
-                if cutq is not None and qb >= cutq:
-                    j = nb
-                    break
-                out.append(tb[j])
-                j += 1
-            else:
-                if cutq is not None and qa >= cutq:
-                    i, j = na, nb
-                    break
-                fa, fb = ca._frac, cb._frac
-                if fa is not None and fb is not None:
-                    s = fa + fb
-                    if s:
-                        out.append((ea, RealAlgebraic._rat(s)))
-                else:
-                    s = ca + cb
-                    if not s.is_zero:
-                        out.append((ea, s))
-                i += 1
-                j += 1
-        while i < na:
-            if cutq is not None and ta[i][0].key >= cutq:
-                break
-            out.append(ta[i])
-            i += 1
-        while j < nb:
-            if cutq is not None and tb[j][0].key >= cutq:
-                break
-            out.append(tb[j])
-            j += 1
-        return LcNumber._build(self.mode, out, cut)
+        return LcNumber._build(self.mode, _merge(self.terms + other.terms, cut), cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(LcNumber)
-        out.mode = self.mode
-        out.cutoff = self.cutoff
-        out.terms = tuple((e, -c) for e, c in self.terms)
-        return out
+        return LcNumber._build(self.mode, [(e, -c) for e, c in self.terms], self.cutoff)
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -35,6 +35,7 @@ from .polys import cauchy_bound, pderiv, peval, pmul, pshift, render, trim
 from .realalg import RealAlgebraic
 
 _SCAN_CAP = 100000
+_TAIL_CAP = 100000  # the largest tail index a certificate may give: more terms than can be formed
 
 
 def _index_beyond_roots(p):
@@ -54,7 +55,8 @@ class PSeries:
 
     def coeff(self, n, cutoff=None):
         """The n-th coefficient, certified below ``cutoff`` (exact when the
-        rule allows).  The memo keeps one entry per n, at the deepest cutoff
+        rule allows): a rule's inexact answer is truncated at the cutoff
+        here.  The memo keeps one entry per n, at the deepest cutoff
         asked so far (None the deepest): a shallower request gets its
         truncation, an exact answer serves any cutoff but None, and a
         ``cutoff_free`` rule keeps its answer, markers and all, under None."""
@@ -67,6 +69,8 @@ class PSeries:
             if cutoff is not None and (cut is None or cutoff < cut):
                 return out.truncate(cutoff)
         out = self._coeff(n, cutoff)
+        if cutoff is not None and out.cutoff is not None:
+            out = out.truncate(cutoff)
         self._memo[n] = (cutoff, out)
         return out
 
@@ -77,7 +81,11 @@ class PSeries:
         """The tail certificate, computed once per query through ``_tail_index``."""
         key = (xval, target, strict)
         if key not in self._tails:
-            self._tails[key] = self._tail_index(*key)
+            n = self._tail_index(*key)
+            if n > _TAIL_CAP:
+                raise ResourceCapError("tail index %d is past the cap _TAIL_CAP = %d at target %s"
+                                       % (n, _TAIL_CAP, target))
+            self._tails[key] = n
         return self._tails[key]
 
     def _tail_index(self, xval, target, strict):
@@ -320,10 +328,11 @@ class RatFunSeries(PSeries):
         return l1, k, nb
 
     def _tail_index(self, xval, target, strict):
+        """The least N from which every window of K indices passes: class
+        r < K of j = N_base+1+r+b*K has val(c_j x^j) >= L1 + (N_base+1+r)*xval
+        + b*(delta + K*xval), so it passes from its least b on."""
         if self._delta is None:
-            # plain polynomial divided by a monomial
-            n0 = len(self.num)
-            return n0
+            return len(self.num)  # plain polynomial divided by a monomial
         l1, k, nb = self._block_floor()
         if l1 is None:
             return nb + 1  # expansion terminates: all-zero block propagates
@@ -331,20 +340,17 @@ class RatFunSeries(PSeries):
         if step.sign() <= 0:
             raise CertificateError("no convergence certificate for this expansion")
         n = nb + 1
-        for _ in range(_SCAN_CAP):
-            ok = True
-            for j in range(n, n + k):
-                blocks = (j - nb - 1) // k
-                bound = l1 + self._delta.scale(blocks) + xval.scale(j)
-                cmp = bound.compare(target)
-                if cmp < 0 or (strict and cmp == 0):
-                    ok = False
-                    break
-            if ok:
-                return n
-            n += 1
-        raise ResourceCapError("tail certificate scan reached the cap _SCAN_CAP = %d at target %s"
-                               % (_SCAN_CAP, target))
+        for r in range(k):
+            base = l1 + xval.scale(nb + 1 + r)
+            if base > target or not strict and base == target:
+                continue  # the class passes from its first index on
+            b = step.min_multiple_at_least(target - base)
+            if b is None:  # hahn: no multiple of step reaches past a higher index
+                raise CertificateError("no convergence certificate for this expansion")
+            if strict and base + step.scale(b) == target:
+                b += 1
+            n = max(n, nb + 2 + r + (b - 1) * k)
+        return n
 
     def derivative(self):
         num, den = self.num, self.den
@@ -399,8 +405,7 @@ class ScaledSeries(PSeries):
         if vs is None:
             return self._zero()
         inner_cut = None if cutoff is None else cutoff - vs
-        c = (self.scalar * self.inner.coeff(n, inner_cut))
-        return c if cutoff is None or c.cutoff is None else c.truncate(cutoff)
+        return self.scalar * self.inner.coeff(n, inner_cut)
 
     def _tail_index(self, xval, target, strict):
         vs = self.scalar.val_lb()
@@ -432,8 +437,7 @@ class PolyMulSeries(PSeries):
     def _coeff(self, n, cutoff):
         pairs = [([p], [self.inner.coeff(n - k, None if cutoff is None else cutoff - p.val_lb())])
                  for k, p in enumerate(self.poly[: n + 1]) if not p.is_exact_zero]
-        acc = sum_of_products(pairs)[0] if pairs else self._zero()
-        return acc if cutoff is None or acc.cutoff is None else acc.truncate(cutoff)
+        return sum_of_products(pairs)[0] if pairs else self._zero()
 
     def _tail_index(self, xval, target, strict):
         return max((self.inner.tail_index(xval, target - p.val_lb() - xval.scale(k), strict) + k
@@ -489,8 +493,7 @@ class SubstitutedSeries(PSeries):
         vh, vk = self.h.val_lb(), self.k.val_lb()
         if vk is None:  # k = 0: T_m = c_m*h^m
             out = self.inner.coeff(m, None if cutoff is None else cutoff - vh.scale(m))
-            out = out * self.h.pow_int(m)
-            return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
+            return out * self.h.pow_int(m)
         n1 = fin + 1 if fin is not None else \
             self.inner.tail_index(vk, cutoff - vh.scale(m) + vk.scale(m))
         if n1 <= m:  # no inner terms
@@ -510,8 +513,7 @@ class SubstitutedSeries(PSeries):
                                  None if cap is None else grid.cut(cap - vh.scale(m)))
         x, dx = hpow[m]
         t, cut = grid.accumulate([([_num(t, cut)], [x])], 0, grid.cut(cap))
-        out = grid.decode(t, cut, unit * dx * factorial(m))
-        return out if cutoff is None or out.cutoff is None else out.truncate(cutoff)
+        return grid.decode(t, cut, unit * dx * factorial(m))
 
     def _shift(self, cutoff, n1, w):
         """(grid, a, b, unit, powers of h, encoded h) for coefficients n < n1
@@ -605,14 +607,13 @@ class NormalizedSeries(PSeries):
     everything above N is infinitesimal.
     """
 
-    def __init__(self, inner, d, pivot, vmin, base_cutoff, origin=""):
+    def __init__(self, inner, d, pivot, vmin, base_cutoff):
         super().__init__(inner.mode)
         self.inner = inner
         self.d = d
         self.N = pivot
         self.vmin = vmin
         self.base_cutoff = base_cutoff
-        self.origin = origin
 
     def _coeff(self, n, cutoff):
         cut = self.base_cutoff if cutoff is None else \
@@ -683,7 +684,7 @@ def transform_interval(s, a, b):
     return SubstitutedSeries(s, h, k)
 
 
-def normalize(s, degree_cap, cutoff, origin=""):
+def normalize(s, degree_cap, cutoff):
     """Rescale a restricted series so some coefficient is exactly 1.
 
     Finds the minimal coefficient valuation v, the largest index N attaining
@@ -723,7 +724,7 @@ def normalize(s, degree_cap, cutoff, origin=""):
     if pivot > degree_cap:
         raise CertificateError("normalization pivot exceeds the degree cap")
     d = s.coeff(pivot, cutoff).invert(cutoff - vmin)
-    return NormalizedSeries(s, d, pivot, vmin, cutoff, origin=origin)
+    return NormalizedSeries(s, d, pivot, vmin, cutoff)
 
 
 # ------------------------------------------------------------------- rendering

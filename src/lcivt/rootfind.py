@@ -359,8 +359,7 @@ def factor_on_interval(s, a, b, cutoff, degree_cap=None, extra=0):
     cap = degree_cap if degree_cap is not None else max(ncut, 4)
     if cap + 1 < ncut:
         raise CertificateError("degree cap too small for the requested cutoff")
-    ns = normalize(sub, cap, work,
-                   origin="[%s, %s] -> [1, 2]" % (a.render(), b.render()))
+    ns = normalize(sub, cap, work)
     fact = weierstrass_factor(ns, cap, work)
     return IntervalFactorization(sub, ns, fact, sub.h, sub.k, work)
 

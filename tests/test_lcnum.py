@@ -93,6 +93,29 @@ def test_hahn_axiom_grid():
         assert (eps_n(1) * eps_n(n)).compare(eps_n(n + 1)) == 1
 
 
+def test_min_multiple_at_least_examples():
+    H = Exponent.hahn
+    assert H({2: 2}).min_multiple_at_least(H({2: 4})) == 2  # exact quotient
+    assert H({1: 1, 2: 1}).min_multiple_at_least(H({2: 1})) == 1  # lower index suffices
+    assert H({1: -1, 2: 1}).min_multiple_at_least(H({2: 1})) == 2
+    assert H({1: 1}).min_multiple_at_least(H({2: 1})) is None
+    assert H({2: 1}).min_multiple_at_least(H({1: 5})) == 1
+    assert E(F(1, 3)).min_multiple_at_least(E(1)) == 3
+    assert E(-1).min_multiple_at_least(E(1)) is None
+    assert E(-1).min_multiple_at_least(E(0)) == 0
+
+
+@given(st.one_of(st.tuples(small_fractions(5, 3).map(Exponent.lc),
+                           small_fractions(5, 3).map(Exponent.lc)),
+                 st.tuples(hahn_exponents, hahn_exponents)))
+@settings(max_examples=300, deadline=None)
+def test_min_multiple_at_least_is_the_least(pair):
+    step, target = pair
+    # every answer here is below 100: coefficients are at most 5, at least 1/3
+    brute = next((n for n in range(100) if step.scale(n).compare(target) >= 0), None)
+    assert step.min_multiple_at_least(target) == brute
+
+
 # ------------------------------------------------------------------ arithmetic
 
 
@@ -515,6 +538,65 @@ def test_trusted_constructors_match_validating_constructor(mode, data):
                       (LcNumber.one(mode), LcNumber(mode, [(zero, 1)]))):
         assert same_number(got, want)
         assert all(isinstance(v, RealAlgebraic) for _, v in got.terms)
+
+
+def two_pointer_add(a, b):
+    """a + b by a two-pointer merge of the sorted term lists, ordered by
+    exponent key and stopped at the shared cutoff: the reference for
+    ``lcnum._merge``."""
+    cut = lcnum._min_cut(a.cutoff, b.cutoff)
+    cutq = None if cut is None else cut.key
+    ta, tb, out = list(a.terms), list(b.terms), []
+    i = j = 0
+    while i < len(ta) or j < len(tb):
+        qa = ta[i][0].key if i < len(ta) else None
+        qb = tb[j][0].key if j < len(tb) else None
+        q = qa if qb is None or (qa is not None and qa <= qb) else qb
+        if cutq is not None and q >= cutq:
+            break
+        if q == qa and q == qb:
+            s = ta[i][1] + tb[j][1]
+            if not s.is_zero:
+                out.append((ta[i][0], s))
+            i, j = i + 1, j + 1
+        elif q == qa:
+            out.append(ta[i])
+            i += 1
+        else:
+            out.append(tb[j])
+            j += 1
+    return LcNumber._build(a.mode, out, cut)
+
+
+def two_pointer_number(mode, terms, cut):
+    """The validating constructor's number as the two-pointer sum of its
+    nonzero terms, one at a time, below ``cut``."""
+    acc = LcNumber._build(mode, (), cut)
+    for e, c in terms:
+        if not c.is_zero:
+            acc = two_pointer_add(acc, LcNumber._build(mode, ((e, c),), None))
+    return acc
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_merge_matches_two_pointer_reference(mode, data):
+    # a few exponents, so that terms repeat and cancel
+    pool = data.draw(st.lists(kernel_exponents(mode), min_size=1, max_size=4))
+    coeff = st.tuples(small_fractions(4, 2), st.booleans()).map(
+        lambda qr: qr[0] * SQRT[2] if qr[1] else RealAlgebraic(qr[0]))
+    terms = st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=6)
+    cuts = st.none() | st.sampled_from(pool) | kernel_exponents(mode)
+    ta, tb, cut = data.draw(terms), data.draw(terms), data.draw(cuts)
+    # b takes some of a's terms back out
+    tb += [(e, -c) for e, c in ta if data.draw(st.booleans())]
+    assert same_number(LcNumber(mode, ta + tb, cut), two_pointer_number(mode, ta + tb, cut))
+    a, b = (two_pointer_number(mode, t, data.draw(cuts)) for t in (ta, tb))
+    minus_b = LcNumber._build(mode, [(e, -c) for e, c in b.terms], b.cutoff)
+    for got, want in ((a + b, two_pointer_add(a, b)), (b + a, two_pointer_add(b, a)),
+                      (a - b, two_pointer_add(a, minus_b)), (-b, minus_b)):
+        assert same_number(got, want)
 
 
 # One generator each: monic quadratic, non-monic quadratic (the positive

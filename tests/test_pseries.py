@@ -658,9 +658,110 @@ def test_ratfun_tail_scan_cap_names_itself(monkeypatch):
     # the coefficients -eps^(n+1) clear eps^10 from n = 9 on: one index is
     # not enough
     assert geometric_tail_ratfun().tail_index(E(0), E(10)) == 9
-    monkeypatch.setattr(pseries, "_SCAN_CAP", 1)
-    with pytest.raises(ResourceCapError, match=r"_SCAN_CAP = 1 at target 10"):
+    monkeypatch.setattr(pseries, "_TAIL_CAP", 8)
+    with pytest.raises(ResourceCapError,
+                       match=r"tail index 9 is past the cap _TAIL_CAP = 8 at target 10"):
         geometric_tail_ratfun().tail_index(E(0), E(10))
+
+
+def test_tail_certificate_fails_at_once():
+    # no multiple of val(eps[1]*X) reaches eps[2]: no certificate
+    one = LcNumber.one(HAHN)
+    with pytest.raises(CertificateError, match="no convergence certificate"):
+        RatFunSeries(HAHN, [one], [one, -eps_n(1)]).tail_index(Exponent.zero(HAHN),
+                                                               Exponent.hahn({2: 1}))
+    # coefficients eps^(n/1000) reach eps^200 from about n = 200000 on, more
+    # terms than _TAIL_CAP allows, whatever rule certifies it
+    lc_one = LcNumber.one(LC)
+    with pytest.raises(ResourceCapError, match=r"tail index 200000 is past the cap _TAIL_CAP"):
+        RatFunSeries(LC, [lc_one], [lc_one, -eps(F(1, 1000))]).tail_index(E(0), E(200))
+    with pytest.raises(ResourceCapError, match=r"tail index 200003 is past the cap _TAIL_CAP"):
+        TermRuleSeries(LC, 1, [1], ("poly", [0, F(1, 1000)])).tail_index(E(0), E(200))
+
+
+def scan_tail_index(s, xval, target, strict, windows=1000):
+    """A RatFunSeries' tail index by scanning n = N_base+1, N_base+2, ...
+    for the first window of K indices j whose bounds L1 +
+    delta*floor((j-N_base-1)/K) + j*xval all reach the target (pass it
+    when ``strict``): the reference for the closed form.  None when the
+    bound does not grow with j, or no window within ``windows`` passes."""
+    if s._delta is None:
+        return len(s.num)
+    l1, k, nb = s._block_floor()
+    if l1 is None:
+        return nb + 1
+    if (s._delta + xval.scale(k)).sign() <= 0:
+        return None
+    for n in range(nb + 1, nb + 1 + windows):
+        cmps = [(l1 + s._delta.scale((j - nb - 1) // k) + xval.scale(j)).compare(target)
+                for j in range(n, n + k)]
+        if all(c > 0 or (c == 0 and not strict) for c in cmps):
+            return n
+    return None
+
+
+def ratfun_tail_cases(mode):
+    """(series, xval, target, strict): a numerator and a denominator tail
+    of up to three coefficients each, of one or two terms, the tail above
+    the exact monomial constant term, and xval of either sign."""
+    if mode == LC:
+        exps = st.builds(F, st.integers(-6, 6), st.integers(1, 3)).map(Exponent.lc)
+        tails = st.builds(F, st.integers(1, 6), st.integers(1, 3)).map(Exponent.lc)
+        xvals = st.builds(F, st.integers(-3, 3), st.integers(1, 2)).map(Exponent.lc)
+    else:
+        qs = st.builds(F, st.integers(-4, 4), st.integers(1, 2))
+        exps = st.dictionaries(st.integers(1, 2), qs, max_size=2).map(Exponent.hahn)
+        tails = exps.filter(lambda e: e.sign() > 0)
+        xvals = exps
+    coeffs = st.builds(F, st.integers(-3, 3), st.integers(1, 2)).filter(bool)
+    num = st.lists(st.lists(st.tuples(exps, coeffs), min_size=1, max_size=2).map(
+        lambda ts: LcNumber(mode, ts)), min_size=1, max_size=3)
+
+    @st.composite
+    def cases(draw):
+        v0 = draw(exps)
+        den = [LcNumber.monomial(v0, draw(coeffs))]
+        for t in draw(st.lists(st.lists(st.tuples(tails, coeffs), min_size=1, max_size=2),
+                               min_size=1, max_size=3)):
+            den.append(LcNumber(mode, [(v0 + e, c) for e, c in t]))
+        return RatFunSeries(mode, draw(num), den), draw(xvals), draw(exps), draw(st.booleans())
+
+    return cases()
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ratfun_tail_index_matches_scan(mode, data):
+    s, xval, target, strict = data.draw(ratfun_tail_cases(mode))
+    l1, k, nb = s._block_floor() if s._delta is not None else (None, 0, 0)
+    if l1 is not None and data.draw(st.booleans()):
+        # a target that the bound at some index j meets exactly, where
+        # strict and not strict differ
+        j = nb + 1 + data.draw(st.integers(0, 3 * k))
+        target = l1 + s._delta.scale((j - nb - 1) // k) + xval.scale(j)
+    want = scan_tail_index(s, xval, target, strict)
+    if want is None:
+        with pytest.raises(CertificateError):
+            s.tail_index(xval, target, strict)
+    else:
+        assert s.tail_index(xval, target, strict) == want
+
+
+def test_coeff_truncates_the_rule_answer_at_the_cutoff():
+    # a rule may answer deeper than asked: coeff cuts an inexact answer at
+    # the requested cutoff and leaves an exact one exact
+    deep, exact = LcNumber(LC, [(E(1), 1), (E(4), 1)], E(9)), eps(5)
+
+    class Deep(pseries.PSeries):
+        def _coeff(self, n, cutoff):
+            return deep if n == 0 else exact
+
+    s = Deep(LC)
+    got = s.coeff(0, E(3))
+    assert [e for e, _ in got.terms] == [E(1)] and got.cutoff == E(3)
+    assert s.coeff(1, E(3)) is exact
+    assert s.coeff(0) is deep
 
 
 def test_substituted_tail_scan_cap_names_itself(monkeypatch):
