@@ -391,8 +391,3 @@ def parse_series(text, mode):
     if len(stack) > 1:
         raise ParseError("%d series left on the stack; missing sum:?" % len(stack))
     return stack[0]
-
-
-def render_series(s):
-    """Series back to DSL text; parse_series(render_series(s)) matches."""
-    return "\n".join(s.dsl_lines())

@@ -14,19 +14,22 @@ truncation marker: either exact, or "all terms below the cutoff are correct,
 terms at or above it are unspecified".  Every operation computes the tightest
 cutoff it can certify; queries the stored terms do not decide raise
 TruncationError instead of guessing.  Term lists are put in canonical form
-by one merge, ``_merge``: a sum concatenates its operands' sorted lists, and
-the validating constructor hands over its input in any order; both are
-sorted by exponent key, summed at equal keys and cut at the sum's cutoff.
+by one merge, ``_merge``: a sum concatenates its operands' sorted lists
+(one with no terms is a truncation), and the validating constructor hands
+over its input in any order; both are sorted by exponent key, summed at
+equal keys and cut at the sum's cutoff.
 
 Every product and every sum of products goes through one kernel,
 ``sum_of_products``: each coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ...,
 with nonzero integer weights w_j, is accumulated once into one dict below a
 cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
-``hensel.poly_mul`` one call of it, and a substituted-series coefficient
-(binomial weights) and the rational-function derivative take one call
-each.  Coefficients take one of two paths: integers over one denominator
-when all are rational (the lifting of S = P*B; FLINT's ``fmpq_poly``), or
-integer vectors in the power basis of one number field Q(theta), which
+``hensel.poly_mul`` one call of it, and ``PolyMulSeries._coeff``, each
+step of the ``RatFunSeries`` recurrence and ``RatFunSeries.derivative``
+take one call each; a substituted-series coefficient is two
+``_Grid.accumulate`` calls on its Taylor shift's grid.  Coefficients take
+one of two paths: integers over one denominator when all are rational
+(the lifting of S = P*B; FLINT's ``fmpq_poly``), or integer vectors
+in the power basis of one number field Q(theta), which
 ``realalg`` composes from theirs (Newton steps on a residue root such as
 sqrt(m)/b; Antic's ``nf_elem``).  Every generator theta is an algebraic
 integer, so reducing a product modulo its monic minimal polynomial keeps
@@ -297,6 +300,8 @@ class LcNumber:
     __slots__ = ("mode", "terms", "cutoff")
 
     def __init__(self, mode, terms, cutoff=None):
+        if cutoff is not None and cutoff.mode != mode:
+            raise ValueError("cutoff mode %s in a %s-mode number" % (cutoff.mode, mode))
         self.mode = mode
         self.cutoff = cutoff
         checked = []
@@ -394,6 +399,10 @@ class LcNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self.truncate(other.cutoff)
+        if not self.terms:
+            return other.truncate(self.cutoff)
         cut = _min_cut(self.cutoff, other.cutoff)
         return LcNumber._build(self.mode, _merge(self.terms + other.terms, cut), cut)
 

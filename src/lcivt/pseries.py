@@ -31,10 +31,9 @@ from math import factorial
 from .errors import CertificateError, ResourceCapError, TruncationError
 from .hensel import poly_deriv, poly_mul
 from .lcnum import LC, Exponent, LcNumber, _Grid, _num, horner, sum_of_products
-from .polys import cauchy_bound, pderiv, peval, pmul, pshift, render, trim
+from .polys import cauchy_bound, pderiv, peval, pmul, pshift, trim
 from .realalg import RealAlgebraic
 
-_SCAN_CAP = 100000
 _TAIL_CAP = 100000  # the largest tail index a certificate may give: more terms than can be formed
 
 
@@ -101,9 +100,6 @@ class PSeries:
         """Fraction-poly lower bound on valuation(a_n) as a function of n."""
         return None
 
-    def dsl_lines(self):
-        raise NotImplementedError
-
     def _zero(self):
         return LcNumber.zero(self.mode)
 
@@ -111,7 +107,8 @@ class PSeries:
         return SumSeries(self, other)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, "; ".join(self.dsl_lines()))
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % kv for kv in vars(self).items() if not kv[0].startswith("_")))
 
 
 class PolySeries(PSeries):
@@ -140,11 +137,6 @@ class PolySeries(PSeries):
 
     def derivative(self):
         return PolySeries(self.mode, poly_deriv(self.coeffs))
-
-    def dsl_lines(self):
-        if not self.coeffs:
-            return ["poly: 0"]
-        return ["poly: " + ", ".join(c.render() for c in self.coeffs)]
 
 
 class TermRuleSeries(PSeries):
@@ -243,21 +235,6 @@ class TermRuleSeries(PSeries):
         else:
             expo = ("seq", payload + 1)
         return TermRuleSeries(self.mode, self.sign_base, pref, expo, 0)
-
-    def dsl_lines(self):
-        parts = ["sign=(%s)^n" % ("-1" if self.sign_base == -1 else "+1")]
-        if len(self.prefactor) <= 1:
-            parts.append("scale=%s" % (self.prefactor[0] if self.prefactor else 0))
-        else:
-            parts.append("prefactor=%s" % render(self.prefactor, "n"))
-        kind, payload = self.expo
-        if kind == "poly":
-            parts.append("expo=%s" % render(payload, "n"))
-        else:
-            parts.append("expo=seq(n%+d)" % payload if payload else "expo=seq(n)")
-        if self.offset:
-            parts.append("offset=%d" % self.offset)
-        return ["term: " + " ".join(parts)]
 
 
 class RatFunSeries(PSeries):
@@ -358,9 +335,6 @@ class RatFunSeries(PSeries):
                                   weights=(1, -1))
         return RatFunSeries(self.mode, new_num, poly_mul(den, den))
 
-    def dsl_lines(self):
-        return ["ratfun: (%s) / (%s)" % (render_xpoly(self.num), render_xpoly(self.den))]
-
 
 class SumSeries(PSeries):
     def __init__(self, a, b):
@@ -386,9 +360,6 @@ class SumSeries(PSeries):
 
     def derivative(self):
         return SumSeries(self.a.derivative(), self.b.derivative())
-
-    def dsl_lines(self):
-        return self.a.dsl_lines() + self.b.dsl_lines() + ["sum:"]
 
 
 class ScaledSeries(PSeries):
@@ -418,9 +389,6 @@ class ScaledSeries(PSeries):
 
     def derivative(self):
         return ScaledSeries(self.scalar, self.inner.derivative())
-
-    def dsl_lines(self):
-        return self.inner.dsl_lines() + ["scale: " + self.scalar.render()]
 
 
 class PolyMulSeries(PSeries):
@@ -452,10 +420,6 @@ class PolyMulSeries(PSeries):
         left = PolyMulSeries(dpoly, self.inner) if dpoly else None
         right = PolyMulSeries(self.poly, self.inner.derivative())
         return right if left is None else SumSeries(left, right)
-
-    def dsl_lines(self):
-        body = ", ".join(c.render() for c in self.poly) if self.poly else "0"
-        return self.inner.dsl_lines() + ["polymul: " + body]
 
 
 class SubstitutedSeries(PSeries):
@@ -545,13 +509,11 @@ class SubstitutedSeries(PSeries):
         w = vh - vk_eff + xval
         ws = w.sign()
         if ws >= 0:
+            # _m_ok(m) fails only below the inner tail index, which _TAIL_CAP bounds
             m = 0
-            for _ in range(_SCAN_CAP):
-                if self._m_ok(m, w, vk_eff, target, strict):
-                    return m
+            while not self._m_ok(m, w, vk_eff, target, strict):
                 m += 1
-            raise ResourceCapError("substitution tail scan reached the cap _SCAN_CAP = %d "
-                                   "at target %s" % (_SCAN_CAP, target))
+            return m
         # w < 0: need an exact valuation polynomial with superlinear growth.
         # For m past the vertex of psi(n) + n*vk the inner minimum over
         # n >= m sits at n = m, so the condition collapses to the rational
@@ -595,10 +557,6 @@ class SubstitutedSeries(PSeries):
     def derivative(self):
         return ScaledSeries(self.h, SubstitutedSeries(self.inner.derivative(), self.h, self.k))
 
-    def dsl_lines(self):
-        return self.inner.dsl_lines() + [
-            "subst: h=%s k=%s" % (self.h.render(), self.k.render())]
-
 
 class NormalizedSeries(PSeries):
     """A restricted series rescaled so its pivot coefficient is exactly 1.
@@ -629,10 +587,6 @@ class NormalizedSeries(PSeries):
 
     def finite_degree(self):
         return self.inner.finite_degree()
-
-    def dsl_lines(self):
-        return self.inner.dsl_lines() + ["# normalized: pivot=%d scale=%s" %
-                                         (self.N, self.d.render())]
 
 
 # ------------------------------------------------------------------ operations
@@ -725,24 +679,3 @@ def normalize(s, degree_cap, cutoff):
         raise CertificateError("normalization pivot exceeds the degree cap")
     d = s.coeff(pivot, cutoff).invert(cutoff - vmin)
     return NormalizedSeries(s, d, pivot, vmin, cutoff)
-
-
-# ------------------------------------------------------------------- rendering
-
-
-def render_xpoly(coeffs):
-    """Polynomial in X as a flat signed sum, one eps-term per monomial."""
-    from .lcnum import _render_term
-
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c.is_exact:
-            raise ValueError("cannot render truncated coefficients")
-        for exp, coeff in c.terms:
-            body = _render_term(exp, coeff, first=not parts)
-            if i == 1:
-                body += "*X"
-            elif i > 1:
-                body += "*X^%d" % i
-            parts.append(body)
-    return " ".join(parts) if parts else "0"

@@ -313,16 +313,6 @@ def certified_sign(s, x):
             depth *= 4
 
 
-@dataclass
-class IntervalFactorization:
-    sub: object            # the transformed series on [1, 2]
-    normalized: object
-    factorization: object
-    h: LcNumber
-    k: LcNumber
-    work_cutoff: Exponent
-
-
 def _needed_root_depth(s, vx, cutoff):
     """Root truncation depth that lets S(root) be certified below ``cutoff``.
 
@@ -344,53 +334,36 @@ def _needed_root_depth(s, vx, cutoff):
     return cutoff - sens
 
 
-def factor_on_interval(s, a, b, cutoff, degree_cap=None, extra=0):
+def _series_roots_on_interval(s, a, b, cutoff, degree_cap=None, extra=0):
     """Transform [a,b] onto [1,2], normalize, and factor at a working cutoff
-    deep enough that mapped-back roots are certified below ``cutoff``."""
+    deep enough that mapped-back roots are certified below ``cutoff``; the
+    roots of the monic factor on [1, 2], mapped back to [a, b]."""
     sub = transform_interval(s, a, b)
-    vh = sub.h.valuation()
+    h, k = sub.h, sub.k
     mode = s.mode
     zero = Exponent.zero(mode)
-    bump = Exponent.zero(mode)
-    if vh.sign() < 0:
-        bump = -vh
-    work = cutoff + bump + default_exponent(mode, 4 + extra)
+    vh = h.valuation()
+    work = cutoff + (-vh if vh.sign() < 0 else zero) + default_exponent(mode, 4 + extra)
     ncut = sub.tail_index(zero, work)
     cap = degree_cap if degree_cap is not None else max(ncut, 4)
     if cap + 1 < ncut:
         raise CertificateError("degree cap too small for the requested cutoff")
-    ns = normalize(sub, cap, work)
-    fact = weierstrass_factor(ns, cap, work)
-    return IntervalFactorization(sub, ns, fact, sub.h, sub.k, work)
-
-
-def _map_back(z, h, k):
-    return h * z + k
-
-
-def _series_roots_on_interval(s, a, b, cutoff, degree_cap=None, extra=0):
-    ivf = factor_on_interval(s, a, b, cutoff, degree_cap, extra)
-    one = LcNumber.one(s.mode)
-    two = LcNumber.from_scalar(s.mode, 2)
-    reports = monic_real_roots(ivf.factorization.p_coeffs, one, two, ivf.work_cutoff)
-    mapped = []
-    for r in reports:
-        x = _map_back(r.root, ivf.h, ivf.k)
-        mapped.append(RootReport(
-            root=x,
-            multiplicity=r.multiplicity,
-            residual_valuation=None,
-            interval=(a, b),
-            certificate={
-                "p_coeffs": ivf.factorization.p_coeffs,
-                "b_coeffs": ivf.factorization.b_coeffs,
-                "achieved_cutoff": ivf.work_cutoff,
-                "z_root": r.root,
-            },
-            unresolved=r.unresolved,
-            exact=r.exact and ivf.h.is_exact and ivf.k.is_exact,
-        ))
-    return ivf, mapped
+    fact = weierstrass_factor(normalize(sub, cap, work), cap, work)
+    roots = monic_real_roots(fact.p_coeffs, LcNumber.one(mode), LcNumber.from_scalar(mode, 2), work)
+    return [RootReport(
+        root=h * r.root + k,
+        multiplicity=r.multiplicity,
+        residual_valuation=None,
+        interval=(a, b),
+        certificate={
+            "p_coeffs": fact.p_coeffs,
+            "b_coeffs": fact.b_coeffs,
+            "achieved_cutoff": work,
+            "z_root": r.root,
+        },
+        unresolved=r.unresolved,
+        exact=r.exact and h.is_exact and k.is_exact,
+    ) for r in roots]
 
 
 def ivt_root(s, a, b, cutoff, degree_cap=None):
@@ -417,7 +390,7 @@ def ivt_root(s, a, b, cutoff, degree_cap=None):
     last_err = None
     for extra in (0, 8, 24):
         try:
-            ivf, mapped = _series_roots_on_interval(s, a, b, depth, degree_cap, extra)
+            mapped = _series_roots_on_interval(s, a, b, depth, degree_cap, extra)
             odd = [r for r in mapped if r.multiplicity % 2 == 1]
             if not odd:
                 last_err = CertificateError("no odd-multiplicity root recovered")
@@ -447,7 +420,7 @@ def count_zeros(s, a, b, cutoff, degree_cap=None):
         a = LcNumber.from_scalar(s.mode, a)
     if not isinstance(b, LcNumber):
         b = LcNumber.from_scalar(s.mode, b)
-    _, mapped = _series_roots_on_interval(s, a, b, cutoff, degree_cap)
+    mapped = _series_roots_on_interval(s, a, b, cutoff, degree_cap)
     return len(mapped), mapped
 
 
@@ -471,7 +444,7 @@ def multiplicity_at(s, c, cutoff):
     if value is None or not value.is_zero_below(feas):
         raise ValueError("not a certified root of the series")
     a, b = c - Fraction(1, 2), c + Fraction(1, 2)
-    ivf, mapped = _series_roots_on_interval(s, a, b, cutoff)
+    mapped = _series_roots_on_interval(s, a, b, cutoff)
     target = None
     for rep in mapped:
         diff = rep.root - c

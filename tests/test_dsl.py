@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,10 @@ from lcivt.dsl import (
     parse_exponent,
     parse_literal,
     parse_series,
-    render_series,
 )
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
-from lcivt.pseries import partial_sum
+from lcivt.pseries import (PolyMulSeries, PolySeries, RatFunSeries, ScaledSeries,
+                           SubstitutedSeries, SumSeries, TermRuleSeries, partial_sum)
 
 from conftest import E
 
@@ -94,29 +95,67 @@ def test_series_stack_errors():
         parse_series("frob: 1", LC)
 
 
-def test_series_round_trips():
-    sources = [
-        ("poly: -1, 1, eps", LC),
-        ("term: sign=(-1)^n scale=1 expo=n^2", LC),
-        ("term: sign=(-1)^n scale=1 expo=seq(n)", HAHN),
-        ("term: sign=(+1)^n prefactor=n^2-3*n+1/2 expo=1/2*n^2+n offset=2", LC),
-        ("term: sign=(-1)^n prefactor=2*n+1 expo=seq(n+1) offset=1", HAHN),
-        ("ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)", LC),
-        ("poly: 1, eps\npolymul: 1, -2, 1", LC),
-        ("poly: 0, 1\npoly: 1\nsum:\nscale: eps\nsubst: h=1 k=-1", LC),
+def series_sources():
+    """(source, mode, the same series built from constructors), one per
+    rule and combinator."""
+    one = LcNumber.one(LC)
+    return [
+        ("poly: -1, 1, eps", LC, PolySeries(LC, [-1, 1, eps()])),
+        ("term: sign=(-1)^n scale=1 expo=n^2", LC,
+         TermRuleSeries(LC, -1, [1], ("poly", [0, 0, 1]))),
+        ("term: sign=(-1)^n scale=1 expo=seq(n)", HAHN,
+         TermRuleSeries(HAHN, -1, [1], ("seq", 0))),
+        ("term: sign=(+1)^n prefactor=n^2-3*n+1/2 expo=1/2*n^2+n offset=2", LC,
+         TermRuleSeries(LC, 1, [F(1, 2), -3, 1], ("poly", [0, 1, F(1, 2)]), offset=2)),
+        ("term: sign=(-1)^n prefactor=2*n+1 expo=seq(n+1) offset=1", HAHN,
+         TermRuleSeries(HAHN, -1, [1, 2], ("seq", 1), offset=1)),
+        ("ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)", LC,
+         RatFunSeries(LC, [2, eps() * -2 - eps(2)], [1, -eps()])),
+        ("poly: 1, eps\npolymul: 1, -2, 1", LC,
+         PolyMulSeries([1, -2, 1], PolySeries(LC, [1, eps()]))),
+        ("poly: 0, 1\npoly: 1\nsum:\nscale: eps\nsubst: h=1 k=-1", LC,
+         SubstitutedSeries(ScaledSeries(eps(), SumSeries(PolySeries(LC, [0, 1]),
+                                                         PolySeries(LC, [1]))), one, -one)),
     ]
-    for src, mode in sources:
+
+
+def test_series_sources_match_constructors():
+    for src, mode, want in series_sources():
         s = parse_series(src, mode)
-        t = parse_series(render_series(s), mode)
         cut = parse_exponent("20", LC) if mode == LC else parse_exponent("1:20", HAHN)
         for i in range(6):
-            assert (s.coeff(i, cut) - t.coeff(i, cut)).is_zero_below(cut)
+            assert (s.coeff(i, cut) - want.coeff(i, cut)).is_zero_below(cut)
 
 
-def test_derivative_round_trip_uses_prefactor():
+def test_derivative_matches_its_term_source():
+    # d/dX of sum (-1)^n eps^(n^2) X^n: a_n = (-1)^(n+1) (n+1) eps^((n+1)^2)
     s = parse_series("term: sign=(-1)^n scale=1 expo=n^2", LC).derivative()
-    text = render_series(s)
-    assert "prefactor=" in text
-    t = parse_series(text, LC)
-    for i in range(5):
+    t = parse_series("term: sign=(-1)^n prefactor=-n-1 expo=n^2+2*n+1", LC)
+    for i in range(8):
         assert (s.coeff(i) - t.coeff(i)).is_exact_zero
+
+
+FIELDS = {"PolySeries": ["coeffs"], "RatFunSeries": ["num", "den"],
+          "TermRuleSeries": ["sign_base", "prefactor", "expo", "offset"],
+          "SumSeries": ["a", "b"], "ScaledSeries": ["scalar", "inner"],
+          "PolyMulSeries": ["poly", "inner"], "SubstitutedSeries": ["inner", "h", "k"]}
+
+
+def test_series_repr_names_the_class_and_its_rule_fields():
+    sources = [(src, mode) for src, mode, _ in series_sources()]
+    sources += [("poly: 1\npoly: 0, eps\nsum:", LC), ("poly: 1, 1\nscale: eps[1]", HAHN)]
+    seen = set()
+    for src, mode in sources:
+        s = parse_series(src, mode)
+        text = repr(s)
+        name = type(s).__name__
+        seen.add(name)
+        assert text.startswith(name + "(mode=")
+        for f in FIELDS[name]:
+            assert ", %s=" % f in text
+        assert " at 0x" not in text and not re.search(r"[(, ]_\w*=", text)
+        cut = parse_exponent("8", LC) if mode == LC else parse_exponent("1:8", HAHN)
+        for i in range(4):
+            s.coeff(i, cut)  # fills the memos, which the repr leaves out
+        assert repr(s) == text == repr(parse_series(src, mode))
+    assert seen == set(FIELDS)

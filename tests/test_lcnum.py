@@ -594,9 +594,20 @@ def test_merge_matches_two_pointer_reference(mode, data):
     assert same_number(LcNumber(mode, ta + tb, cut), two_pointer_number(mode, ta + tb, cut))
     a, b = (two_pointer_number(mode, t, data.draw(cuts)) for t in (ta, tb))
     minus_b = LcNumber._build(mode, [(e, -c) for e, c in b.terms], b.cutoff)
-    for got, want in ((a + b, two_pointer_add(a, b)), (b + a, two_pointer_add(b, a)),
-                      (a - b, two_pointer_add(a, minus_b)), (-b, minus_b)):
-        assert same_number(got, want)
+    # sums with no terms on either side, or on both, exact or truncated
+    e1, e2 = (LcNumber._build(mode, (), data.draw(cuts)) for _ in range(2))
+    for x, y in ((a, b), (b, a), (a, e1), (e1, b), (e1, e2)):
+        assert same_number(x + y, two_pointer_add(x, y))
+    assert same_number(a - b, two_pointer_add(a, minus_b))
+    assert same_number(-b, minus_b)
+
+
+def test_constructor_checks_the_cutoff_mode():
+    for terms in ([(Exponent.lc(1), 1)], []):
+        with pytest.raises(ValueError, match="cutoff mode hahn in a lc-mode number"):
+            LcNumber(LC, terms, Exponent.hahn({1: 1}))
+    with pytest.raises(ValueError, match="cutoff mode lc in a hahn-mode number"):
+        LcNumber(HAHN, [], Exponent.lc(1))
 
 
 # One generator each: monic quadratic, non-monic quadratic (the positive

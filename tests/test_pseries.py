@@ -771,8 +771,9 @@ def test_substituted_tail_scan_cap_names_itself(monkeypatch):
         return SubstitutedSeries(alternating_square_series(), L("1"), L("1"))
 
     assert make().tail_index(E(0), E(10)) == 4
-    monkeypatch.setattr(pseries, "_SCAN_CAP", 1)
-    with pytest.raises(ResourceCapError, match=r"substitution .* _SCAN_CAP = 1 at target 10"):
+    # the scan ends at the inner tail index, so the inner series' cap ends it
+    monkeypatch.setattr(pseries, "_TAIL_CAP", 3)
+    with pytest.raises(ResourceCapError, match=r"past the cap _TAIL_CAP = 3 at target 10"):
         make().tail_index(E(0), E(10))
 
 
