@@ -17,7 +17,6 @@ from .pseries import (
     PolyMulSeries,
     PolySeries,
     RatFunSeries,
-    ScaledSeries,
     SubstitutedSeries,
     SumSeries,
     TermRuleSeries,
@@ -47,7 +46,7 @@ __all__ = [
     "HAHN", "LC", "Classification", "Exponent", "LcNumber", "eps", "eps_n",
     "RealAlgebraic", "isolate_real_roots", "sign_at",
     "NormalizedSeries", "PolyMulSeries", "PolySeries", "RatFunSeries",
-    "ScaledSeries", "SubstitutedSeries", "SumSeries", "TermRuleSeries",
+    "SubstitutedSeries", "SumSeries", "TermRuleSeries",
     "evaluate", "normalize", "partial_sum", "transform_interval",
     "Factorization", "n_poly_root", "weierstrass_factor",
     "RootReport", "TrackRecord", "count_zeros", "default_exponent",

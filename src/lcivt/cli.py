@@ -5,8 +5,8 @@ Commands: eval, factor, ivt, zeros, mult, track-zeros, track-extremes, and
 ``example`` (named experiment fixtures: nilpotent-signs, nilpotent-roots,
 hahn-signs, double-zero).  Exit code 0 means every asserted property held;
 1 means an assertion failed (a machine-readable failure record is in the
-report); 4 means the run raised an error of any kind, I/O, a malformed
-``LCIVT_MAX_TERMS`` and a command line the parser rejects included.
+report); 4 means the run raised an error of any kind, I/O, a resource cap
+and a command line the parser rejects included.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .dsl import parse_exponent, parse_literal, parse_series
 from .errors import LcivtError, UsageError
-from .hensel import Factorization, poly_eval, weierstrass_factor
-from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, max_terms_cap
+from .hensel import Factorization, weierstrass_factor
+from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, horner
 from .pseries import (
     PolyMulSeries,
     RatFunSeries,
@@ -375,7 +375,7 @@ def example_double_zero(cfg):
     for n in n_list:
         coeffs = partial_sum(t, n)
         grid_ok = all(
-            poly_eval(coeffs, LcNumber.from_scalar(LC, x)).sign() > 0 for x in grid)
+            horner([coeffs], LcNumber.from_scalar(LC, x))[0].sign() > 0 for x in grid)
         hits = [h for h in poly_roots(coeffs, cut, window=window)
                 if h.value.compare(window[0]) >= 0 and h.value.compare(window[1]) <= 0]
         no_root = not hits
@@ -495,7 +495,6 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
         cfg = RunConfig(**{k: v for k, v in vars(ns).items()
                            if k in RunConfig.__dataclass_fields__ and v is not None})
-        max_terms_cap()  # read once, so a malformed value fails every command
         report = run(cfg)
         emit_report(report, cfg.output)
     except Exception as exc:  # every error, typed or not, is exit code 4

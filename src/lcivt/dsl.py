@@ -29,7 +29,6 @@ from .pseries import (
     PolyMulSeries,
     PolySeries,
     RatFunSeries,
-    ScaledSeries,
     SubstitutedSeries,
     SumSeries,
     TermRuleSeries,
@@ -127,42 +126,41 @@ def _parse_eps_power(sc, mode):
     return Exponent.hahn({index: power})
 
 
-def _parse_term(sc, mode, allow_x):
-    """One product of factors; returns (coeff Fraction, Exponent, x_power)."""
+_EXPECTED = {None: "a number, eps factor", "X": "a number, eps factor or X", "n": "a number or n"}
+
+
+def _parse_term(sc, mode, var):
+    """One product of factors; returns (coeff Fraction, Exponent, power of
+    ``var``): None in a literal, "X" in a polynomial in X, and "n" in a
+    rational polynomial in n, which takes no eps factor."""
     coeff = Fraction(1)
     exp = Exponent.zero(mode)
     xpow = 0
-    saw_factor = False
     while True:
         ch = sc.peek()
         if ch.isdigit():
             coeff *= sc.rational()
-            saw_factor = True
-        elif sc.text.startswith("eps", sc.i):
+        elif var != "n" and sc.text.startswith("eps", sc.i):
             sc.i += 3
             exp = exp + _parse_eps_power(sc, mode)
-            saw_factor = True
-        elif ch == "X" and allow_x:
+        elif var and ch == var:
             sc.take()
             k = 1
             if sc.peek() == "^":
                 sc.take()
                 k = sc.digits()
             xpow += k
-            saw_factor = True
         else:
-            sc.error("expected a number, eps factor%s" % (" or X" if allow_x else ""))
+            sc.error("expected " + _EXPECTED[var])
         if sc.peek() == "*":
             sc.take()
             continue
         break
-    if not saw_factor:
-        sc.error("empty term")
     return coeff, exp, xpow
 
 
-def _parse_sum(sc, mode, allow_x):
-    """Signed sum of terms; returns list of (coeff, Exponent, xpow)."""
+def _parse_sum(sc, mode, var):
+    """Signed sum of terms; returns list of (coeff, Exponent, power of ``var``)."""
     out = []
     sign = 1
     if sc.peek() == "+":
@@ -171,7 +169,7 @@ def _parse_sum(sc, mode, allow_x):
         sc.take()
         sign = -1
     while True:
-        coeff, exp, xpow = _parse_term(sc, mode, allow_x)
+        coeff, exp, xpow = _parse_term(sc, mode, var)
         out.append((sign * coeff, exp, xpow))
         ch = sc.peek()
         if ch == "+":
@@ -189,23 +187,32 @@ def parse_literal(text, mode, line=None):
     sc = _Scanner(text, line)
     if sc.done():
         sc.error("empty literal")
-    parts = _parse_sum(sc, mode, allow_x=False)
+    parts = _parse_sum(sc, mode, None)
     if not sc.done():
         sc.error("trailing input after literal")
     return LcNumber(mode, [(exp, coeff) for coeff, exp, _ in parts])
 
 
-def parse_xpoly(text, mode, line=None):
-    """Parse a polynomial in X with literal coefficients; returns LcNumbers."""
+def _parse_poly(text, mode, var, line):
+    """A sum of terms in ``var``, bucketed by its power: lists of (Exponent, coeff)."""
     sc = _Scanner(text, line)
-    parts = _parse_sum(sc, mode, allow_x=True)
+    parts = _parse_sum(sc, mode, var)
     if not sc.done():
         sc.error("trailing input after polynomial")
-    deg = max(x for _, _, x in parts)
-    buckets = [[] for _ in range(deg + 1)]
-    for coeff, exp, xpow in parts:
-        buckets[xpow].append((exp, coeff))
-    return [LcNumber(mode, b) for b in buckets]
+    buckets = [[] for _ in range(max(k for _, _, k in parts) + 1)]
+    for coeff, exp, k in parts:
+        buckets[k].append((exp, coeff))
+    return buckets
+
+
+def parse_xpoly(text, mode, line=None):
+    """Parse a polynomial in X with literal coefficients; returns LcNumbers."""
+    return [LcNumber(mode, b) for b in _parse_poly(text, mode, "X", line)]
+
+
+def _parse_npoly(text, line=None):
+    """Rational polynomial in n, e.g. ``n^2``, ``2*n+1``, ``-1/2*n^2+3``."""
+    return [sum((c for _, c in b), Fraction(0)) for b in _parse_poly(text, LC, "n", line)]
 
 
 def parse_exponent(text, mode, line=None):
@@ -229,57 +236,6 @@ def parse_exponent(text, mode, line=None):
         if not sc.done():
             sc.error("trailing input in exponent entry")
     return Exponent.hahn(items)
-
-
-def _parse_npoly(text, line=None):
-    """Rational polynomial in n, e.g. ``n^2``, ``2*n+1``, ``-1/2*n^2+3``."""
-    sc = _Scanner(text, line)
-    coeffs = {}
-    sign = 1
-    if sc.peek() == "+":
-        sc.take()
-    elif sc.peek() == "-":
-        sc.take()
-        sign = -1
-    while True:
-        coeff = Fraction(1)
-        power = 0
-        saw = False
-        while True:
-            ch = sc.peek()
-            if ch.isdigit():
-                coeff *= sc.rational()
-                saw = True
-            elif ch == "n":
-                sc.take()
-                k = 1
-                if sc.peek() == "^":
-                    sc.take()
-                    k = sc.digits()
-                power += k
-                saw = True
-            else:
-                sc.error("expected a number or n")
-            if sc.peek() == "*":
-                sc.take()
-                continue
-            break
-        if not saw:
-            sc.error("empty term in n-polynomial")
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
-        ch = sc.peek()
-        if ch == "+":
-            sc.take()
-            sign = 1
-        elif ch == "-":
-            sc.take()
-            sign = -1
-        elif sc.done():
-            break
-        else:
-            sc.error("unexpected character in n-polynomial")
-    deg = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
 
 
 _SIGN_RE = re.compile(r"^\(([+-]1)\)\^n$")
@@ -369,7 +325,7 @@ def parse_series(text, mode):
         elif head == "scale":
             if not stack:
                 raise ParseError("scale: needs a series on the stack", lineno)
-            stack.append(ScaledSeries(parse_literal(body, mode, lineno), stack.pop()))
+            stack.append(PolyMulSeries([parse_literal(body, mode, lineno)], stack.pop()))
         elif head == "polymul":
             if not stack:
                 raise ParseError("polymul: needs a series on the stack", lineno)

@@ -17,8 +17,9 @@ the residue field, and ``weierstrass_factor_batched`` divides the whole
 residual by P; the second is the independent reference that the first
 must agree with.
 
-Polynomials here are dense lists of LcNumber by ascending power, and the
-``poly_*`` helpers are the library's arithmetic for them.  They skip only
+Polynomials here are dense lists of LcNumber by ascending power.
+``poly_deriv``, ``poly_mul`` and ``poly_divmod_monic`` are the library's
+arithmetic for them, and ``lcnum.horner`` evaluates them.  They skip only
 exact zeros and never trim: ``== 0`` on a truncated number raises
 TruncationError, and trimming would shorten the reported unit factor.
 """
@@ -29,16 +30,11 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import Exponent, LcNumber, _Grid, _min_cut, _num, horner, sum_of_products
+from .lcnum import Exponent, LcNumber, _Grid, _min_cut, _num, sum_of_products
 from .polys import pdivmod
 
 _LIFT_CAP = 20000
 _NEWTON_CAP = 200
-
-
-def poly_eval(coeffs, x):
-    """coeffs(x) by Horner's rule on the kernel's grid (``lcnum.horner``)."""
-    return horner([coeffs], x)[0]
 
 
 def poly_deriv(coeffs):
@@ -198,9 +194,6 @@ class Factorization:
         grid = _Grid(cut.mode, polys, cut)
         s, p, b = [(grid.encode(poly, d), d) for poly, d in zip(polys, grid.cdens)]
         return grid.decode_all(_certify(grid, s, p, b, grid.cut(cut)))
-
-    def unit_value(self, x):
-        return poly_eval(self.b_coeffs, x)
 
 
 def _extract_series(ns, degree_cap, cutoff):

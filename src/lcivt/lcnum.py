@@ -53,7 +53,6 @@ generators are compared by their leading coefficients alone.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,18 +68,12 @@ HAHN = "hahn"
 
 _ONE = RealAlgebraic(1)
 _GEOMETRIC_CAP = 10000
+_MAX_TERMS = 1000000  # the most terms one number may hold
 
 
-def max_terms_cap():
-    """The LCIVT_MAX_TERMS cap on stored terms per number, read on every call."""
-    raw = os.environ.get("LCIVT_MAX_TERMS", "1000000")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError("LCIVT_MAX_TERMS must be a positive integer, got %r" % raw)
-    return cap
+def _term_cap_error(count):
+    return ResourceCapError("%d terms in one number, past the cap _MAX_TERMS = %d"
+                            % (count, _MAX_TERMS))
 
 
 class Exponent:
@@ -310,8 +303,8 @@ class LcNumber:
                 raise ValueError("exponent mode %s in a %s-mode number" % (exp.mode, mode))
             checked.append((exp, coeff if isinstance(coeff, RealAlgebraic) else RealAlgebraic(coeff)))
         self.terms = tuple(_merge(checked, cutoff))
-        if len(self.terms) > max_terms_cap():
-            raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+        if len(self.terms) > _MAX_TERMS:
+            raise _term_cap_error(len(self.terms))
 
     # ------------------------------------------------------------ constructors
 
@@ -653,7 +646,7 @@ class _Grid:
     """
 
     __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "onto", "width", "exps",
-                 "inverses", "max_terms", "zero")
+                 "inverses", "zero")
 
     def __init__(self, mode, polys, cutoff=None):
         lc = mode == LC
@@ -679,7 +672,6 @@ class _Grid:
         self.cdens = [self.cden(poly) for poly in polys] if len(gens) > 1 else cdens
         self.width = 2 * len(self.gen.minpoly) - 3 if self.gen is not None else 0  # 2d - 1
         self.exps, self.inverses = {}, {}
-        self.max_terms = None  # read when a number first has more than one term
         self.zero = 0 if lc else Exponent.zero(mode)  # the exponent of 1 on the grid
 
     def cden(self, poly):
@@ -728,7 +720,7 @@ class _Grid:
         sums below the cutoff become ``terms``, nonzero and by ascending
         exponent; on a generator each vector is divided by the monic
         minimal polynomial (``_Generator.reduce``).  More than
-        LCIVT_MAX_TERMS terms raise ResourceCapError."""
+        _MAX_TERMS terms raise ResourceCapError."""
         nums = []
         for ta, tb in operands:
             for i in range(max(0, k - len(tb) + 1), min(k + 1, len(ta))):
@@ -766,11 +758,8 @@ class _Grid:
         else:
             reduce = self.gen.reduce
             terms = [(q, v) for q in order if any(v := reduce(acc[q]))]
-        if len(terms) > 1:
-            if self.max_terms is None:
-                self.max_terms = max_terms_cap()
-            if len(terms) > self.max_terms:
-                raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+        if len(terms) > _MAX_TERMS:
+            raise _term_cap_error(len(terms))
         return terms, cut
 
     def decode(self, terms, cut, unit):
@@ -803,7 +792,7 @@ class _Grid:
     def merge(self, seq, delta):
         """seq + delta for encoded sequences (numbers, denominator), over
         lcm(d, d'): the sum seq*1 + delta*1 that ``combine`` forms, with
-        its cutoffs and LCIVT_MAX_TERMS check, touching only where delta is
+        its cutoffs and _MAX_TERMS check, touching only where delta is
         not an exact zero and rescaling a side only if its d grows."""
         (a, da), (b, db) = seq, delta
         m, vec = lcm(da, db), self.gen is not None
@@ -822,10 +811,8 @@ class _Grid:
                         continue
                 ts.insert(j, (q, v))
             del ts[len(ts) if cut is None else bisect_left(ts, cut, key=first):]
-            if len(ts) > 1:
-                self.max_terms = self.max_terms or max_terms_cap()
-                if len(ts) > self.max_terms:
-                    raise ResourceCapError("term count exceeds LCIVT_MAX_TERMS")
+            if len(ts) > _MAX_TERMS:
+                raise _term_cap_error(len(ts))
             out[i] = _num(ts, cut)
         return out, m
 
@@ -922,18 +909,18 @@ class _Grid:
         return t, cut, dy * dl
 
 
-def sum_of_products(pairs, cutoff=None, length=None, weights=None):
+def sum_of_products(pairs, cutoff=None, weights=None):
     """Every coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ..., each built once.
 
     ``pairs`` holds (a, b): sequences of same-mode LcNumber by ascending
     power; ``weights`` one nonzero integer w_j per pair, by default 1.
     Pairs with an empty side are dropped; with none left the result is [],
-    otherwise ``length`` coefficients, by default as many as the longest
-    product.  Coefficient k sums the term products of every a[i], b[k-i] in
-    which neither number is an exact zero.  Its cutoff is fixed before any
-    term is formed: the least over those pairs of cut(x) + val(y) and
-    cut(y) + val(x), capped at ``cutoff``; only term products below it are
-    accumulated, into one dict (``_Grid.accumulate``).
+    otherwise as many coefficients as the longest product.  Coefficient k
+    sums the term products of every a[i], b[k-i] in which neither number is
+    an exact zero.  Its cutoff is fixed before any term is formed: the least
+    over those pairs of cut(x) + val(y) and cut(y) + val(x), capped at
+    ``cutoff``; only term products below it are accumulated, into one dict
+    (``_Grid.accumulate``).
 
     lc exponents are integers on one grid 1/den, den the lcm of every
     exponent and cutoff denominator; hahn exponents stay Exponent keys.
@@ -958,8 +945,7 @@ def sum_of_products(pairs, cutoff=None, length=None, weights=None):
     if not pairs:
         return []
     mode = pairs[0][0][0].mode
-    if length is None:
-        length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
+    length = max(len(a) + len(b) - 1 for a, b, _ in pairs)
     grid = _Grid(mode, [poly for a, b, _ in pairs for poly in (a, b)], cutoff)
     cdens = grid.cdens
     pair_dens = [da * db for da, db in zip(cdens[0::2], cdens[1::2])]
@@ -982,7 +968,7 @@ def horner(polys, x):
     mode and on whichever coefficient path they allow; each value is one
     ``_Grid.horner`` pass, whose accumulator stays encoded, with one
     ``_Generator.reduce`` per term over one generator and the
-    LCIVT_MAX_TERMS cap checked, and is decoded once.
+    _MAX_TERMS cap checked, and is decoded once.
     """
     grid = _Grid(x.mode, [[x], *polys])
     dx = grid.cdens[0]

@@ -1,9 +1,10 @@
 """Finitely presented power series over the field, with certified evaluation.
 
 A series is a coefficient rule (polynomial, rational-function expansion, or a
-closed-form term rule) possibly wrapped in combinators (sum, scalar multiple,
-polynomial multiple, linear substitution).  Because every rule is finitely
-presented, each series can answer two certified questions:
+closed-form term rule) possibly wrapped in combinators (sum, polynomial
+multiple, linear substitution); a scalar multiple is a polynomial multiple
+of degree 0.  Because every rule is finitely presented, each series can
+answer two certified questions:
 
 * ``coeff(n, cutoff)``: the exact n-th coefficient, or the coefficient up to
   a truncation cutoff when exactness is impossible (substituted series);
@@ -362,42 +363,15 @@ class SumSeries(PSeries):
         return SumSeries(self.a.derivative(), self.b.derivative())
 
 
-class ScaledSeries(PSeries):
-    def __init__(self, scalar, inner):
-        if not isinstance(scalar, LcNumber):
-            scalar = LcNumber.from_scalar(inner.mode, scalar)
-        if scalar.mode != inner.mode:
-            raise ValueError("mode mismatch in scale")
-        super().__init__(inner.mode)
-        self.scalar, self.inner = scalar, inner
-
-    def _coeff(self, n, cutoff):
-        vs = self.scalar.val_lb()
-        if vs is None:
-            return self._zero()
-        inner_cut = None if cutoff is None else cutoff - vs
-        return self.scalar * self.inner.coeff(n, inner_cut)
-
-    def _tail_index(self, xval, target, strict):
-        vs = self.scalar.val_lb()
-        if vs is None:
-            return 0
-        return self.inner.tail_index(xval, target - vs, strict)
-
-    def finite_degree(self):
-        return self.inner.finite_degree()
-
-    def derivative(self):
-        return ScaledSeries(self.scalar, self.inner.derivative())
-
-
 class PolyMulSeries(PSeries):
-    """A series multiplied by an explicit polynomial."""
+    """A series multiplied by an explicit polynomial; ``[c]`` gives c times it."""
 
     def __init__(self, poly, inner):
         super().__init__(inner.mode)
         self.poly = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(self.mode, c)
                      for c in poly]
+        if any(c.mode != self.mode for c in self.poly):
+            raise ValueError("mode mismatch in polynomial multiple")
         while self.poly and self.poly[-1].is_exact_zero:
             self.poly.pop()
         self.inner = inner
@@ -555,7 +529,7 @@ class SubstitutedSeries(PSeries):
         return self.inner.finite_degree()
 
     def derivative(self):
-        return ScaledSeries(self.h, SubstitutedSeries(self.inner.derivative(), self.h, self.k))
+        return PolyMulSeries([self.h], SubstitutedSeries(self.inner.derivative(), self.h, self.k))
 
 
 class NormalizedSeries(PSeries):

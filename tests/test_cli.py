@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lcivt import cli
+from lcivt import cli, lcnum
 from lcivt.dsl import parse_literal
 from lcivt.lcnum import LC, eps
 
@@ -259,29 +259,14 @@ def test_error_reports_are_machine_readable(capsys):
 
 
 def test_term_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("LCIVT_MAX_TERMS", "2")
+    # the term cap is a module constant; a report names it when it fires
+    monkeypatch.setattr(lcnum, "_MAX_TERMS", 2)
     code, payload = run_json(
         capsys, "eval", "--inline", "poly: 1+eps+eps^2+eps^3", "--at", "1",
         "--cutoff", "9")
     assert code == 4
     assert payload["failures"][0]["error"] == "ResourceCapError"
-
-
-def test_malformed_term_cap_env_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("LCIVT_MAX_TERMS", "abc")
-    code, payload = run_json(capsys, "eval", "--inline", "poly: 1, 1", "--at", "1")
-    assert code == 4
-    assert payload["failures"][0]["error"] == "ValueError"
-    assert "LCIVT_MAX_TERMS" in payload["failures"][0]["message"]
-
-
-def test_malformed_term_cap_env_fails_commands_without_dsl(capsys, monkeypatch):
-    # the example builds its numbers with trusted constructors and parses no DSL
-    monkeypatch.setenv("LCIVT_MAX_TERMS", "0")
-    code, payload = run_json(capsys, "example", "nilpotent-signs")
-    assert code == 4
-    assert payload["failures"][0]["error"] == "ValueError"
-    assert "LCIVT_MAX_TERMS" in payload["failures"][0]["message"]
+    assert "past the cap _MAX_TERMS = 2" in payload["failures"][0]["message"]
 
 
 def test_missing_series_file_is_an_error(capsys, tmp_path):

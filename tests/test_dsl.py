@@ -10,8 +10,8 @@ from lcivt.dsl import (
     parse_series,
 )
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
-from lcivt.pseries import (PolyMulSeries, PolySeries, RatFunSeries, ScaledSeries,
-                           SubstitutedSeries, SumSeries, TermRuleSeries, partial_sum)
+from lcivt.pseries import (PolyMulSeries, PolySeries, RatFunSeries, SubstitutedSeries,
+                           SumSeries, TermRuleSeries, partial_sum)
 
 from conftest import E
 
@@ -52,6 +52,14 @@ def test_syntax_error_carries_position():
         parse_series("poly: 1, eps^", LC)
     assert err.value.line == 1
     assert err.value.column is not None
+
+
+@pytest.mark.parametrize("field", ["expo=n^", "expo=2*", "expo=n+eps", "prefactor=3n expo=n",
+                                   "expo=", "expo=eps[2]"])
+def test_malformed_n_polynomial_names_its_line(field):
+    with pytest.raises(ParseError, match="^line 2, column ") as err:
+        parse_series("# a term rule\nterm: sign=(-1)^n %s" % field, LC)
+    assert err.value.line == 2
 
 
 def test_exponent_literals():
@@ -114,8 +122,8 @@ def series_sources():
         ("poly: 1, eps\npolymul: 1, -2, 1", LC,
          PolyMulSeries([1, -2, 1], PolySeries(LC, [1, eps()]))),
         ("poly: 0, 1\npoly: 1\nsum:\nscale: eps\nsubst: h=1 k=-1", LC,
-         SubstitutedSeries(ScaledSeries(eps(), SumSeries(PolySeries(LC, [0, 1]),
-                                                         PolySeries(LC, [1]))), one, -one)),
+         SubstitutedSeries(PolyMulSeries([eps()], SumSeries(PolySeries(LC, [0, 1]),
+                                                            PolySeries(LC, [1]))), one, -one)),
     ]
 
 
@@ -125,6 +133,25 @@ def test_series_sources_match_constructors():
         cut = parse_exponent("20", LC) if mode == LC else parse_exponent("1:20", HAHN)
         for i in range(6):
             assert (s.coeff(i, cut) - want.coeff(i, cut)).is_zero_below(cut)
+
+
+@pytest.mark.parametrize("src, scalar, mode, cut, xvals", [
+    ("ratfun: (1 + X) / (1 - eps*X)", "3*eps^2 - eps^(5/2)", LC, E(12), [E(0), E(F(-1, 2)), E(1)]),
+    ("term: sign=(-1)^n scale=1 expo=seq(n)", "eps[1]^2 + 2*eps[2]", HAHN,
+     Exponent.hahn({4: 1}), [Exponent.zero(HAHN), Exponent.hahn({1: -1})]),
+], ids=[LC, HAHN])
+def test_scale_is_a_degree_zero_poly_multiple(src, scalar, mode, cut, xvals):
+    s = parse_series(src + "\nscale: " + scalar, mode)
+    c, inner = parse_literal(scalar, mode), parse_series(src, mode)
+    want = PolyMulSeries([c], inner)
+    assert type(s) is PolyMulSeries and repr(s) == repr(want)
+    for n in range(8):
+        got, ref = s.coeff(n, cut), want.coeff(n, cut)
+        assert (got.terms, got.cutoff) == (ref.terms, ref.cutoff)
+        assert (got - c * inner.coeff(n, cut)).is_zero_below(cut)
+    for xval in xvals:
+        for strict in (False, True):
+            assert s.tail_index(xval, cut, strict) == want.tail_index(xval, cut, strict)
 
 
 def test_derivative_matches_its_term_source():
@@ -137,8 +164,8 @@ def test_derivative_matches_its_term_source():
 
 FIELDS = {"PolySeries": ["coeffs"], "RatFunSeries": ["num", "den"],
           "TermRuleSeries": ["sign_base", "prefactor", "expo", "offset"],
-          "SumSeries": ["a", "b"], "ScaledSeries": ["scalar", "inner"],
-          "PolyMulSeries": ["poly", "inner"], "SubstitutedSeries": ["inner", "h", "k"]}
+          "SumSeries": ["a", "b"], "PolyMulSeries": ["poly", "inner"],
+          "SubstitutedSeries": ["inner", "h", "k"]}
 
 
 def test_series_repr_names_the_class_and_its_rule_fields():

@@ -5,14 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcivt import hensel, rootfind
+from lcivt import hensel, lcnum, rootfind
 from lcivt.errors import CertificateError, ResourceCapError, TruncationError
 from lcivt.hensel import (
     n_poly_root,
     newton_root,
     poly_deriv,
     poly_divmod_monic,
-    poly_eval,
     poly_mul,
     weierstrass_factor,
     weierstrass_factor_batched,
@@ -49,7 +48,7 @@ def test_root_of_quadratic_against_quadratic_formula():
     want = (binomial_sqrt(-4 * eps(), 8) - 1) * F(1, 2)
     assert (got - want).is_zero_below(cut)
     assert str(got) == "-eps - eps^2 - 2*eps^3 + O(eps^4)"
-    assert poly_eval(coeffs, got).is_zero_below(cut)
+    assert horner([coeffs], got)[0].is_zero_below(cut)
 
 
 def test_degree_one_root_is_exact():
@@ -63,7 +62,7 @@ def test_cubic_root_leading_term():
     got = n_poly_root([eps(2), one, LcNumber.zero(LC), one], E(8))
     assert got.terms[0][0] == E(2)
     assert got.terms[0][1].as_fraction() == -1
-    assert poly_eval([eps(2), one, LcNumber.zero(LC), one], got).is_zero_below(E(8))
+    assert horner([[eps(2), one, LcNumber.zero(LC), one]], got)[0].is_zero_below(E(8))
 
 
 def test_root_uniqueness_across_runs():
@@ -392,8 +391,8 @@ def test_newton_root_fails_like_the_reference_where_the_cap_is_out_of_reach(monk
     # below eps[2], and no multiple of a margin in eps[1] reaches eps[2].  Each
     # step runs at the cap, so the inverse of f'(x) = 2 + eps[1] fails as in the
     # reference loop; steps below the cap would double x's terms until
-    # LCIVT_MAX_TERMS (here 64) fired
-    monkeypatch.setenv("LCIVT_MAX_TERMS", "64")
+    # _MAX_TERMS (here 64) fired
+    monkeypatch.setattr(lcnum, "_MAX_TERMS", 64)
     one, cut = LcNumber.one(HAHN), Exponent.hahn({2: 1})
     case = ([-one - eps_n(1), LcNumber.zero(HAHN), one], one, cut)
     want = ("ResourceCapError", "inversion cutoff unreachable in this value group")
@@ -506,7 +505,7 @@ def test_factor_quadratic_with_infinitesimal_cubic_tail():
     from lcivt.rootfind import poly_roots
     hits = poly_roots(fact.p_coeffs, E(6))
     pos = [h for h in hits if h.value.sign() > 0][0]
-    resid = poly_eval([-2 * one, zero, one, eps()], pos.value)
+    resid = horner([[-2 * one, zero, one, eps()]], pos.value)[0]
     assert resid.is_zero_below(E(5))
 
 
@@ -595,8 +594,8 @@ def test_lift_term_cap_fires_inside_the_loop(monkeypatch):
     one = LcNumber.one(LC)
     ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
     # S has one term per coefficient; P and B grow past two in the loop
-    monkeypatch.setenv("LCIVT_MAX_TERMS", "2")
-    with pytest.raises(ResourceCapError, match="LCIVT_MAX_TERMS") as err:
+    monkeypatch.setattr(lcnum, "_MAX_TERMS", 2)
+    with pytest.raises(ResourceCapError, match="_MAX_TERMS = 2") as err:
         weierstrass_factor(ns, 4, E(6))
     assert any(entry.name == "merge" for entry in err.traceback)
 
@@ -605,8 +604,8 @@ def test_lift_term_cap_fires_in_the_residual_update(monkeypatch):
     one = LcNumber.one(LC)
     ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 3)), eps(F(1, 2))]), 4, E(6))
     # the residual passes five terms before P or B does
-    monkeypatch.setenv("LCIVT_MAX_TERMS", "5")
-    with pytest.raises(ResourceCapError, match="LCIVT_MAX_TERMS") as err:
+    monkeypatch.setattr(lcnum, "_MAX_TERMS", 5)
+    with pytest.raises(ResourceCapError, match="_MAX_TERMS = 5") as err:
         weierstrass_factor(ns, 4, E(6))
     names = [entry.name for entry in err.traceback]
     assert "combine" in names and "merge" not in names
@@ -671,7 +670,7 @@ def test_residual_contract_randomized():
         # unit positivity on a rational grid: st(B(x)) = 1 hence B(x) > 0
         for q in (1, F(5, 4), F(3, 2), F(7, 4), 2):
             x = LcNumber.from_scalar(LC, q)
-            bx = fact.unit_value(x)
+            bx = horner([fact.b_coeffs], x)[0]
             assert bx.standard_part().as_fraction() == 1
             assert bx.sign() == 1
 

@@ -14,7 +14,6 @@ from lcivt.pseries import (
     PolyMulSeries,
     PolySeries,
     RatFunSeries,
-    ScaledSeries,
     SubstitutedSeries,
     SumSeries,
     TermRuleSeries,
@@ -88,6 +87,13 @@ def test_hahn_seq_coefficients():
     assert str(s.coeff(3)) == "-eps[3]"
 
 
+def test_poly_multiple_rejects_a_coefficient_of_the_other_mode():
+    with pytest.raises(ValueError, match="mode mismatch"):
+        PolyMulSeries([eps_n(1)], alternating_square_series())
+    with pytest.raises(ValueError, match="mode mismatch"):
+        PolyMulSeries([LcNumber.one(HAHN), eps()], hahn_alternating_series())
+
+
 # ------------------------------------------------------------------ partial sums
 
 
@@ -95,7 +101,7 @@ def test_partial_sum_examples():
     s = alternating_square_series()
     assert [str(c) for c in partial_sum(s, 2)] == ["1", "-eps", "eps^4"]
     assert [str(c) for c in partial_sum(s, 0)] == ["1"]
-    t = SumSeries(s, ScaledSeries(-1, s))
+    t = SumSeries(s, PolyMulSeries([-1], s))
     assert all(c.is_exact_zero for c in partial_sum(t, 4))
 
 
@@ -429,7 +435,7 @@ def test_cutoff_none_is_answered_only_from_an_entry_under_none():
     assert str(t.coeff(0, E(8))) == "1"
     with pytest.raises(CertificateError):
         t.coeff(0)
-    scaled = ScaledSeries(eps(), t)
+    scaled = PolyMulSeries([eps()], t)
     scaled.coeff(1, E(8))
     with pytest.raises(CertificateError):
         scaled.coeff(1)
@@ -440,8 +446,8 @@ def test_shallower_request_keeps_the_marker_a_fresh_series_gives():
     makers = [lambda: PolySeries(LC, [leaf, eps()]),
               lambda: RatFunSeries(LC, [leaf], [LcNumber.one(LC), -eps()]),
               lambda: SumSeries(PolySeries(LC, [leaf, eps()]),
-                                ScaledSeries(eps(), alternating_square_series())),
-              lambda: ScaledSeries(L("3"), PolySeries(LC, [leaf, eps()])),
+                                PolyMulSeries([eps()], alternating_square_series())),
+              lambda: PolyMulSeries([L("3")], PolySeries(LC, [leaf, eps()])),
               lambda: PolyMulSeries([L("1"), eps()], PolySeries(LC, [leaf, eps()]))]
     for make in makers:
         for n in range(3):
@@ -457,7 +463,7 @@ def test_shallower_request_keeps_the_marker_a_fresh_series_gives():
 def test_repeated_coefficient_query_makes_no_kernel_call(monkeypatch):
     one, inner, ratfun = LcNumber.one(LC), alternating_square_series(), geometric_tail_ratfun()
     series = [PolySeries(LC, [1, eps(), 2]), inner, ratfun, SumSeries(inner, ratfun),
-              ScaledSeries(eps(), inner), PolyMulSeries([one, eps()], inner),
+              PolyMulSeries([eps()], inner), PolyMulSeries([one, eps()], inner),
               SubstitutedSeries(inner, one + eps(), eps()), normalize(ratfun, 4, E(6))]
     assert isinstance(series[-1], NormalizedSeries)
     first = [s.coeff(n, E(6)) for s in series for n in range(4)]

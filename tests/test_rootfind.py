@@ -6,8 +6,8 @@ import pytest
 
 from lcivt import cli, rootfind
 from lcivt.errors import ResourceCapError, TruncationError
-from lcivt.hensel import poly_deriv, poly_eval, poly_mul
-from lcivt.lcnum import LC, LcNumber, eps
+from lcivt.hensel import poly_deriv, poly_mul
+from lcivt.lcnum import LC, LcNumber, eps, horner
 from lcivt.pseries import (
     PolyMulSeries,
     PolySeries,
@@ -359,8 +359,8 @@ def test_track_zeros_planted_strictly_increasing():
         coeffs = partial_sum(s, rec.n)
         x = ONE
         for _ in range(14):
-            fx = poly_eval(coeffs, x)
-            dx = poly_eval([coeffs[i] * i for i in range(1, len(coeffs))], x)
+            fx = horner([coeffs], x)[0]
+            dx = horner([[coeffs[i] * i for i in range(1, len(coeffs))]], x)[0]
             x = (x - fx.div(dx, E(14))).truncate(E(14))
         oracle_dist = (x - target.root).valuation()
         assert min(vals) == oracle_dist
@@ -431,7 +431,7 @@ def derivative_ladder_kind(sn_coeffs, x, cutoff):
         order += 1
         if not d:
             return None
-        v = poly_eval(d, x).truncate(cutoff)
+        v = horner([d], x)[0].truncate(cutoff)
         if v.terms:
             if order % 2 == 1:
                 return None  # inflection, not an extreme
