@@ -248,6 +248,8 @@ def _parse_term_line(body, mode, line):
         if "=" not in tok:
             raise ParseError("term fields look like key=value", line)
         key, val = tok.split("=", 1)
+        if key not in ("sign", "prefactor", "scale", "expo", "offset"):
+            raise ParseError("unknown term field %r" % key, line)
         fields[key] = val
     sign = 1
     if "sign" in fields:
@@ -270,7 +272,11 @@ def _parse_term_line(body, mode, line):
         expo = ("seq", int(m.group(1) or 0))
     else:
         expo = ("poly", _parse_npoly(expo_text, line))
-    offset = int(fields.get("offset", "0"))
+    sc = _Scanner(fields.get("offset", "0"), line)
+    neg = sc.peek() == "-" and sc.take()
+    offset = -sc.digits() if neg else sc.digits()
+    if not sc.done():
+        sc.error("offset must be an integer")
     return TermRuleSeries(mode, sign, prefactor, expo, offset)
 
 

@@ -17,6 +17,10 @@ one factor has exactly one root in it; ``_root_of`` interns one generator
 per root.  Mixed-field sums and products, ``algebraic_roots`` and the
 kernel's grids first bring values onto their compositum (``common_field``).
 
+``_factor_int_poly`` divides out rational roots first: sympy's
+``factor_list`` sees only a remainder of degree 4 or more, or an input past
+``_ROOT_SEARCH_CAP``, and the factors keep sympy's order either way.
+
 No floating point is used anywhere; interval refinement is exact rational
 bisection.  Comparisons refine generator brackets in place, as a cache; a
 value renders from its minimal polynomial and a canonical isolating interval
@@ -28,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import count
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from . import polys
 from .errors import ResourceCapError
@@ -52,16 +56,23 @@ _MAX_ALG_DEGREE = 64
 _RENDER_WIDTH = Fraction(1, 16)
 # Factorizations kept per process, least recently used dropped first.
 _FACTOR_CACHE_SIZE = 1024
+# Candidate pairs d(|a0|) * d(lead) the rational root search may try, and the
+# bound on sqrt(|a0|) and sqrt(lead) for finding them; past it, the whole
+# input goes to sympy.  A search at the cap costs about one factor_list call.
+_ROOT_SEARCH_CAP = 2048
 
 
 @lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _factor_int_poly(coeffs):
     """Irreducible integer factors (ascending coeffs) of a primitive int poly
-    with a positive leading coefficient.
+    with a positive leading coefficient, in sympy's ``factor_list`` order:
+    by length, then multiplicity, then coefficients from the highest degree.
 
     Known answers skip sympy: a constant has no factor, a linear input is
     its own factor, and so is a quadratic whose discriminant is not a
-    square (its roots are irrational).
+    square.  Otherwise the rational roots are divided out first; what is
+    left then has no rational root, so at degree 2 or 3 it is irreducible,
+    and only at degree 4 or more, or past the cap, does sympy factor it.
     """
     if len(coeffs) <= 2:
         return (tuple(coeffs),) if len(coeffs) == 2 else ()
@@ -70,17 +81,59 @@ def _factor_int_poly(coeffs):
         disc = b * b - 4 * a * c
         if disc < 0 or isqrt(disc) ** 2 != disc:
             return (tuple(coeffs),)
-    import sympy
+    found = _rational_roots(coeffs)
+    pairs, rest = found if found is not None else ([], tuple(coeffs))
+    if found is None or len(rest) > 4:
+        import sympy
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, domain="ZZ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, _k in factors:
-        fc = tuple(int(c) for c in reversed(fac.all_coeffs()))
-        if len(fc) > 1:
-            out.append(fc)
-    return tuple(out)
+        _, factors = sympy.Poly(list(reversed(rest)), sympy.Symbol("x"), domain="ZZ").factor_list()
+        pairs += [(tuple(int(c) for c in reversed(f.all_coeffs())), k) for f, k in factors]
+    elif len(rest) > 1:
+        pairs.append((rest, 1))
+    pairs.sort(key=lambda fk: (len(fk[0]), fk[1], fk[0][::-1]))
+    return tuple(f for f, _ in pairs)
+
+
+def _rational_roots(coeffs):
+    """([((-p, q), multiplicity)], remainder) for the rational roots of a
+    primitive int poly, or None past the cap: p | a0 and q | lead, and q*x - p
+    divides f in Z[x], so q - p | f(1) and q + p | f(-1)."""
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    f = list(reversed(coeffs[zeros:]))
+    nums, dens = _divisors(abs(f[-1])), _divisors(f[0])
+    if nums is None or dens is None or len(nums) * len(dens) > _ROOT_SEARCH_CAP:
+        return None
+    pairs = [((0, 1), zeros)] if zeros else []
+    f1, fm1 = sum(f), sum(f[::-2]) - sum(f[-2::-2])
+    for q in dens:
+        for p in (s * n for n in nums for s in (1, -1) if gcd(n, q) == 1):
+            if len(f) == 1 or (q != p and f1 % (q - p)) or (q != -p and fm1 % (q + p)):
+                continue
+            k = 0
+            while (quo := _divide_linear(f, p, q)) is not None:
+                f, k = quo, k + 1
+            if k:
+                pairs.append(((-p, q), k))
+    return pairs, tuple(reversed(f))
+
+
+def _divide_linear(f, p, q):
+    """f / (q*x - p) for descending int coefficients, or None if inexact."""
+    quo, carry = [], 0
+    for c in f[:-1]:
+        carry, r = divmod(c + p * carry, q)
+        if r:
+            return None
+        quo.append(carry)
+    return quo if f[-1] + p * carry == 0 else None
+
+
+def _divisors(n):
+    """The positive divisors of n > 0, or None past ``_ROOT_SEARCH_CAP`` ** 2."""
+    if isqrt(n) > _ROOT_SEARCH_CAP:
+        return None
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
 
 
 class _Generator:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,47 @@ def test_error_reports_are_machine_readable(capsys):
     assert code == 4
     assert payload["failures"][0]["error"] == "ParseError"
     assert "hahn" in payload["failures"][0]["message"]
+
+
+@pytest.mark.parametrize("field, text", [
+    ("ofset=3", "unknown term field 'ofset'"),
+    ("offset=x", "expected digits"),
+    ("offset=2x", "offset must be an integer"),
+], ids=["unknown-field", "offset-not-digits", "offset-trailing"])
+def test_malformed_term_field_is_a_parse_error(capsys, field, text):
+    code = cli.main(["eval", "--inline", "term: sign=(-1)^n scale=1 expo=n^2 " + field,
+                     "--at", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    failure = json.loads(captured.out)["failures"][0]
+    assert set(failure) == {"error", "message"}
+    assert failure["error"] == "ParseError"
+    assert failure["message"].startswith("line 1")
+    assert text in failure["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_cli_requests_never_import_sympy():
+    # sympy factors only a remainder of degree >= 4 left after the rational
+    # roots are divided out; no example report and no cli-lc or cli-hahn
+    # request of lcbench (seed 1, inputs read from lcbench/workloads.py) has one
+    root = Path(__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        sys.path[:0] = [%r, %r]
+        import workloads
+        from lcivt import cli
+        for example in ("nilpotent-signs", "nilpotent-roots", "hahn-signs", "double-zero"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["example", example]) == 0, example
+        for name in ("cli-lc", "cli-hahn"):
+            load = workloads.WORKLOADS[name]
+            for i in range(60):
+                load.call(load.prepare(load.spec(1, i)))
+        assert "sympy" not in sys.modules
+    """ % (str(root / "src"), str(root / "lcbench")))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 def test_term_cap_env(capsys, monkeypatch):

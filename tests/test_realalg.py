@@ -1,11 +1,12 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcivt import realalg
 from lcivt.errors import ResourceCapError
-from lcivt.polys import peval, pshift
+from lcivt.polys import peval, pmul, pshift
 from lcivt.realalg import (
     RealAlgebraic,
     algebraic_roots,
@@ -260,6 +261,32 @@ def test_pshift_is_a_taylor_shift(p, c, x):
     assert peval(pshift(p, c), x) == peval(p, x + c)
 
 
+def _sympy_factors(coeffs):
+    """sympy's factor_list of an ascending integer polynomial, as ascending
+    tuples in sympy's order, multiplicities and constants dropped."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="ZZ").factor_list()
+    return tuple(fc for fc in (tuple(int(c) for c in reversed(f.all_coeffs()))
+                               for f, _ in factors) if len(fc) > 1)
+
+
+def _int_product(blocks):
+    return tuple(reduce(pmul, blocks, [1]))
+
+
+# ascending blocks with positive leading coefficients, so every product is
+# primitive (Gauss's lemma) and is an input that clear_denominators makes
+_LINEAR = [(0, 1), (-1, 1), (1, 1), (2, 1), (-1, 2), (1, 3), (-2, 3)]
+_QUADRATIC = [(-2, 0, 1), (1, 1, 1), (-5, 0, 3), (1, 0, 1), (-3, 0, 4)]
+_CUBIC = [(-2, 0, 0, 1), (1, 1, 0, 1), (5, -3, 0, 2)]  # no rational root
+# past _ROOT_SEARCH_CAP: 240 * 240 candidate pairs; a prime a0 whose trial
+# division would pass the cap; 360 * 60 candidate pairs around a planted root
+_PAST_CAP = [(720720, 0, 1, 0, 720720), (-(2**31 - 1), 0, 0, 1),
+             _int_product([(-1, 1), (11, 0, 5040), (720720, 0, 1)])]
+
+
 def test_factor_fast_path_matches_sympy():
     # every primitive polynomial of degree <= 2 with a positive leading
     # coefficient and coefficients in [-12, 12], the inputs clear_denominators
@@ -267,21 +294,56 @@ def test_factor_fast_path_matches_sympy():
     import itertools
     from math import gcd
 
-    import sympy
-
     from lcivt.realalg import _factor_int_poly
 
-    x = sympy.Symbol("x")
     span = range(-12, 13)
     polys = [(), (1,)]
     polys += [(c, a) for c, a in itertools.product(span, range(1, 13)) if gcd(c, a) == 1]
     polys += [(c, b, a) for c, b, a in itertools.product(span, span, range(1, 13))
               if gcd(gcd(c, b), a) == 1]
     for coeffs in polys:
-        _, factors = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="ZZ").factor_list()
-        want = tuple(fc for fc in (tuple(int(c) for c in reversed(f.all_coeffs()))
-                                   for f, _ in factors) if len(fc) > 1)
-        assert _factor_int_poly.__wrapped__(coeffs) == want, coeffs
+        assert _factor_int_poly.__wrapped__(coeffs) == _sympy_factors(coeffs), coeffs
+
+
+def test_factor_of_degree_3_to_6_matches_sympy_in_order():
+    # every product of one to three blocks of degree 3 to 6: planted,
+    # repeated and zero rational roots, irreducible cubics, and quartics that
+    # split into two quadratics, plus inputs past the candidate cap, which go
+    # to sympy whole; the factors and their order must be sympy's
+    import itertools
+
+    from lcivt.realalg import _factor_int_poly, _rational_roots
+
+    blocks = _LINEAR + _QUADRATIC + _CUBIC
+    polys = [_int_product(combo) for r in (1, 2, 3)
+             for combo in itertools.combinations_with_replacement(blocks, r)]
+    polys = [p for p in polys if 4 <= len(p) <= 7]
+    assert len(polys) > 500
+    for coeffs in polys + _PAST_CAP:
+        assert _factor_int_poly.__wrapped__(coeffs) == _sympy_factors(coeffs), coeffs
+    assert all(_rational_roots(coeffs) is None for coeffs in _PAST_CAP)
+
+
+def test_only_a_remainder_of_degree_4_reaches_sympy(monkeypatch):
+    # a residue-style input, (3x - 1)(2x^2 - 1)(9x^2 - 5): the root 1/3 is
+    # divided out, and only the quartic remainder is left to sympy
+    import sympy
+
+    from lcivt.realalg import _factor_int_poly
+
+    coeffs = _int_product([(-1, 3), (-1, 0, 2), (-5, 0, 9)])
+    want = _sympy_factors(coeffs)
+    seen = []
+    factor_list = sympy.Poly.factor_list
+
+    def traced(poly, *args, **kwargs):
+        seen.append(tuple(int(c) for c in reversed(poly.all_coeffs())))
+        return factor_list(poly, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", traced)
+    assert _factor_int_poly.__wrapped__(coeffs) == want
+    assert want == ((-1, 3), (-1, 0, 2), (-5, 0, 9))
+    assert seen == [_int_product([(-1, 0, 2), (-5, 0, 9)])]
 
 
 @settings(max_examples=60, deadline=None)
