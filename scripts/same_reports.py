@@ -13,6 +13,13 @@ The digest covers:
   seeds 1-3.  Each result is rendered a second time after every pair of its
   roots has been compared, and the stream fails if the two renders differ.
 
+The fingerprints re-dump each report with sorted keys, so they miss key
+order, text and CSV output and error reports.  One more stream, ``raw``,
+runs the fixed argument lists of ``RAW_ARGV`` through ``cli.main`` and
+records, per list, the exit code, whether stderr stayed empty and the
+stdout text itself with only the ``timing_seconds`` value masked.  Its
+digest is printed on its own line and is not part of the total.
+
 Each stream runs in a fresh interpreter, as in ``lcbench``: generator
 brackets, which comparisons refine, and the factor cache live for a process.
 A rendering is a function of the value alone, which the second render of
@@ -30,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +48,21 @@ STREAMS = ([("cli-lc", seed, 60) for seed in (1, 2, 3)]
            + [("cli-hahn", seed, 60) for seed in (1, 2, 3)]
            + [("example", 0, len(EXAMPLES)), ("lift", 3, 80)]
            + [("residue", seed, 60) for seed in (1, 2, 3)])
+TRACK = ("track-zeros", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2",
+         "--n-list", "1,2,3")
+RAW_ARGV = (
+    TRACK,
+    TRACK + ("--output", "text"),
+    TRACK + ("--output", "csv"),
+    ("eval", "--inline", "poly: 1", "--at", "1", "--frobnicate"),  # unknown option
+    ("eval", "--inline", "poly: 1 +", "--at", "1"),  # ParseError
+    ("eval", "--inline", "poly: 1 +", "--at", "1", "--output", "text"),
+    ("eval", "--at", "1"),  # no --series or --inline
+    ("eval", "--inline", "poly: 1", "--at", "1", "--output", "csv"),  # no track record
+    ("eval", "--inline", "term: sign=(+1)^n scale=1 expo=1/1000000*n", "--at", "1",
+     "--cutoff", "1"),  # ResourceCapError: _TAIL_CAP
+)
+_TIMING = re.compile(r'(timing_seconds"?: )[-+.e0-9]+')
 
 
 def stream_lines(name, seed, count):
@@ -48,6 +71,14 @@ def stream_lines(name, seed, count):
     import workloads
     from lcivt import cli
 
+    if name == "raw":
+        for argv in RAW_ARGV:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(list(argv))
+            yield "%r %d stderr=%s %r" % (argv, rc, "empty" if not err.getvalue() else "written",
+                                           _TIMING.sub(r"\1<t>", out.getvalue()))
+        return
     if name == "example":
         for example in EXAMPLES:
             buf = io.StringIO()
@@ -99,16 +130,23 @@ def main():
         return
     total = hashlib.sha256()
     for name, seed, count in STREAMS:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--stream", name, str(seed), str(count)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED="0"))
-        if proc.returncode != 0:
-            raise SystemExit("stream %s seed %d failed:\n%s" % (name, seed, proc.stderr[-3000:]))
-        part = "%s %d\n%s" % (name, seed, proc.stdout)
+        part = _run_stream(name, seed, count)
         total.update(part.encode())
         if args.parts:
             print("%s seed %d: %s" % (name, seed, hashlib.sha256(part.encode()).hexdigest()))
+    raw = _run_stream("raw", 0, len(RAW_ARGV))
+    print("raw (not in the total): %s" % hashlib.sha256(raw.encode()).hexdigest())
     print(total.hexdigest())
+
+
+def _run_stream(name, seed, count):
+    """One stream's output, headed by its name and seed, from a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--stream", name, str(seed), str(count)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED="0"))
+    if proc.returncode != 0:
+        raise SystemExit("stream %s seed %d failed:\n%s" % (name, seed, proc.stderr[-3000:]))
+    return "%s %d\n%s" % (name, seed, proc.stdout)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ hahn-signs, double-zero).  Exit code 0 means every asserted property held;
 1 means an assertion failed (a machine-readable failure record is in the
 report); 4 means the run raised an error of any kind, I/O, a resource cap
 and a command line the parser rejects included.
+
+A report has the keys config, results, certificates, failures, ok and
+timing_seconds, in that order.  config echoes the parsed options named in
+``_ECHO`` that are set, in that order; a command line the parser rejects
+echoes only the defaults mode lc and output json.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dsl import parse_exponent, parse_literal, parse_series
@@ -48,72 +52,37 @@ from .rootfind import (
     track_partial_sum_zeros,
 )
 
-@dataclass
-class RunConfig:
-    command: str
-    mode: str = LC
-    cutoff: str | None = None
-    degree_cap: int | None = None
-    series_source: str | None = None
-    inline: str | None = None
-    interval: str | None = None
-    at: str | None = None
-    target: str | None = None
-    n_list: str | None = None
-    window: str | None = None
-    example: str | None = None
-    l_max: int = 3
-    h_max: int = 6
-    n_cap: int = 20
-    output: str = "json"
 
-    def resolved_cutoff(self, default_depth):
-        if self.cutoff is None:
-            return default_exponent(self.mode, default_depth)
-        return parse_exponent(self.cutoff, self.mode)
-
-    def load_series(self):
-        if self.inline is not None:
-            return parse_series(self.inline, self.mode)
-        if self.series_source is not None:
-            with open(self.series_source) as fh:
-                return parse_series(fh.read(), self.mode)
-        raise LcivtError("no series given: use --series FILE or --inline DSL")
-
-    def parse_pair(self, text, what):
-        parts = [p for p in text.split(",") if p.strip()]
-        if len(parts) != 2:
-            raise LcivtError("%s needs two comma-separated literals" % what)
-        return (parse_literal(parts[0], self.mode), parse_literal(parts[1], self.mode))
-
-    def echo(self):
-        keys = ("command", "mode", "cutoff", "degree_cap", "series_source",
-                "inline", "interval", "at", "target", "n_list", "window",
-                "example", "output")
-        return {k: getattr(self, k) for k in keys if getattr(self, k) is not None}
+_ECHO = ("command", "mode", "cutoff", "degree_cap", "series_source", "inline", "interval",
+         "at", "target", "n_list", "window", "example", "output")
 
 
-@dataclass
-class Report:
-    config: dict
-    results: object
-    certificates: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    timing_seconds: float = 0.0
+def _series(cfg):
+    if cfg.inline is not None:
+        return parse_series(cfg.inline, cfg.mode)
+    if cfg.series_source is not None:
+        with open(cfg.series_source) as fh:
+            return parse_series(fh.read(), cfg.mode)
+    raise LcivtError("no series given: use --series FILE or --inline DSL")
 
-    @property
-    def ok(self):
-        return not self.failures
+
+def _cutoff(cfg, depth):
+    if cfg.cutoff is None:
+        return default_exponent(cfg.mode, depth)
+    return parse_exponent(cfg.cutoff, cfg.mode)
+
+
+def _pair(cfg, text, what):
+    parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) != 2:
+        raise LcivtError("%s needs two comma-separated literals" % what)
+    return (parse_literal(parts[0], cfg.mode), parse_literal(parts[1], cfg.mode))
 
 
 def jsonable(value):
     if isinstance(value, LcNumber):
         return value.render()
-    if isinstance(value, Exponent):
-        return str(value)
-    if isinstance(value, RealAlgebraic):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (Exponent, RealAlgebraic, Fraction)):
         return str(value)
     if isinstance(value, RootReport):
         return {
@@ -149,16 +118,9 @@ def jsonable(value):
     return value
 
 
-def emit_report(report, fmt, stream=None):
+def emit_report(payload, fmt, stream=None):
     stream = stream if stream is not None else sys.stdout
-    payload = {
-        "config": jsonable(report.config),
-        "results": jsonable(report.results),
-        "certificates": jsonable(report.certificates),
-        "failures": jsonable(report.failures),
-        "ok": report.ok,
-        "timing_seconds": report.timing_seconds,
-    }
+    payload = jsonable(payload)
     if fmt == "json":
         json.dump(payload, stream, indent=2)
         stream.write("\n")
@@ -200,9 +162,9 @@ def emit_report(report, fmt, stream=None):
 
 
 def cmd_eval(cfg):
-    s = cfg.load_series()
+    s = _series(cfg)
     x = parse_literal(cfg.at, cfg.mode)
-    cut = cfg.resolved_cutoff(1)
+    cut = _cutoff(cfg, 1)
     value = evaluate(s, x, cut)
     try:
         sign = value.sign()
@@ -212,10 +174,10 @@ def cmd_eval(cfg):
 
 
 def cmd_factor(cfg):
-    s = cfg.load_series()
-    cut = cfg.resolved_cutoff(50)
+    s = _series(cfg)
+    cut = _cutoff(cfg, 50)
     if cfg.interval is not None:
-        a, b = cfg.parse_pair(cfg.interval, "--interval")
+        a, b = _pair(cfg, cfg.interval, "--interval")
         s = transform_interval(s, a, b)
     zero = Exponent.zero(cfg.mode)
     cap = cfg.degree_cap
@@ -232,25 +194,25 @@ def cmd_factor(cfg):
 
 
 def cmd_ivt(cfg):
-    s = cfg.load_series()
-    a, b = cfg.parse_pair(cfg.interval, "--interval")
-    cut = cfg.resolved_cutoff(50)
+    s = _series(cfg)
+    a, b = _pair(cfg, cfg.interval, "--interval")
+    cut = _cutoff(cfg, 50)
     rep = ivt_root(s, a, b, cut, cfg.degree_cap)
     return {"root": rep}, {"residual_valuation": rep.residual_valuation}, []
 
 
 def cmd_zeros(cfg):
-    s = cfg.load_series()
-    a, b = cfg.parse_pair(cfg.interval, "--interval")
-    cut = cfg.resolved_cutoff(50)
+    s = _series(cfg)
+    a, b = _pair(cfg, cfg.interval, "--interval")
+    cut = _cutoff(cfg, 50)
     count, reports = count_zeros(s, a, b, cut, cfg.degree_cap)
     return {"count": count, "roots": reports}, {}, []
 
 
 def cmd_mult(cfg):
-    s = cfg.load_series()
+    s = _series(cfg)
     c = parse_literal(cfg.at, cfg.mode)
-    cut = cfg.resolved_cutoff(50)
+    cut = _cutoff(cfg, 50)
     m = multiplicity_at(s, c, cut)
     return {"multiplicity": m, "at": c}, {}, []
 
@@ -260,23 +222,23 @@ def _parse_n_list(text):
 
 
 def cmd_track_zeros(cfg):
-    s = cfg.load_series()
-    a, b = cfg.parse_pair(cfg.interval, "--interval")
-    cut = cfg.resolved_cutoff(50)
+    s = _series(cfg)
+    a, b = _pair(cfg, cfg.interval, "--interval")
+    cut = _cutoff(cfg, 50)
     target = ivt_root(s, a, b, cut, cfg.degree_cap)
-    window = cfg.parse_pair(cfg.window, "--window") if cfg.window else (a, b)
+    window = _pair(cfg, cfg.window, "--window") if cfg.window else (a, b)
     records = track_partial_sum_zeros(s, target, _parse_n_list(cfg.n_list), window)
     return records, {"target": target}, []
 
 
 def cmd_track_extremes(cfg):
-    s = cfg.load_series()
+    s = _series(cfg)
     c = parse_literal(cfg.target, cfg.mode)
-    cut = cfg.resolved_cutoff(50)
+    cut = _cutoff(cfg, 50)
     mult = multiplicity_at(s, c, cut)
     target = RootReport(root=c, multiplicity=mult, residual_valuation=cut,
                         interval=(c, c))
-    window = cfg.parse_pair(cfg.window, "--window")
+    window = _pair(cfg, cfg.window, "--window")
     records = track_extremes(s, target, _parse_n_list(cfg.n_list), window)
     kind = target_extreme_kind(s, target)
     return records, {"target": target, "target_kind": kind}, []
@@ -308,7 +270,7 @@ def example_nilpotent_signs(cfg):
     if not 1 <= cfg.l_max <= 5:
         raise LcivtError("l out of the documented range (1..5)")
     s = nilpotent_series()
-    cut = cfg.resolved_cutoff(1)
+    cut = _cutoff(cfg, 1)
     rows, failures = [], []
     for l in range(1, cfg.l_max + 1):
         for m, expected in ((-4 * l, 1), (-4 * l - 2, -1)):
@@ -326,7 +288,7 @@ def example_nilpotent_roots(cfg):
     if not 1 <= cfg.l_max <= 5:
         raise LcivtError("l out of the documented range (1..5)")
     s = nilpotent_series()
-    cut = cfg.resolved_cutoff(25)
+    cut = _cutoff(cfg, 25)
     rows, failures = [], []
     for l in range(1, min(cfg.l_max, 2) + 1):
         a, b = eps(-4 * l), eps(-4 * l - 2)
@@ -367,7 +329,7 @@ def example_double_zero(cfg):
                         interval=(LcNumber.from_scalar(LC, Fraction(3, 4)),
                                   LcNumber.from_scalar(LC, Fraction(5, 4))))
     window = target.interval
-    cut = cfg.resolved_cutoff(50)
+    cut = _cutoff(cfg, 50)
     kind = target_extreme_kind(t, target)
     rows, failures = [], []
     grid = [Fraction(3, 4) + Fraction(k, 32) for k in range(17)]
@@ -377,7 +339,7 @@ def example_double_zero(cfg):
         grid_ok = all(
             horner([coeffs], LcNumber.from_scalar(LC, x))[0].sign() > 0 for x in grid)
         hits = [h for h in poly_roots(coeffs, cut, window=window)
-                if h.value.compare(window[0]) >= 0 and h.value.compare(window[1]) <= 0]
+                if h.root.compare(window[0]) >= 0 and h.root.compare(window[1]) <= 0]
         no_root = not hits
         records = track_extremes(t, target, [n], window)
         matched = [(k, loc, dv) for k, loc, dv in records[0].items
@@ -480,31 +442,29 @@ def build_parser():
     return parser
 
 
-def run(cfg):
-    handler = _COMMANDS[cfg.command]
-    t0 = time.monotonic()
-    results, certificates, failures = handler(cfg)
-    dt = time.monotonic() - t0
-    return Report(config=cfg.echo(), results=results, certificates=certificates,
-                  failures=failures, timing_seconds=round(dt, 6))
+def _payload(cfg, results, certificates, failures, timing):
+    """The report, keys in output order; config echoes the options that are set."""
+    return {"config": {k: v for k in _ECHO if (v := getattr(cfg, k, None)) is not None},
+            "results": results, "certificates": certificates, "failures": failures,
+            "ok": not failures, "timing_seconds": timing}
 
 
 def main(argv=None):
-    cfg = RunConfig(command=None)  # what a usage error echoes
+    cfg = argparse.Namespace(mode=LC, output="json")  # what a usage error echoes
     try:
-        ns = build_parser().parse_args(argv)
-        cfg = RunConfig(**{k: v for k, v in vars(ns).items()
-                           if k in RunConfig.__dataclass_fields__ and v is not None})
-        report = run(cfg)
-        emit_report(report, cfg.output)
+        cfg = build_parser().parse_args(argv)
+        t0 = time.monotonic()
+        results, certificates, failures = _COMMANDS[cfg.command](cfg)
+        timing = round(time.monotonic() - t0, 6)
+        emit_report(_payload(cfg, results, certificates, failures, timing), cfg.output)
     except Exception as exc:  # every error, typed or not, is exit code 4
         if not isinstance(exc, LcivtError):
             traceback.print_exc(file=sys.stderr)
-        err = Report(config=cfg.echo(), results=None,
-                     failures=[{"error": type(exc).__name__, "message": str(exc)}])
-        emit_report(err, "json" if cfg.output == "csv" else cfg.output)
+        failures = [{"error": type(exc).__name__, "message": str(exc)}]
+        emit_report(_payload(cfg, None, {}, failures, 0.0),
+                    "json" if cfg.output == "csv" else cfg.output)
         return 4
-    return 0 if report.ok else 1
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -250,7 +250,11 @@ def _parse_term_line(body, mode, line):
         key, val = tok.split("=", 1)
         if key not in ("sign", "prefactor", "scale", "expo", "offset"):
             raise ParseError("unknown term field %r" % key, line)
+        if key in fields:
+            raise ParseError("term field %r given twice" % key, line)
         fields[key] = val
+    if "prefactor" in fields and "scale" in fields:
+        raise ParseError("term fields 'prefactor' and 'scale' exclude each other", line)
     sign = 1
     if "sign" in fields:
         m = _SIGN_RE.match(fields["sign"])

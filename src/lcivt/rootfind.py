@@ -9,7 +9,9 @@ valuation bookkeeping.
 
 Roots are emitted as truncations at the requested cutoff with certified
 residual valuations; roots that cannot be told apart below the cutoff merge
-into one report with summed multiplicity, flagged unresolved.
+into one report with summed multiplicity, flagged unresolved.  Every root
+is a ``RootReport``: ``poly_roots`` leaves its ``interval`` unset, and
+``monic_real_roots`` and the series pipelines set it to the searched range.
 """
 
 from __future__ import annotations
@@ -36,22 +38,11 @@ def default_exponent(mode, q):
 
 
 @dataclass
-class RootHit:
-    """Engine-level root record."""
-
-    value: LcNumber
-    multiplicity: int
-    exact: bool
-    unresolved: bool
-    residual_valuation: Exponent | None  # None means exactly zero
-
-
-@dataclass
 class RootReport:
     root: LcNumber
     multiplicity: int
     residual_valuation: Exponent | None
-    interval: tuple
+    interval: tuple | None = None
     certificate: dict = field(default_factory=dict)
     unresolved: bool = False
     exact: bool = False
@@ -182,7 +173,7 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
             if hit is not None:
                 x, rv = hit
                 full = acc + x
-                out.append(RootHit(full, 1, full.is_exact and rv is None, False, rv))
+                out.append(RootReport(full, 1, rv, exact=full.is_exact and rv is None))
                 continue
             shifted = SubstitutedSeries(PolySeries(mode, coeffs), LcNumber.one(mode), point)
             _roots_rec([shifted.coeff(m) for m in range(len(coeffs))],
@@ -194,10 +185,10 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
         resid = coeffs[0].val_lb() if zeros == 0 else None
         if lam_floor is not None and merged_loc_cut.compare(lam_floor) < 0:
             merged_loc_cut = lam_floor
-        out.append(RootHit(acc.truncate(merged_loc_cut), zeros + merged_mult,
-                           False, True, resid))
+        out.append(RootReport(acc.truncate(merged_loc_cut), zeros + merged_mult, resid,
+                              unresolved=True))
     elif zeros:
-        out.append(RootHit(acc, zeros, acc.is_exact, False, None))
+        out.append(RootReport(acc, zeros, None, exact=acc.is_exact))
 
 
 def _window_prune(lo, hi):
@@ -231,7 +222,8 @@ def poly_roots(coeffs, cutoff, window=None):
     """All roots in the field of a polynomial with LcNumber coefficients.
 
     ``window`` (a pair of endpoints) prunes branches that cannot land in it;
-    it does not by itself filter the output.  Returns RootHits sorted
+    it does not by itself filter the output.  Returns RootReports, with no
+    interval and a residual valuation of None for an exact root, sorted
     ascending where the order is decidable.
     """
     coeffs = list(coeffs)
@@ -252,7 +244,7 @@ def poly_roots(coeffs, cutoff, window=None):
 def sort_roots(hits):
     def lt(a, b):
         try:
-            return a.value.compare(b.value) < 0
+            return a.root.compare(b.root) < 0
         except TruncationError:
             return False
 
@@ -274,25 +266,16 @@ def monic_real_roots(p_coeffs, lo, hi, cutoff):
     """Roots of a monic polynomial over the valuation ring inside [lo, hi]."""
     if not (p_coeffs[-1].is_exact and p_coeffs[-1] == 1):
         raise ValueError("polynomial must be monic")
-    hits = poly_roots(p_coeffs, cutoff)
     reports = []
-    for h in hits:
+    for h in poly_roots(p_coeffs, cutoff):
         try:
-            keep = _in_range(h.value, lo, hi)
+            keep = _in_range(h.root, lo, hi)
         except TruncationError:
             raise TruncationError(
                 "range endpoints incomparable with a root at the current truncation")
-        if not keep:
-            continue
-        reports.append(RootReport(
-            root=h.value,
-            multiplicity=h.multiplicity,
-            residual_valuation=h.residual_valuation,
-            interval=(lo, hi),
-            certificate={"kind": "polynomial"},
-            unresolved=h.unresolved,
-            exact=h.exact,
-        ))
+        if keep:
+            h.interval, h.certificate = (lo, hi), {"kind": "polynomial"}
+            reports.append(h)
     return reports
 
 
@@ -496,7 +479,7 @@ def _poly_roots_in_window(coeffs, cutoff, lo, hi):
     out = []
     for h in hits:
         try:
-            if _in_range(h.value, lo, hi):
+            if _in_range(h.root, lo, hi):
                 out.append(h)
         except TruncationError:
             out.append(h)  # indistinguishable from the boundary: keep it
@@ -529,7 +512,7 @@ def track_partial_sum_zeros(s, target, n_list, window):
     for n in n_list:
         coeffs = partial_sum(s, n, None if _exact_coeffs(s) else cutoff)
         hits = _poly_roots_in_window(coeffs, cutoff, lo, hi)
-        items = [("zero", h.value, _distance_valuation(h.value, target.root))
+        items = [("zero", h.root, _distance_valuation(h.root, target.root))
                  for h in hits]
         records.append(TrackRecord(n, items))
     return records
@@ -575,10 +558,10 @@ def track_extremes(s, target, n_list, window):
         hits = _poly_roots_in_window(dcoeffs, cutoff, lo, hi)
         items = []
         for h in hits:
-            kind = _classify_extreme(coeffs, h.value, cutoff)
+            kind = _classify_extreme(coeffs, h.root, cutoff)
             if kind is None:
                 continue
-            items.append((kind, h.value, _distance_valuation(h.value, target.root)))
+            items.append((kind, h.root, _distance_valuation(h.root, target.root)))
         records.append(TrackRecord(n, items))
     return records
 

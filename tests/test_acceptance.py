@@ -242,7 +242,7 @@ def test_criterion_7_double_zero():
         coeffs = partial_sum(t, n)
         ok &= all(horner([coeffs], num(x))[0].sign() > 0 for x in grid)
         hits = [h for h in poly_roots(coeffs, cut, window=window)
-                if h.value.compare(window[0]) >= 0 and h.value.compare(window[1]) <= 0]
+                if h.root.compare(window[0]) >= 0 and h.root.compare(window[1]) <= 0]
         ok &= not hits
         rec = track_extremes(t, target, [n], window)[0]
         mins = [(loc, dv) for k, loc, dv in rec.items if k == "min" and dv is not None]

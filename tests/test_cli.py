@@ -266,7 +266,10 @@ def test_error_reports_are_machine_readable(capsys):
     ("ofset=3", "unknown term field 'ofset'"),
     ("offset=x", "expected digits"),
     ("offset=2x", "offset must be an integer"),
-], ids=["unknown-field", "offset-not-digits", "offset-trailing"])
+    ("expo=n", "term field 'expo' given twice"),
+    ("prefactor=2", "term fields 'prefactor' and 'scale' exclude each other"),
+], ids=["unknown-field", "offset-not-digits", "offset-trailing", "repeated-field",
+        "prefactor-and-scale"])
 def test_malformed_term_field_is_a_parse_error(capsys, field, text):
     code = cli.main(["eval", "--inline", "term: sign=(-1)^n scale=1 expo=n^2 " + field,
                      "--at", "1"])

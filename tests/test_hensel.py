@@ -504,8 +504,8 @@ def test_factor_quadratic_with_infinitesimal_cubic_tail():
     # of the series shifted to sqrt(2)
     from lcivt.rootfind import poly_roots
     hits = poly_roots(fact.p_coeffs, E(6))
-    pos = [h for h in hits if h.value.sign() > 0][0]
-    resid = horner([[-2 * one, zero, one, eps()]], pos.value)[0]
+    pos = [h for h in hits if h.root.sign() > 0][0]
+    resid = horner([[-2 * one, zero, one, eps()]], pos.root)[0]
     assert resid.is_zero_below(E(5))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcivt import lcnum, pseries
+from lcivt.dsl import parse_series
 from lcivt.errors import CertificateError, ResourceCapError, TruncationError
 from lcivt.hensel import poly_deriv, poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
@@ -300,6 +301,21 @@ def test_normalize_all_infinitesimal():
     assert ns.N == 1
     assert ns.vmin == E(1)
     assert_normalized(ns, 4)
+
+
+def test_normalize_scans_again_past_the_first_certificate(monkeypatch):
+    # the constant eps^(-5) sets vmin = -5, and the term rule's certificate at
+    # target -5 is index 9, past the 4 coefficients of the first scan
+    s = parse_series("poly: eps^(-5)\nterm: sign=(+1)^n scale=1 expo=n+1\nsum:", LC)
+    assert s.tail_index(E(0), E(0), strict=True) == 4
+    assert s.tail_index(E(0), E(-5), strict=True) == 9
+    seen, coeff = [], s.coeff
+    monkeypatch.setattr(s, "coeff", lambda n, cutoff=None: seen.append(n) or coeff(n, cutoff))
+    ns = normalize(s, 20, E(6))
+    vals = [(n, c.terms[0][0]) for n in range(20) if (c := coeff(n, E(6))).terms]
+    vmin = min(v for _, v in vals)
+    assert (ns.N, ns.vmin) == (max(n for n, v in vals if v == vmin), vmin) == (0, E(-5))
+    assert max(seen) == 8  # the second scan read coefficients 4..8
 
 
 def test_normalize_zero_series():

@@ -248,6 +248,14 @@ def test_algebraic_coefficient_roots():
     assert all((r * r * r3 - r2).is_zero for r, _ in roots)
 
 
+def test_algebraic_coefficients_with_a_rational_monic_factor():
+    # sqrt2*z^2 - 2*sqrt2 is sqrt2*(z^2 - 2): its square-free factor is rational
+    r2 = sqrt2()
+    roots = algebraic_roots([-2 * r2, 0, r2])
+    assert [m for _, m in roots] == [1, 1]
+    assert (roots[0][0] + r2).is_zero and (roots[1][0] - r2).is_zero
+
+
 def test_render_formats():
     assert str(RealAlgebraic(F(3, 2))) == "3/2"
     assert str(RealAlgebraic(-2)) == "-2"

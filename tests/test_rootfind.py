@@ -110,7 +110,7 @@ def test_polygon_completeness_planted():
         hits = poly_roots(poly, cut)
         assert sum(h.multiplicity for h in hits) == len(uniq)
         for c in uniq:
-            assert any((h.value - c).is_zero_below(cut) for h in hits)
+            assert any((h.root - c).is_zero_below(cut) for h in hits)
 
 
 def test_deep_pair_merges_unresolved():
@@ -127,10 +127,21 @@ def test_branch_cap_names_itself(monkeypatch):
     # (X - 1)^2 - eps^2 has a double residue root, so its roots 1 +- eps
     # sit one level below the first
     p = [ONE - eps(2), -2 * ONE, ONE]
-    assert sorted(str(h.value) for h in poly_roots(p, E(6))) == ["1 + eps", "1 - eps"]
+    assert sorted(str(h.root) for h in poly_roots(p, E(6))) == ["1 + eps", "1 - eps"]
     monkeypatch.setattr(rootfind, "_BRANCH_CAP", 1)
     with pytest.raises(ResourceCapError, match=r"_BRANCH_CAP = 1 levels at cutoff 6"):
         poly_roots(p, E(6))
+
+
+def test_window_ending_at_zero_prunes_to_one_sign(monkeypatch):
+    # [-2, 0] fixes the sign and sets no upper valuation bound: of the roots
+    # of X^2 - 1 only -1 is searched for
+    prunes, prune = [], rootfind._window_prune
+    monkeypatch.setattr(rootfind, "_window_prune",
+                        lambda lo, hi: prunes.append(prune(lo, hi)) or prunes[-1])
+    hits = poly_roots([-ONE, ZERO, ONE], E(6), window=(num(-2), ZERO))
+    assert prunes == [(E(0), None, -1)]
+    assert [(str(h.root), h.multiplicity) for h in hits] == [("-1", 1)]
 
 
 def test_uncertified_point_on_an_edge_leaves_the_edge_uncertified(monkeypatch):
@@ -140,7 +151,7 @@ def test_uncertified_point_on_an_edge_leaves_the_edge_uncertified(monkeypatch):
     monkeypatch.setattr(rootfind, "_edges", lambda points: edges.append(find(points)) or edges[-1])
     hits = poly_roots([eps(2), ZERO.truncate(E(1)), ONE], E(4))
     assert edges == [[(E(1), 0, E(2), 2, False)]]
-    assert [(str(h.value), h.multiplicity, h.unresolved) for h in hits] == [("0 + O(eps)", 2, True)]
+    assert [(str(h.root), h.multiplicity, h.unresolved) for h in hits] == [("0 + O(eps)", 2, True)]
 
 
 def test_certified_sign_deepens_until_decided(monkeypatch):
@@ -164,11 +175,11 @@ def test_newton_root_precision_follows_truncated_coefficients():
     c1 = (-(2 * ONE + eps())).truncate(cut)
     hits = poly_roots([(ONE + eps()).truncate(cut), c1, ONE], cut)
     resolved = [h for h in hits if not h.unresolved]
-    assert [str(h.value) for h in resolved] == ["1 + eps + O(eps^5)"]
+    assert [str(h.root) for h in resolved] == ["1 + eps + O(eps^5)"]
     exact = poly_roots([ONE + eps() + eps(6), -(2 * ONE + eps()), ONE], E(8))
-    deep = [h.value for h in exact if not (h.value - ONE).is_zero_below(E(2))]
+    deep = [h.root for h in exact if not (h.root - ONE).is_zero_below(E(2))]
     assert len(deep) == 1
-    assert (deep[0] - resolved[0].value).is_zero_below(E(5))
+    assert (deep[0] - resolved[0].root).is_zero_below(E(5))
     assert not (deep[0] - (ONE + eps())).is_zero_below(E(6))
 
 
@@ -404,7 +415,7 @@ def test_track_extremes_double_zero():
         coeffs = partial_sum(t, n)
         hits = poly_roots(coeffs, E(12), window=window)
         hits = [h for h in hits
-                if h.value.compare(window[0]) >= 0 and h.value.compare(window[1]) <= 0]
+                if h.root.compare(window[0]) >= 0 and h.root.compare(window[1]) <= 0]
         assert hits == []
 
 
@@ -508,4 +519,4 @@ def test_hahn_pipeline_end_to_end():
 
     # ramified branch in the hahn value group
     hits = poly_roots([-eps_n(2), zero, one], Exponent.hahn({2: 3}))
-    assert sorted(str(h.value) for h in hits) == ["-eps[2]^(1/2)", "eps[2]^(1/2)"]
+    assert sorted(str(h.root) for h in hits) == ["-eps[2]^(1/2)", "eps[2]^(1/2)"]
