@@ -61,6 +61,11 @@ RAW_ARGV = (
     ("eval", "--inline", "poly: 1", "--at", "1", "--output", "csv"),  # no track record
     ("eval", "--inline", "term: sign=(+1)^n scale=1 expo=1/1000000*n", "--at", "1",
      "--cutoff", "1"),  # ResourceCapError: _TAIL_CAP
+    # the residue box's edges: a root at each end, one just below lo that the
+    # box keeps and the membership filter drops, one just above hi
+    ("zeros", "--inline", "poly: 0, -1, 1", "--interval", "0,1"),
+    ("zeros", "--inline", "poly: -2, 1 + eps, 1", "--interval", "1,3", "--cutoff", "6"),
+    ("zeros", "--mode", "hahn", "--inline", "poly: 0, -1 - eps[1], 1", "--interval", "0,1"),
 )
 _TIMING = re.compile(r'(timing_seconds"?: )[-+.e0-9]+')
 

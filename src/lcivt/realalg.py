@@ -696,8 +696,8 @@ def common_field(gens):
 def isolate_real_roots(p, interval=None):
     """All distinct real roots of a rational-coefficient polynomial.
 
-    Returns [(RealAlgebraic, multiplicity)] sorted ascending; ``interval``
-    restricts to a closed interval [lo, hi].
+    Returns [(RealAlgebraic, multiplicity)] sorted ascending.  A root outside
+    the closed ``interval`` [lo, hi] is neither isolated nor interned.
     """
     p = trim([Fraction(c) for c in p])
     if not p:
@@ -707,13 +707,25 @@ def isolate_real_roots(p, interval=None):
     out = []
     for factor, mult in yun_decomposition(p):
         for irr in _factor_int_poly(tuple(clear_denominators(factor))):
-            for lo, hi in isolate_roots([Fraction(c) for c in irr]):
-                out.append((_root_of(irr, lo, hi), mult))
-    if interval is not None:
-        lo, hi = interval
-        out = [(r, m) for r, m in out if r.compare(lo) >= 0 and r.compare(hi) <= 0]
+            for a, b in isolate_roots([Fraction(c) for c in irr], *_outer(interval)):
+                if _inside(irr, a, b, interval):
+                    out.append((_root_of(irr, a, b), mult))
     out.sort(key=_ROOT_ORDER)
     return out
+
+
+def _outer(interval):
+    """Rational bounds at or past the ends of ``interval``, None for an open end."""
+    return [None if x is None else RealAlgebraic(x).bounds()[side]
+            for side, x in enumerate(interval or (None, None))]
+
+
+def _inside(f, a, b, interval):
+    """Whether the root of irreducible integer ``f`` in (a, b) lies in the
+    closed ``interval``: between the root and b, f has the sign of f(b)."""
+    lo, hi = interval or (None, None)
+    return not (lo is not None and (lo >= b or lo > a and sign_at(f, lo) == sgn(peval(f, b)))
+                or hi is not None and (hi <= a or hi < b and sign_at(f, hi) == sgn(peval(f, a))))
 
 
 _ROOT_ORDER = cmp_to_key(lambda x, y: x[0].compare(y[0]))
@@ -724,11 +736,12 @@ def sign_at(coeffs, x):
     return sgn(peval([RealAlgebraic(c) for c in coeffs], RealAlgebraic(x)))
 
 
-def algebraic_roots(coeffs):
+def algebraic_roots(coeffs, interval=None):
     """Real roots with multiplicity of a poly with RealAlgebraic coefficients.
 
     Coefficients may mix rationals with values over any generators; they
     are brought onto one common generator first (``common_field``).
+    ``interval`` restricts to a closed interval, as in ``isolate_real_roots``.
     """
     cs = [RealAlgebraic(c) for c in coeffs]
     while cs and cs[-1].is_zero:
@@ -736,7 +749,7 @@ def algebraic_roots(coeffs):
     if not cs:
         raise ValueError("indeterminate roots: zero polynomial")
     if all(c.is_rational for c in cs):
-        return isolate_real_roots([c.as_fraction() for c in cs])
+        return isolate_real_roots([c.as_fraction() for c in cs], interval)
     gen, onto = common_field({c._gen: None for c in cs if c._gen is not None})
     cs = [onto(c) for c in cs]
 
@@ -744,7 +757,7 @@ def algebraic_roots(coeffs):
     for factor, mult in yun_decomposition(cs):
         factor = [RealAlgebraic(c) for c in factor]
         if all(c.is_rational for c in factor):
-            for r, _ in isolate_real_roots([c.as_fraction() for c in factor]):
+            for r, _ in isolate_real_roots([c.as_fraction() for c in factor], interval):
                 out.append((r, mult))
             continue
         # eliminate the generator: C(z) = Res_t(minpoly(t), sum rep_i(t) z^i),
@@ -755,28 +768,31 @@ def algebraic_roots(coeffs):
                              for i in range(max(map(len, reps)))])[0]
         if not trim(cand):
             raise ArithmeticError("degenerate elimination for algebraic coefficients")
-        for lo, hi in _isolate_generic(factor):
+        for lo, hi in _isolate_generic(factor, interval):
             box = [lo, hi]
 
             def shrink():
                 box[:] = _shrink_around_root(factor, *box)
 
             fac, lo, hi = _select_root(cand, lambda: box, shrink)
-            out.append((_root_of(fac, lo, hi), mult))
+            if _inside(fac, lo, hi, interval):
+                out.append((_root_of(fac, lo, hi), mult))
     out.sort(key=_ROOT_ORDER)
     return out
 
 
-def _isolate_generic(p):
-    """Isolating intervals for a squarefree poly with RealAlgebraic coeffs."""
+def _isolate_generic(p, interval):
+    """Isolating intervals of a squarefree poly with RealAlgebraic coeffs in ``interval``."""
     bound_terms = [abs(c.bounds()[0]) for c in p] + [abs(c.bounds()[1]) for c in p]
     lead_lo, lead_hi = p[-1].bounds()
     while lead_lo <= 0 <= lead_hi:
         p[-1].sign()
         lead_lo, lead_hi = p[-1].bounds()
     lead = min(abs(lead_lo), abs(lead_hi))
-    bound = 1 + max(bound_terms) / lead
-    return isolate_roots(p, -bound - 1, bound + 1)
+    bound = 2 + max(bound_terms) / lead
+    lo, hi = _outer(interval)
+    return isolate_roots(p, -bound if lo is None else max(lo, -bound),
+                         bound if hi is None else min(hi, bound))
 
 
 def _shrink_around_root(p, lo, hi):

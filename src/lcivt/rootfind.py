@@ -2,10 +2,10 @@
 
 The engine is residue-field isolation plus Newton-polygon branching: the
 polygon of a (shifted) polynomial picks the admissible valuations, the real
-roots of each edge's characteristic polynomial seed branches, and a branch
-switches to Newton iteration once its cluster is simple.  Bisection is
-useless here (no Archimedean convergence), so all localization is exact
-valuation bookkeeping.
+roots of each edge's characteristic polynomial seed branches (in a window,
+only those whose standard part may lie in it), and a branch switches to
+Newton iteration once its cluster is simple.  Bisection is useless here (no
+Archimedean convergence), so localization is exact valuation bookkeeping.
 
 Roots are emitted as truncations at the requested cutoff with certified
 residual valuations; roots that cannot be told apart below the cutoff merge
@@ -129,7 +129,7 @@ def _char_poly(coeffs, lam, i1, v1, i2):
     return chi
 
 
-def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
+def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None, box=None):
     if depth_budget <= 0:
         raise ResourceCapError(
             "root expansion went deeper than _BRANCH_CAP = %d levels at cutoff %s"
@@ -163,9 +163,7 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None):
             if vhi is not None and lam.compare(vhi) > 0:
                 continue
         chi = _char_poly(coeffs, lam, i1, v1, i2)
-        for z0, m0 in algebraic_roots(chi):
-            if z0.is_zero:
-                continue
+        for z0, m0 in algebraic_roots(chi, box if lam.sign() == 0 else None):
             if prune is not None and prune[2] is not None and z0.sign() != prune[2]:
                 continue
             point = LcNumber.monomial(lam, z0)
@@ -218,13 +216,22 @@ def _window_prune(lo, hi):
     return None
 
 
+def _residue_end(x):
+    """st x, an end of the residue box; None, open, if undefined or undecidable."""
+    try:
+        return x.standard_part()
+    except (TruncationError, ValueError):
+        return None
+
+
 def poly_roots(coeffs, cutoff, window=None):
     """All roots in the field of a polynomial with LcNumber coefficients.
 
-    ``window`` (a pair of endpoints) prunes branches that cannot land in it;
-    it does not by itself filter the output.  Returns RootReports, with no
-    interval and a residual valuation of None for an exact root, sorted
-    ascending where the order is decidable.
+    ``window`` (a pair of endpoints) prunes branches that cannot land in it,
+    residue roots outside [st lo, st hi] included: a root lifted from z0 on
+    a top-level slope-0 edge has standard part z0.  It does not by itself
+    filter the output.  Returns RootReports, with no interval and a residual
+    valuation of None for an exact root, sorted ascending where decidable.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1].is_exact_zero:
@@ -235,8 +242,9 @@ def poly_roots(coeffs, cutoff, window=None):
         return []
     mode = coeffs[0].mode
     prune = _window_prune(*window) if window is not None else None
+    box = [_residue_end(x) for x in window] if window is not None else None
     out = []
-    _roots_rec(coeffs, cutoff, LcNumber.zero(mode), None, out, _BRANCH_CAP, prune)
+    _roots_rec(coeffs, cutoff, LcNumber.zero(mode), None, out, _BRANCH_CAP, prune, box)
     out = [h for h in out if h.multiplicity > 0]
     return sort_roots(out)
 
@@ -263,11 +271,12 @@ def _in_range(value, lo, hi):
 
 
 def monic_real_roots(p_coeffs, lo, hi, cutoff):
-    """Roots of a monic polynomial over the valuation ring inside [lo, hi]."""
+    """Roots of a monic polynomial over the valuation ring inside [lo, hi],
+    which is also ``poly_roots``' window; the membership filter decides."""
     if not (p_coeffs[-1].is_exact and p_coeffs[-1] == 1):
         raise ValueError("polynomial must be monic")
     reports = []
-    for h in poly_roots(p_coeffs, cutoff):
+    for h in poly_roots(p_coeffs, cutoff, window=(lo, hi)):
         try:
             keep = _in_range(h.root, lo, hi)
         except TruncationError:

@@ -256,6 +256,39 @@ def test_algebraic_coefficients_with_a_rational_monic_factor():
     assert (roots[0][0] + r2).is_zero and (roots[1][0] - r2).is_zero
 
 
+def test_isolation_restricted_to_an_interval(monkeypatch):
+    # each restricted search equals the full one filtered to the closed
+    # interval, and interns no root outside it
+    r2 = sqrt2()
+    third = RealAlgebraic(F(1, 3))
+    cases = [
+        # (x-1)(x-2)(2x-3) with roots at both ends; 2x^2 - 1 with one at an
+        # irrational end, or just past it; an open end
+        (isolate_real_roots, [-6, 13, -9, 2], (1, 2)),
+        (isolate_real_roots, [-1, 0, 2], (r2 / 2, 1)),
+        (isolate_real_roots, [-1, 0, 2], (-r2 / 2, r2 / 2)),
+        (isolate_real_roots, [-1, 0, 2], (F(-1, 2), r2 / 2 - F(1, 1000))),
+        (isolate_real_roots, [0, -1, 0, 1], (None, F(1, 2))),
+        (algebraic_roots, [-1, 0, 2], (r2 / 2, r2)),
+        # (x - sqrt2)(x - 1/2)(x + 3) on [1/2, sqrt2], (sqrt2*x - 1/3)(x - 1) on
+        # [1/3, 1]: algebraic coefficients take the generic path
+        (algebraic_roots, reduce(pmul, [[-r2, 1], [F(-1, 2), 1], [3, 1]]), (F(1, 2), r2)),
+        (algebraic_roots, reduce(pmul, [[-r2, 1], [F(-1, 2), 1], [3, 1]]), (-3, r2 - F(1, 99))),
+        (algebraic_roots, pmul([-third, r2], [-1, 1]), (third, 1)),
+        (algebraic_roots, pmul([-third, r2], [-1, 1]), (r2 / 6 + F(1, 99), None)),
+    ]
+    for find, poly, (lo, hi) in cases:
+        want = [(str(r), m) for r, m in find(poly)
+                if (lo is None or r.compare(lo) >= 0) and (hi is None or r.compare(hi) <= 0)]
+        interned, root_of = [], realalg._root_of
+        monkeypatch.setattr(realalg, "_root_of", lambda *a: interned.append(root_of(*a)) or
+                            interned[-1])
+        got = find(poly, (lo, hi))
+        monkeypatch.undo()
+        assert [(str(r), m) for r, m in got] == want, (poly, lo, hi)
+        assert len(interned) == len(want), (poly, lo, hi)
+
+
 def test_render_formats():
     assert str(RealAlgebraic(F(3, 2))) == "3/2"
     assert str(RealAlgebraic(-2)) == "-2"

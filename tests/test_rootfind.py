@@ -1,13 +1,17 @@
 import json
 import random
 from fractions import Fraction as F
+from functools import reduce
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcivt import cli, rootfind
 from lcivt.errors import ResourceCapError, TruncationError
 from lcivt.hensel import poly_deriv, poly_mul
-from lcivt.lcnum import LC, LcNumber, eps, horner
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, horner
+from lcivt.polys import pmul
 from lcivt.pseries import (
     PolyMulSeries,
     PolySeries,
@@ -18,6 +22,7 @@ from lcivt.pseries import (
 )
 from lcivt.rootfind import (
     RootReport,
+    _in_range,
     count_zeros,
     ivt_root,
     monic_real_roots,
@@ -142,6 +147,54 @@ def test_window_ending_at_zero_prunes_to_one_sign(monkeypatch):
     hits = poly_roots([-ONE, ZERO, ONE], E(6), window=(num(-2), ZERO))
     assert prunes == [(E(0), None, -1)]
     assert [(str(h.root), h.multiplicity) for h in hits] == [("-1", 1)]
+
+
+def test_a_window_end_without_a_standard_part_leaves_the_box_open():
+    # -1/eps has no standard part and 1/2 + O(1) an undecidable one: each
+    # leaves its end of the residue box open, and the other end still prunes
+    p = [-ONE, ZERO, ONE]
+    hits = poly_roots(p, E(6), window=(-eps(-1), num(F(1, 2))))
+    assert [(str(h.root), h.multiplicity) for h in hits] == [("-1", 1)]
+    hits = poly_roots(p, E(6), window=(num(F(1, 2)), num(F(1, 2)).truncate(E(0))))
+    assert [(str(h.root), h.multiplicity) for h in hits] == [("1", 1)]
+
+
+@st.composite
+def planted_in_a_window(draw):
+    """(mode, monic P, lo, hi): P has rational roots inside [lo, hi], outside
+    it and at its ends, roots sqrt(m)/b, and one eps or eps[1] term; a
+    perturbed root at 0 has a positive valuation."""
+    mode = draw(st.sampled_from((LC, HAHN)))
+    lo = F(draw(st.integers(-2, 1)), 2)
+    hi = lo + F(draw(st.integers(1, 4)), 2)
+    near = st.builds(F, st.integers(-8, 8), st.sampled_from((1, 2, 3)))
+    rats = draw(st.sets(st.one_of(st.sampled_from((lo, hi, F(0))), near), max_size=3))
+    squares = draw(st.sets(st.builds(lambda m, b: F(m, b * b), st.integers(1, 15),
+                                     st.sampled_from((2, 3))).filter(
+        lambda q: F(isqrt(q.numerator), isqrt(q.denominator)) ** 2 != q), max_size=2))
+    poly = reduce(pmul, [[-q, 1] for q in rats] + [[-q, 0, 1] for q in squares], [F(1)])
+    coeffs = [LcNumber.from_scalar(mode, c) for c in poly]
+    if len(coeffs) > 1:
+        k = draw(st.integers(0, len(coeffs) - 2))
+        power = draw(st.sampled_from((1, 2)))
+        tiny = eps(power) if mode == LC else eps_n(1, power)
+        coeffs[k] = coeffs[k] + tiny * draw(st.sampled_from((-1, 1, -8, 8)))
+    return mode, coeffs, LcNumber.from_scalar(mode, lo), LcNumber.from_scalar(mode, hi)
+
+
+@given(planted_in_a_window())
+@settings(max_examples=60, deadline=None)
+def test_window_search_matches_the_unpruned_reference(case):
+    # the residue box and the window prune may only skip roots the
+    # membership filter would drop
+    mode, coeffs, lo, hi = case
+    cut = E(6) if mode == LC else Exponent.hahn({1: 6})
+
+    def seen(hits):
+        return [(str(h.root), h.multiplicity, str(h.residual_valuation)) for h in hits]
+
+    want = [h for h in poly_roots(coeffs, cut) if _in_range(h.root, lo, hi)]
+    assert seen(monic_real_roots(coeffs, lo, hi, cut)) == seen(want)
 
 
 def test_uncertified_point_on_an_edge_leaves_the_edge_uncertified(monkeypatch):
@@ -277,6 +330,16 @@ def test_count_zeros_examples():
     n, reports = count_zeros(planted, ZERO, num(2), E(8))
     assert n == 2
     assert all(r.multiplicity == 1 for r in reports)
+
+
+def test_count_zeros_lifts_only_the_roots_in_the_interval(monkeypatch):
+    # (3x - 1)(4x^2 - 3)(x - 2) + eps has 2 of its 4 roots in [0, 1]; the
+    # two near -sqrt(3)/2 and 2 are neither isolated nor lifted
+    calls, newton = [], rootfind.newton_root
+    monkeypatch.setattr(rootfind, "newton_root", lambda *a: calls.append(a) or newton(*a))
+    s = PolySeries(LC, [num(-6) + eps(), num(21), num(-1), num(-28), num(12)])
+    n, _ = count_zeros(s, ZERO, ONE, E(10))
+    assert n == 2 and len(calls) == 2
 
 
 def test_count_zeros_matches_sign_alternations():
