@@ -48,6 +48,27 @@ STREAMS = ([("cli-lc", seed, 60) for seed in (1, 2, 3)]
            + [("cli-hahn", seed, 60) for seed in (1, 2, 3)]
            + [("example", 0, len(EXAMPLES)), ("lift", 3, 80)]
            + [("residue", seed, 60) for seed in (1, 2, 3)])
+
+
+def _derivative_argv(mode, cut, poly, term, ratfun):
+    """mult and track-extremes, which read derivatives of the series, at the
+    double zeros of a poly:, a term: and a ratfun:+polymul: source (at 1, 0
+    and 1); the term and ratfun extremes are maxima (scale: -1)."""
+    m = ("--mode", mode)
+    return (
+        ("mult",) + m + ("--inline", poly, "--at", "1"),
+        ("track-extremes",) + m + ("--inline", poly, "--target", "1", "--window", "3/4,5/4",
+                                   "--n-list", "2,3"),
+        ("mult",) + m + ("--inline", term, "--at", "0", "--cutoff", cut % 6),
+        ("track-extremes",) + m + ("--inline", term + "\nscale: -1", "--target", "0",
+                                   "--window=-1/4,1/4", "--n-list", "3,4", "--cutoff", cut % 6),
+        ("mult",) + m + ("--inline", ratfun, "--at", "1", "--cutoff", cut % 9),
+        ("track-extremes",) + m + ("--inline", ratfun + "\nscale: -1", "--target", "1",
+                                   "--window", "2/3,4/3", "--n-list", "3,5", "--cutoff", cut % 6),
+    )
+
+
+RATFUN = "ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)\npolymul: 1, -2, 1"
 TRACK = ("track-zeros", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2",
          "--n-list", "1,2,3")
 RAW_ARGV = (
@@ -66,6 +87,12 @@ RAW_ARGV = (
     ("zeros", "--inline", "poly: 0, -1, 1", "--interval", "0,1"),
     ("zeros", "--inline", "poly: -2, 1 + eps, 1", "--interval", "1,3", "--cutoff", "6"),
     ("zeros", "--mode", "hahn", "--inline", "poly: 0, -1 - eps[1], 1", "--interval", "0,1"),
+    *_derivative_argv("lc", "%d", "poly: 1, -2 + eps, 1 - 2*eps, eps",
+                      "term: sign=(+1)^n scale=1 expo=n^2 offset=2", RATFUN),
+    *_derivative_argv("hahn", "1:%d", "poly: 1, -2 + eps[1], 1 - 2*eps[1], eps[1]",
+                      "term: sign=(-1)^n scale=1 expo=seq(n) offset=2",
+                      "ratfun: (2 - 2*eps[1]*X - eps[2]*X) / (1 - eps[1]*X)\npolymul: 1, -2, 1"),
+    ("mult", "--inline", RATFUN + "\nsubst: h=1 k=1/2", "--at", "1/2", "--cutoff", "6"),
 )
 _TIMING = re.compile(r'(timing_seconds"?: )[-+.e0-9]+')
 

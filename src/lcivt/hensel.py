@@ -18,10 +18,11 @@ residual by P; the second is the independent reference that the first
 must agree with.
 
 Polynomials here are dense lists of LcNumber by ascending power.
-``poly_deriv``, ``poly_mul`` and ``poly_divmod_monic`` are the library's
-arithmetic for them, and ``lcnum.horner`` evaluates them.  They skip only
-exact zeros and never trim: ``== 0`` on a truncated number raises
-TruncationError, and trimming would shorten the reported unit factor.
+``poly_deriv`` and ``poly_divmod_monic`` are the library's arithmetic for
+them, and ``lcnum.horner`` evaluates them; ``poly_mul``, one kernel pair,
+serves the tests and ``lcbench``.  All three skip only exact zeros and
+never trim: ``== 0`` on a truncated number raises TruncationError, and
+trimming would shorten the reported unit factor.
 """
 
 from __future__ import annotations
@@ -220,10 +221,10 @@ def _extract_series(ns, degree_cap, cutoff):
 
 def _certify(grid, s, p, b, cap):
     """S - P*B below the grid cutoff ``cap``, recomputed from the encoded S,
-    P and B: one ``_Grid.combine`` of S*1 - P*B, P and B truncated at
+    P and B: one ``_Grid.combine`` of 1*S - P*B, P and B truncated at
     ``cap``, so that a coefficient of negative valuation fails the check."""
     p, b = [grid.merge(x, ([([], cap, cap)] * len(x[0]), 1)) for x in (p, b)]  # + O(cap)
-    return grid.combine([(s, (grid.const(1), 1), 1), (p, b, -1)],
+    return grid.combine([((grid.const(1), 1), s, 1), (p, b, -1)],
                         max(len(s[0]), len(p[0]) + len(b[0]) - 1), cap)
 
 
@@ -247,7 +248,8 @@ def _lift(ns, degree_cap, cutoff, split):
             break
         (q, dq), (rem, drem) = split(grid, resid, p)
         b = grid.merge(b, (q, dq))
-        resid = grid.combine([(resid, one, 1), ((q, dq), p, -1), ((rem, drem), b, -1)],
+        # 1 on the a side: combine rescales only a, and accumulate's inner loop runs over b
+        resid = grid.combine([(one, resid, 1), ((q, dq), p, -1), ((rem, drem), b, -1)],
                              degree_cap + 1, cap)
         p = grid.merge(p, (rem, drem))
     else:

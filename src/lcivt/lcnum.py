@@ -23,9 +23,9 @@ Every product and every sum of products goes through one kernel,
 ``sum_of_products``: each coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ...,
 with nonzero integer weights w_j, is accumulated once into one dict below a
 cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
-``hensel.poly_mul`` one call of it, and ``PolyMulSeries._coeff``, each
-step of the ``RatFunSeries`` recurrence and ``RatFunSeries.derivative``
-take one call each; a substituted-series coefficient is two
+``hensel.poly_mul`` one call of it, and ``PolyMulSeries._coeff`` and each
+step of the ``RatFunSeries`` recurrence take one call each; a
+substituted-series coefficient is two
 ``_Grid.accumulate`` calls on its Taylor shift's grid.  Coefficients take
 one of two paths: integers over one denominator when all are rational
 (the lifting of S = P*B; FLINT's ``fmpq_poly``), or integer vectors

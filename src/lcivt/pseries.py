@@ -21,7 +21,9 @@ by truncation (a rule whose answer ignores the cutoff keeps it under None,
 a sum one per cutoff), and a tail index once per query
 (``PSeries.tail_index``).  A substituted series encodes one Taylor shift per
 cutoff on the kernel's grid and forms each coefficient from it with two
-accumulations and one decode; ``evaluate`` is one ``horner`` call.
+accumulations and one decode; ``evaluate`` is one ``horner`` call.  A
+derivative of any order is a ``DerivativeSeries`` chain that reads the
+series' own memo, with the tail certificate shifted by one index.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CertificateError, ResourceCapError, TruncationError
-from .hensel import poly_deriv, poly_mul
 from .lcnum import LC, Exponent, LcNumber, _Grid, _num, horner, sum_of_products
-from .polys import cauchy_bound, pderiv, peval, pmul, pshift, trim
+from .polys import cauchy_bound, pderiv, peval, pshift, trim
 from .realalg import RealAlgebraic
 
 _TAIL_CAP = 100000  # the largest tail index a certificate may give: more terms than can be formed
@@ -92,7 +93,8 @@ class PSeries:
         raise NotImplementedError
 
     def derivative(self):
-        raise NotImplementedError
+        """S', one ``DerivativeSeries`` over this series' coefficients."""
+        return DerivativeSeries(self)
 
     def finite_degree(self):
         return None
@@ -135,9 +137,6 @@ class PolySeries(PSeries):
 
     def finite_degree(self):
         return max(len(self.coeffs) - 1, 0)
-
-    def derivative(self):
-        return PolySeries(self.mode, poly_deriv(self.coeffs))
 
 
 class TermRuleSeries(PSeries):
@@ -222,20 +221,6 @@ class TermRuleSeries(PSeries):
 
     def finite_degree(self):
         return 0 if not self.prefactor else None
-
-    def derivative(self):
-        if self.offset > 0:
-            pref = pmul(self.prefactor, [self.offset, 1])
-            return TermRuleSeries(self.mode, self.sign_base, pref, self.expo, self.offset - 1)
-        pref = pmul(pshift(self.prefactor, 1), [1, 1])
-        if self.sign_base == -1:
-            pref = [-c for c in pref]
-        kind, payload = self.expo
-        if kind == "poly":
-            expo = ("poly", pshift(payload, 1))
-        else:
-            expo = ("seq", payload + 1)
-        return TermRuleSeries(self.mode, self.sign_base, pref, expo, 0)
 
 
 class RatFunSeries(PSeries):
@@ -330,12 +315,6 @@ class RatFunSeries(PSeries):
             n = max(n, nb + 2 + r + (b - 1) * k)
         return n
 
-    def derivative(self):
-        num, den = self.num, self.den
-        new_num = sum_of_products([(poly_deriv(num), den), (num, poly_deriv(den))],
-                                  weights=(1, -1))
-        return RatFunSeries(self.mode, new_num, poly_mul(den, den))
-
 
 class SumSeries(PSeries):
     def __init__(self, a, b):
@@ -358,9 +337,6 @@ class SumSeries(PSeries):
     def finite_degree(self):
         da, db = self.a.finite_degree(), self.b.finite_degree()
         return None if da is None or db is None else max(da, db)
-
-    def derivative(self):
-        return SumSeries(self.a.derivative(), self.b.derivative())
 
 
 class PolyMulSeries(PSeries):
@@ -388,12 +364,6 @@ class PolyMulSeries(PSeries):
     def finite_degree(self):
         di = self.inner.finite_degree()
         return None if di is None else di + max(len(self.poly) - 1, 0)
-
-    def derivative(self):
-        dpoly = poly_deriv(self.poly)
-        left = PolyMulSeries(dpoly, self.inner) if dpoly else None
-        right = PolyMulSeries(self.poly, self.inner.derivative())
-        return right if left is None else SumSeries(left, right)
 
 
 class SubstitutedSeries(PSeries):
@@ -528,8 +498,33 @@ class SubstitutedSeries(PSeries):
     def finite_degree(self):
         return self.inner.finite_degree()
 
-    def derivative(self):
-        return PolyMulSeries([self.h], SubstitutedSeries(self.inner.derivative(), self.h, self.k))
+
+class DerivativeSeries(PSeries):
+    """S' for any series S: coefficient n is (n+1)*a_(n+1), read from S's
+    own memo.  n+1 is a unit, so val(d_n x^n) = val(a_(n+1) x^(n+1)) - val x:
+    S's tail index for the target raised by val x, less one, certifies S'."""
+
+    def __init__(self, inner):
+        super().__init__(inner.mode)
+        self.inner = inner
+
+    @property
+    def cutoff_free(self):
+        return self.inner.cutoff_free
+
+    def _coeff(self, n, cutoff):
+        return self.inner.coeff(n + 1, cutoff) * (n + 1)
+
+    def _tail_index(self, xval, target, strict):
+        return max(self.inner.tail_index(xval, target + xval, strict) - 1, 0)
+
+    def exact_val_poly(self):
+        psi = self.inner.exact_val_poly()
+        return None if psi is None else pshift(psi, 1)
+
+    def finite_degree(self):
+        d = self.inner.finite_degree()
+        return None if d is None else max(d - 1, 0)
 
 
 class NormalizedSeries(PSeries):

@@ -165,15 +165,23 @@ def test_derivative_matches_its_term_source():
 FIELDS = {"PolySeries": ["coeffs"], "RatFunSeries": ["num", "den"],
           "TermRuleSeries": ["sign_base", "prefactor", "expo", "offset"],
           "SumSeries": ["a", "b"], "PolyMulSeries": ["poly", "inner"],
-          "SubstitutedSeries": ["inner", "h", "k"]}
+          "SubstitutedSeries": ["inner", "h", "k"], "DerivativeSeries": ["inner"]}
 
 
 def test_series_repr_names_the_class_and_its_rule_fields():
-    sources = [(src, mode) for src, mode, _ in series_sources()]
-    sources += [("poly: 1\npoly: 0, eps\nsum:", LC), ("poly: 1, 1\nscale: eps[1]", HAHN)]
-    seen = set()
-    for src, mode in sources:
+    sources = [(src, mode, 0) for src, mode, _ in series_sources()]
+    sources += [("poly: 1\npoly: 0, eps\nsum:", LC, 0), ("poly: 1, 1\nscale: eps[1]", HAHN, 0),
+                ("ratfun: (1) / (1 - eps*X)\npolymul: 1, -2, 1", LC, 2)]
+
+    def build(src, mode, order):
         s = parse_series(src, mode)
+        for _ in range(order):
+            s = s.derivative()
+        return s
+
+    seen = set()
+    for src, mode, order in sources:
+        s = build(src, mode, order)
         text = repr(s)
         name = type(s).__name__
         seen.add(name)
@@ -184,5 +192,5 @@ def test_series_repr_names_the_class_and_its_rule_fields():
         cut = parse_exponent("8", LC) if mode == LC else parse_exponent("1:8", HAHN)
         for i in range(4):
             s.coeff(i, cut)  # fills the memos, which the repr leaves out
-        assert repr(s) == text == repr(parse_series(src, mode))
+        assert repr(s) == text == repr(build(src, mode, order))
     assert seen == set(FIELDS)

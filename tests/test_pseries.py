@@ -8,7 +8,7 @@ from lcivt import lcnum, pseries
 from lcivt.dsl import parse_series
 from lcivt.errors import CertificateError, ResourceCapError, TruncationError
 from lcivt.hensel import poly_deriv, poly_mul
-from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, sum_of_products
 from lcivt.polys import pshift
 from lcivt.pseries import (
     NormalizedSeries,
@@ -199,6 +199,72 @@ def test_partial_sum_derivative_commutation():
         assert len(lhs) == len(rhs) + (1 if len(lhs) > len(rhs) else 0) or len(lhs) == len(rhs)
         for a, b in zip(lhs, rhs):
             assert (a - b).is_exact_zero
+
+
+@st.composite
+def derivative_cases(draw, mode):
+    """(series, xval, target, strict): a ``poly:``, ``term:`` or ``ratfun:``
+    source, possibly times a ``polymul:``, summed with a second source, or
+    substituted onto an interval; xval is nonnegative."""
+    e1, e2 = ("eps", "eps^2") if mode == LC else ("eps[1]", "eps[2]")
+
+    def q(lo, hi):
+        return F(draw(st.integers(lo, hi)), draw(st.sampled_from([1, 2])))
+
+    def c():
+        return draw(st.integers(-3, 3))
+
+    def exponent(v):
+        return Exponent.lc(v) if mode == LC else Exponent.hahn({1: v})
+
+    def source():
+        kind = draw(st.sampled_from(["poly", "term", "ratfun", "polymul"]))
+        if kind == "poly":
+            return "poly: %d, %d%+d*%s, %d*%s, 1" % (c(), c(), c(), e1, c(), e2)
+        if kind == "term":
+            expo = draw(st.sampled_from(["n^2", "2*n+1", "1/2*n^2+n"] if mode == LC
+                                        else ["seq(n)", "seq(n+1)"]))
+            return "term: sign=(%s1)^n prefactor=%d*n+1 expo=%s offset=%d" % (
+                draw(st.sampled_from("+-")), draw(st.integers(1, 3)), expo,
+                draw(st.integers(0, 2)))
+        ratfun = "ratfun: (%d%+d*%s*X) / (1 - %d*%s*X + %s*X^2)" % (
+            draw(st.integers(1, 3)), c(), e1, draw(st.integers(1, 2)), e1, e2)
+        return ratfun if kind == "ratfun" else ratfun + "\npolymul: %d, -2, 1" % c()
+
+    src = source()
+    if draw(st.booleans()):
+        src += "\n%s\nsum:" % source()
+    s = parse_series(src, mode)
+    if draw(st.booleans()):
+        a = q(-2, 1)
+        s = transform_interval(s, a, a + draw(st.sampled_from([F(1, 2), 1, 2])))
+    return s, exponent(q(0, 4)), exponent(q(-2, 8)), draw(st.booleans())
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_derivative_is_the_shifted_coefficient_map(mode, data):
+    s, xval, target, strict = data.draw(derivative_cases(mode))
+    one = Exponent.lc(1) if mode == LC else Exponent.hahn({1: 1})
+    cut = target + one
+    d1 = s.derivative()
+    for d, base in ((d1, s), (d1.derivative(), d1)):
+        # coefficient n is (n+1)*a_(n+1): terms, coefficients and marker
+        for n in range(6):
+            got, want = d.coeff(n, cut), base.coeff(n + 1, cut) * (n + 1)
+            assert got.cutoff == want.cutoff
+            assert [e for e, _ in got.terms] == [e for e, _ in want.terms]
+            assert all(cg == cw for (_, cg), (_, cw) in zip(got.terms, want.terms))
+        # the certificate: every term from the tail index on clears the target ...
+        tail = d.tail_index(xval, target, strict)
+        for n in range(tail, tail + 12):
+            need = target - xval.scale(n)
+            v = d.coeff(n, need + one).val_lb()
+            cmp = None if v is None else v.compare(need)
+            assert cmp is None or cmp > 0 or (cmp == 0 and not strict), (n, tail)
+        # ... and reads no coefficient of S past S's own certificate at x
+        assert tail + 1 <= max(base.tail_index(xval, target + xval, strict), 1)
 
 
 # -------------------------------------------------------------------- transform
@@ -815,15 +881,23 @@ def test_ratfun_derivative_matches_separate_products(mode):
     for m in (2, 3):
         d = RatFunSeries(mode, *build(m)).derivative()
         num, den = build(m)
-        # num'*den - num*den', each product separately, the difference by __add__
+        # num'*den - num*den' in one weighted kernel call ...
+        got = sum_of_products([(poly_deriv(num), den), (num, poly_deriv(den))], weights=(1, -1))
+        while got and got[-1].is_exact_zero:
+            got.pop()
+        # ... against each product separately, the difference by __add__
         a, b = poly_mul(poly_deriv(num), den), poly_mul(num, poly_deriv(den))
         want = [(a[i] if i < len(a) else LcNumber.zero(mode))
                 + (-b[i] if i < len(b) else LcNumber.zero(mode))
                 for i in range(max(len(a), len(b)))]
         while want and want[-1].is_exact_zero:
             want.pop()
-        want += poly_mul(den, den)
-        assert [str(c) for c in d.num + d.den] == [str(c) for c in want]
-        assert len(d.num + d.den) == len(want)
-        for got, exp in zip(d.num + d.den, want):
-            assert got.cutoff == exp.cutoff and (got - exp).is_exact_zero
+        assert [str(c) for c in got] == [str(c) for c in want]
+        for g, w in zip(got, want):
+            assert g.cutoff == w.cutoff and (g - w).is_exact_zero
+        # the quotient rule over den^2 is the oracle for the coefficient map
+        quotient = RatFunSeries(mode, got, poly_mul(den, den))
+        for n in range(8):
+            g, w = d.coeff(n), quotient.coeff(n)
+            assert str(g) == str(w) and g.cutoff == w.cutoff and (g - w).is_exact_zero
+            assert [e for e, _ in g.terms] == [e for e, _ in w.terms]

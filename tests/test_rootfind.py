@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcivt import cli, rootfind
+from lcivt.dsl import parse_series
 from lcivt.errors import ResourceCapError, TruncationError
 from lcivt.hensel import poly_deriv, poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, horner
@@ -380,6 +381,29 @@ def test_multiplicity_simple_and_triple():
     cube = poly_mul(poly_mul(lin, lin), lin)
     s3 = PolySeries(LC, poly_mul(cube, [ONE, eps()]))
     assert multiplicity_at(s3, c0, E(10)) == 3
+
+
+@pytest.mark.parametrize("mode", [LC, HAHN])
+def test_mult_and_extreme_kind_expand_the_ratfun_once(mode, monkeypatch):
+    # every derivative reads the parsed series' own coefficients: the
+    # ratfun recurrence is built once, by the parser, for the whole request
+    built = []
+    init = RatFunSeries.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunSeries, "__init__", counted)
+    e1, e2, cut = ("eps", "eps^2", E(8)) if mode == LC else \
+        ("eps[1]", "eps[2]", Exponent.hahn({1: 8}))
+    s = parse_series("ratfun: (2 - 2*%s*X - %s*X) / (1 - %s*X)\npolymul: 1, -2, 1"
+                     % (e1, e2, e1), mode)
+    one = LcNumber.one(mode)
+    mult = multiplicity_at(s, one, cut)
+    target = RootReport(root=one, multiplicity=mult, residual_valuation=cut, interval=(one, one))
+    assert (mult, target_extreme_kind(s, target)) == (2, "min")
+    assert len(built) == 1
 
 
 def test_multiplicity_rejects_non_root():
