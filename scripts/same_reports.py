@@ -68,6 +68,7 @@ def _derivative_argv(mode, cut, poly, term, ratfun):
     )
 
 
+GAPPY = "term: sign=(-1)^n scale=1 expo=n^2"
 RATFUN = "ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)\npolymul: 1, -2, 1"
 TRACK = ("track-zeros", "--inline", "poly: -1, 1, eps", "--interval", "0,3/2",
          "--n-list", "1,2,3")
@@ -87,6 +88,16 @@ RAW_ARGV = (
     ("zeros", "--inline", "poly: 0, -1, 1", "--interval", "0,1"),
     ("zeros", "--inline", "poly: -2, 1 + eps, 1", "--interval", "1,3", "--cutoff", "6"),
     ("zeros", "--mode", "hahn", "--inline", "poly: 0, -1 - eps[1], 1", "--interval", "0,1"),
+    # below the top level: the gappy ivt, whose P has the residue root 1 of
+    # multiplicity 3 at the end of the [1, 2] box; a triple residue root at
+    # the end of [1, 2] that splits into 1 + eps^2 and 1 +- eps^(1/2); and the
+    # term rule's tail certificate, which sets factor's degree cap
+    ("ivt", "--inline", GAPPY, "--interval=eps^(-4),eps^(-6)", "--cutoff", "10"),
+    ("zeros", "--inline", "poly: -1 + eps + eps^3, 3 - eps, -3, 1", "--interval", "1,2",
+     "--cutoff", "6"),
+    ("zeros", "--mode", "hahn", "--inline", "poly: -1 + eps[1] + eps[1]^3, 3 - eps[1], -3, 1",
+     "--interval", "1,2", "--cutoff", "1:8"),
+    ("factor", "--inline", GAPPY),
     *_derivative_argv("lc", "%d", "poly: 1, -2 + eps, 1 - 2*eps, eps",
                       "term: sign=(+1)^n scale=1 expo=n^2 offset=2", RATFUN),
     *_derivative_argv("hahn", "1:%d", "poly: 1, -2 + eps[1], 1 - 2*eps[1], eps[1]",

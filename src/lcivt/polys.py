@@ -161,7 +161,7 @@ def yun_decomposition(a):
 
 def sturm_chain(p):
     chain = [trim(p), pderiv(p)]
-    while chain[-1]:
+    while len(chain[-1]) > 1:  # a nonzero constant divides everything
         _, r = pdivmod(chain[-2], chain[-1])
         if not r:
             break

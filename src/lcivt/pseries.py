@@ -10,7 +10,7 @@ answer two certified questions:
   a truncation cutoff when exactness is impossible (substituted series);
 * ``tail_index(xval, target)``: an index N such that every term ``a_n x^n``
   with ``n >= N`` and ``valuation(x) >= xval`` has valuation at least
-  ``target``.
+  ``target``; for an lc term rule with a polynomial exponent, the least one.
 
 The second is the convergence certificate: evaluation, normalization and
 factorization never silently drop terms they cannot bound.
@@ -29,11 +29,12 @@ series' own memo, with the tail certificate shifted by one index.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import CertificateError, ResourceCapError, TruncationError
 from .lcnum import LC, Exponent, LcNumber, _Grid, _num, horner, sum_of_products
-from .polys import cauchy_bound, pderiv, peval, pshift, trim
+from .polys import (_variations_at, cauchy_bound, padd, pdivmod, pderiv, peval, pshift,
+                    sturm_chain, trim)
 from .realalg import RealAlgebraic
 
 _TAIL_CAP = 100000  # the largest tail index a certificate may give: more terms than can be formed
@@ -43,6 +44,31 @@ def _index_beyond_roots(p):
     """Integer N with p(n) of the sign of its leading coeff for all n >= N."""
     b = cauchy_bound(p)
     return int(b) + 2
+
+
+def _least_index(psi, strict):
+    """The least N >= 0 with psi(m) >= 0 (> 0 when ``strict``) at every
+    integer m >= N; psi has a positive lead.  Sturm's theorem counts the
+    roots of psi in (a, b], and psi has one sign on a root-free (a, b], so
+    a bisection over the integers below the Cauchy bound B, upper half
+    first, finds the last failing m in O(deg psi * log B) steps."""
+    chain = sturm_chain(psi)
+    if len(chain[-1]) > 1:  # a repeated root: the chain of the squarefree part
+        chain = sturm_chain(pdivmod(psi, chain[-1])[0])
+    # positive integer multiples keep every sign and evaluate in integers
+    q, *chain = [[c.numerator * (d // c.denominator) for c in p]
+                 for p in [psi, *chain] for d in [lcm(*(c.denominator for c in p))]]
+    b = max(abs(c) for c in q[:-1]) // q[-1] + 2  # past the Cauchy bound
+    stack = [(-1, _variations_at(chain, -1), b, _variations_at(chain, b))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va != vb and b - a > 1:
+            c = (a + b) // 2
+            vc = _variations_at(chain, c)
+            stack += [(a, va, c, vc), (c, vc, b, vb)]
+        elif (v := peval(q, b)) < 0 or strict and v == 0:
+            return b + 1
+    return 0
 
 
 class PSeries:
@@ -193,21 +219,15 @@ class TermRuleSeries(PSeries):
         kind, payload = self.expo
         if kind == "poly":
             # psi(m) = expo(m) + (m + offset)*xval - target; need >= 0 (>) beyond
-            psi = [Fraction(c) for c in payload] + [Fraction(0)] * (2 - len(payload))
-            psi[0] += self.offset * xval.data - target.data
-            psi[1] += xval.data
-            psi = trim(psi)
-            if not psi:
-                if strict:
-                    raise CertificateError("no convergence certificate: flat valuations")
-                return 0
-            if len(psi) == 1:
-                if psi[0] > 0 or (psi[0] == 0 and not strict):
+            psi = padd(payload, [self.offset * xval.data - target.data, xval.data])
+            if len(psi) < 2:
+                c = psi[0] if psi else 0
+                if c > 0 or c == 0 and not strict:
                     return 0
                 raise CertificateError("no convergence certificate: flat valuations")
             if psi[-1] < 0:
                 raise CertificateError("no convergence certificate: valuations decrease")
-            return _index_beyond_roots(psi) + self.offset
+            return _least_index(psi, strict) + self.offset
         shift = payload
         n0 = max(xval.top_index(), target.top_index()) + 1 - shift
         return max(n0, 1 - shift, 0) + self.offset
@@ -466,16 +486,11 @@ class SubstitutedSeries(PSeries):
         if psi is None or self.mode != LC:
             raise CertificateError(
                 "no convergence certificate for this substituted series")
-        cond = list(psi) + [Fraction(0)] * (2 - len(psi))
-        cond[0] -= target.data
-        cond[1] += vh.data + xval.data
-        cond = trim(cond)
+        cond = padd(psi, [-target.data, vh.data + xval.data])
         if len(cond) < 2 or cond[-1] < 0:
             raise CertificateError(
                 "no convergence certificate for this substituted series")
-        vert = list(psi) + [Fraction(0)] * (2 - len(psi))
-        vert[1] += vk_eff.data
-        dvert = pderiv(vert)
+        dvert = pderiv(padd(psi, [0, vk_eff.data]))
         if not dvert or dvert[-1] < 0:
             raise CertificateError(
                 "no convergence certificate for this substituted series")

@@ -3,9 +3,11 @@
 The engine is residue-field isolation plus Newton-polygon branching: the
 polygon of a (shifted) polynomial picks the admissible valuations, the real
 roots of each edge's characteristic polynomial seed branches (in a window,
-only those whose standard part may lie in it), and a branch switches to
-Newton iteration once its cluster is simple.  Bisection is useless here (no
-Archimedean convergence), so localization is exact valuation bookkeeping.
+at every level only those of a valuation and sign the window shifted by the
+expansion so far admits, at the top only those whose standard part may lie
+in it), and a branch switches to Newton iteration once its cluster is
+simple.  Bisection is useless here (no Archimedean convergence), so
+localization is exact valuation bookkeeping.
 
 Roots are emitted as truncations at the requested cutoff with certified
 residual valuations; roots that cannot be told apart below the cutoff merge
@@ -129,7 +131,7 @@ def _char_poly(coeffs, lam, i1, v1, i2):
     return chi
 
 
-def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None, box=None):
+def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, window=None, box=None):
     if depth_budget <= 0:
         raise ResourceCapError(
             "root expansion went deeper than _BRANCH_CAP = %d levels at cutoff %s"
@@ -144,6 +146,9 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None, bo
     while coeffs[zeros].is_exact_zero:
         zeros += 1
 
+    # a root acc + x lies in [lo, hi] exactly when x lies in [lo - acc, hi - acc]
+    prune = _window_prune(window[0] - acc, window[1] - acc) if window is not None else None
+    vlo, vhi, psign = prune or (None, None, None)
     merged_mult = 0
     merged_loc_cut = cutoff
     points = _polygon_points(coeffs, zeros)
@@ -156,15 +161,11 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None, bo
             if lam.compare(merged_loc_cut) < 0:
                 merged_loc_cut = lam
             continue
-        if prune is not None:
-            vlo, vhi, psign = prune
-            if vlo is not None and lam.compare(vlo) < 0:
-                continue
-            if vhi is not None and lam.compare(vhi) > 0:
-                continue
+        if vlo is not None and lam.compare(vlo) < 0 or vhi is not None and lam.compare(vhi) > 0:
+            continue
         chi = _char_poly(coeffs, lam, i1, v1, i2)
         for z0, m0 in algebraic_roots(chi, box if lam.sign() == 0 else None):
-            if prune is not None and prune[2] is not None and z0.sign() != prune[2]:
+            if psign is not None and z0.sign() != psign:
                 continue
             point = LcNumber.monomial(lam, z0)
             hit = newton_root(coeffs, point, cutoff) if m0 == 1 else None
@@ -175,7 +176,7 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, prune=None, bo
                 continue
             shifted = SubstitutedSeries(PolySeries(mode, coeffs), LcNumber.one(mode), point)
             _roots_rec([shifted.coeff(m) for m in range(len(coeffs))],
-                       cutoff, acc + point, lam, out, depth_budget - 1)
+                       cutoff, acc + point, lam, out, depth_budget - 1, window)
 
     if merged_mult > 0:
         # roots indistinguishable from acc at this depth: one summed report,
@@ -228,8 +229,9 @@ def poly_roots(coeffs, cutoff, window=None):
     """All roots in the field of a polynomial with LcNumber coefficients.
 
     ``window`` (a pair of endpoints) prunes branches that cannot land in it,
-    residue roots outside [st lo, st hi] included: a root lifted from z0 on
-    a top-level slope-0 edge has standard part z0.  It does not by itself
+    at every level by its shift by the expansion so far, and residue roots
+    outside [st lo, st hi]: a root lifted from z0 on a top-level slope-0
+    edge has standard part z0.  It does not by itself
     filter the output.  Returns RootReports, with no interval and a residual
     valuation of None for an exact root, sorted ascending where decidable.
     """
@@ -241,10 +243,9 @@ def poly_roots(coeffs, cutoff, window=None):
     if len(coeffs) == 1:
         return []
     mode = coeffs[0].mode
-    prune = _window_prune(*window) if window is not None else None
     box = [_residue_end(x) for x in window] if window is not None else None
     out = []
-    _roots_rec(coeffs, cutoff, LcNumber.zero(mode), None, out, _BRANCH_CAP, prune, box)
+    _roots_rec(coeffs, cutoff, LcNumber.zero(mode), None, out, _BRANCH_CAP, window, box)
     out = [h for h in out if h.multiplicity > 0]
     return sort_roots(out)
 

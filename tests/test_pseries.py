@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lcivt import lcnum, pseries
 from lcivt.dsl import parse_series
@@ -370,18 +371,22 @@ def test_normalize_all_infinitesimal():
 
 
 def test_normalize_scans_again_past_the_first_certificate(monkeypatch):
-    # the constant eps^(-5) sets vmin = -5, and the term rule's certificate at
-    # target -5 is index 9, past the 4 coefficients of the first scan
-    s = parse_series("poly: eps^(-5)\nterm: sign=(+1)^n scale=1 expo=n+1\nsum:", LC)
-    assert s.tail_index(E(0), E(0), strict=True) == 4
-    assert s.tail_index(E(0), E(-5), strict=True) == 9
+    # the certificate is monotone in the target, so the rescan fires only
+    # when the first scan's vmin is positive: coefficient 0, 2*eps^5, sets
+    # vmin = 5, whose certificate is index 5 (n^2 - 4n > 0 from n = 5 on),
+    # past the 1 coefficient of the first scan; the second scan finds eps
+    # at n = 2, whose certificate is index 3
+    s = parse_series("poly: eps^5\nterm: sign=(+1)^n scale=1 expo=n^2-4*n+5\nsum:", LC)
+    assert s.tail_index(E(0), E(0), strict=True) == 1
+    assert s.tail_index(E(0), E(5), strict=True) == 5
+    assert s.tail_index(E(0), E(1), strict=True) == 3
     seen, coeff = [], s.coeff
     monkeypatch.setattr(s, "coeff", lambda n, cutoff=None: seen.append(n) or coeff(n, cutoff))
     ns = normalize(s, 20, E(6))
     vals = [(n, c.terms[0][0]) for n in range(20) if (c := coeff(n, E(6))).terms]
     vmin = min(v for _, v in vals)
-    assert (ns.N, ns.vmin) == (max(n for n, v in vals if v == vmin), vmin) == (0, E(-5))
-    assert max(seen) == 8  # the second scan read coefficients 4..8
+    assert (ns.N, ns.vmin) == (max(n for n, v in vals if v == vmin), vmin) == (2, E(1))
+    assert max(seen) == 4  # the second scan read coefficients 1..4
 
 
 def test_normalize_zero_series():
@@ -500,7 +505,8 @@ def test_substituted_coeff_is_one_shift_per_cutoff(monkeypatch):
     deep = [t.coeff(m, E(23)) for m in range(10)]
     # one grid, each c_n asked for once, no sum_of_products
     assert len(grids) == 1 and calls == []
-    assert sorted(asked) == list(range(len(asked))) and len(asked) > 10
+    # n^2 - 6n >= 23 from n = 9 on: the inner tail index at val k = -6
+    assert sorted(asked) == list(range(9))
     del grids[:], asked[:], products[:]
     shallow = [t.coeff(m, E(14)) for m in range(10)]
     # shallower requests truncate the deeper answers: no grid, no inner
@@ -682,7 +688,9 @@ def test_substituted_coeff_matches_binomial_loop(make_inner, h, k, cutoff):
 
 
 def test_substituted_coeff_builds_one_shift_when_val_k_exceeds_val_h(monkeypatch):
-    # h = 1 + eps, k = eps: at eps^12 the inner tail index of T_m is 15 + m
+    # h = 1 + eps, k = eps: at eps^12 the inner tail index of T_m is the
+    # least n with n^2 + n >= 12 + m, 3 for m = 0 and 4 for m = 1..7, so the
+    # one shift, built at m = 0, holds the 4 coefficients that T_1 needs
     def make():
         return SubstitutedSeries(alternating_square_series(), L("1") + eps(), eps())
 
@@ -691,7 +699,7 @@ def test_substituted_coeff_builds_one_shift_when_val_k_exceeds_val_h(monkeypatch
                         lambda self, *args: lengths.append(args[1]) or shift(self, *args))
     t = make()
     got = [t.coeff(m, E(12)) for m in range(8)]
-    assert len(lengths) == 1 and lengths[0] >= 22
+    assert lengths == [4]
     for m, g in enumerate(got):
         want = binomial_loop_coeff(make(), m, E(12))
         assert g.cutoff is not None and g.cutoff >= want.cutoff
@@ -763,8 +771,65 @@ def test_tail_certificate_fails_at_once():
     lc_one = LcNumber.one(LC)
     with pytest.raises(ResourceCapError, match=r"tail index 200000 is past the cap _TAIL_CAP"):
         RatFunSeries(LC, [lc_one], [lc_one, -eps(F(1, 1000))]).tail_index(E(0), E(200))
-    with pytest.raises(ResourceCapError, match=r"tail index 200003 is past the cap _TAIL_CAP"):
+    with pytest.raises(ResourceCapError, match=r"tail index 200000 is past the cap _TAIL_CAP"):
         TermRuleSeries(LC, 1, [1], ("poly", [0, F(1, 1000)])).tail_index(E(0), E(200))
+
+
+@st.composite
+def term_rule_tail_cases(draw):
+    """(series, val x, target, strict, psi): an lc term rule with an exponent
+    of degree 1-3 and a positive lead, with psi(m) = expo(m) + (m + offset)
+    * val x - target of positive lead and degree at least 1."""
+    frac = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3)))
+    expo = draw(st.lists(frac, min_size=1, max_size=3))
+    expo.append(F(draw(st.integers(1, 4)), draw(st.sampled_from((1, 2)))))
+    pref = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    offset, vx, target = draw(st.integers(0, 3)), draw(frac), draw(frac) * 3
+    psi = list(expo)
+    psi[0] += offset * vx - target
+    psi[1] += vx
+    assume(psi[-1] > 0)
+    s = TermRuleSeries(LC, draw(st.sampled_from((1, -1))), pref, ("poly", expo), offset)
+    return s, vx, target, draw(st.booleans()), psi
+
+
+@given(term_rule_tail_cases(), st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_term_rule_tail_index_is_the_least_passing_index(case, raise_by):
+    # the least N with psi(m) >= 0 (> 0 when strict) at every m >= N, found
+    # by scanning every m below the Cauchy bound; a larger target can only
+    # raise it
+    s, vx, target, strict, psi = case
+    bound = 1 + sum(abs(c) for c in psi[:-1]) / psi[-1]
+    fails = [m for m in range(int(bound) + 1)
+             if (v := sum(c * m ** i for i, c in enumerate(psi))) < 0 or strict and v == 0]
+    want = (max(fails) + 1 if fails else 0) + s.offset
+    assert s.tail_index(E(vx), E(target), strict) == want
+    assert s.tail_index(E(vx), E(target + F(raise_by, 2)), strict) >= want
+
+
+def test_term_rule_tail_index_of_a_huge_target_fails_at_once():
+    # n^2 >= 10^12 from n = 10^6 on: the cap fires after a bisection, not a scan
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"tail index 1000000 is past the cap _TAIL_CAP "
+                                               r"= 100000 at target 1000000000000$"):
+        alternating_square_series().tail_index(E(0), E(10 ** 12))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_term_rule_tail_index_of_a_dense_exponent_is_quick():
+    # a dense degree-20 exponent of mixed signs: the Sturm chain's
+    # coefficients must stay small, or the index stalls on huge integers
+    expo = [F((-1) ** i * (3 * i + 1), 1 + i % 3) for i in range(20)] + [F(1)]
+    s = TermRuleSeries(LC, -1, [1], ("poly", expo), 2)
+    psi = list(expo)
+    psi[0] += 2 * F(-5, 2) - 7
+    psi[1] += F(-5, 2)
+    bound = 1 + sum(abs(c) for c in psi[:-1])
+    fails = [m for m in range(int(bound) + 1) if sum(c * m ** i for i, c in enumerate(psi)) <= 0]
+    start = time.perf_counter()
+    assert s.tail_index(E(F(-5, 2)), E(7), strict=True) == max(fails) + 1 + 2 == 29
+    assert time.perf_counter() - start < 0.5
 
 
 def scan_tail_index(s, xval, target, strict, windows=1000):

@@ -164,7 +164,10 @@ def test_a_window_end_without_a_standard_part_leaves_the_box_open():
 def planted_in_a_window(draw):
     """(mode, monic P, lo, hi): P has rational roots inside [lo, hi], outside
     it and at its ends, roots sqrt(m)/b, and one eps or eps[1] term; a
-    perturbed root at 0 has a positive valuation."""
+    perturbed root at 0 has a positive valuation.  Sometimes P also has a
+    residue root of multiplicity 2 or 3, at an end of the window, inside it
+    or outside it, split by an eps or eps[1] term of its own, so that the
+    root expansion recurses below the top level."""
     mode = draw(st.sampled_from((LC, HAHN)))
     lo = F(draw(st.integers(-2, 1)), 2)
     hi = lo + F(draw(st.integers(1, 4)), 2)
@@ -175,11 +178,20 @@ def planted_in_a_window(draw):
         lambda q: F(isqrt(q.numerator), isqrt(q.denominator)) ** 2 != q), max_size=2))
     poly = reduce(pmul, [[-q, 1] for q in rats] + [[-q, 0, 1] for q in squares], [F(1)])
     coeffs = [LcNumber.from_scalar(mode, c) for c in poly]
-    if len(coeffs) > 1:
-        k = draw(st.integers(0, len(coeffs) - 2))
+
+    def tiny():
         power = draw(st.sampled_from((1, 2)))
-        tiny = eps(power) if mode == LC else eps_n(1, power)
-        coeffs[k] = coeffs[k] + tiny * draw(st.sampled_from((-1, 1, -8, 8)))
+        return (eps(power) if mode == LC else eps_n(1, power)) * draw(
+            st.sampled_from((-1, 1, -8, 8)))
+
+    if len(coeffs) > 1:
+        coeffs[draw(st.integers(0, len(coeffs) - 2))] += tiny()
+    if draw(st.booleans()):
+        q = draw(st.one_of(st.sampled_from((lo, hi)), near))
+        cluster = [LcNumber.from_scalar(mode, c)
+                   for c in reduce(pmul, [[-q, 1]] * draw(st.integers(2, 3)))]
+        cluster[draw(st.integers(0, len(cluster) - 2))] += tiny()
+        coeffs = poly_mul(coeffs, cluster)
     return mode, coeffs, LcNumber.from_scalar(mode, lo), LcNumber.from_scalar(mode, hi)
 
 
@@ -341,6 +353,17 @@ def test_count_zeros_lifts_only_the_roots_in_the_interval(monkeypatch):
     s = PolySeries(LC, [num(-6) + eps(), num(21), num(-1), num(-28), num(12)])
     n, _ = count_zeros(s, ZERO, ONE, E(10))
     assert n == 2 and len(calls) == 2
+
+
+def test_gappy_ivt_lifts_one_root(monkeypatch):
+    # P's residue root 1 of multiplicity 3 lies at the end of the [1, 2]
+    # box; below the top level the shifted window leaves one of its three
+    # branches to Newton, the one root in [eps^-4, eps^-6]
+    calls, newton = [], rootfind.newton_root
+    monkeypatch.setattr(rootfind, "newton_root", lambda *a: calls.append(a) or newton(*a))
+    code = cli.main(["ivt", "--inline", "term: sign=(-1)^n scale=1 expo=n^2",
+                     "--interval=eps^(-4),eps^(-6)", "--cutoff", "10"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_count_zeros_matches_sign_alternations():
