@@ -98,6 +98,11 @@ RAW_ARGV = (
     ("zeros", "--mode", "hahn", "--inline", "poly: -1 + eps[1] + eps[1]^3, 3 - eps[1], -3, 1",
      "--interval", "1,2", "--cutoff", "1:8"),
     ("factor", "--inline", GAPPY),
+    # P keeps the eps[2] terms of its low coefficients, past the cutoff; and
+    # a lift whose first residual is empty
+    ("factor", "--mode", "hahn", "--inline", "poly: eps[2], -1 + 2*eps[2], 1, eps[1]^(1/2)",
+     "--cutoff", "1:3"),
+    ("factor", "--inline", "poly: -2, 0, 1"),
     *_derivative_argv("lc", "%d", "poly: 1, -2 + eps, 1 - 2*eps, eps",
                       "term: sign=(+1)^n scale=1 expo=n^2 offset=2", RATFUN),
     *_derivative_argv("hahn", "1:%d", "poly: 1, -2 + eps[1], 1 - 2*eps[1], eps[1]",

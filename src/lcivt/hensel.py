@@ -6,16 +6,16 @@ monic-polynomial x unit-series factorization of a restricted series.
 each call on one encoding of the kernel's grid (``lcnum._Grid``) and each
 step only as deep as Hensel's lemma says that step reaches.
 
-The factorization S = P*B is one correction loop, Hensel's Lemma as a step:
-start from P = S[:pivot+1], B = 1; each round a split rule turns the
-residual S - P*B into (Q, R) with deg R < pivot, and P += R, B += Q.  A lift
-is one encoding on the kernel's grid (``lcnum._Grid``), decoded once: S, P,
-B and the residual stay encoded, and P += R and B += Q touch only the
-terms they change.  Two rules share the loop:
-``weierstrass_factor`` splits the least exponent slice of the residual in
-the residue field, and ``weierstrass_factor_batched`` divides the whole
-residual by P; the second is the independent reference that the first
-must agree with.
+The factorization S = P*B is Hensel's Lemma as a correction loop: from
+P = S[:pivot+1], B = 1, each round splits the residual S - P*B into (Q, R),
+deg R < pivot, and sets P += R, B += Q; a lift is encoded once on the
+kernel's grid (``lcnum._Grid``) and decoded once.  ``weierstrass_factor``
+runs slice-major: P and B are held by exponent, and a round forms only the
+least exponent slice of the residual, from slices already final (the
+relaxed product schedule), and splits it by st(P) in the residue field.
+``weierstrass_factor_batched`` holds P, B and the residual by X-degree
+and divides the whole residual by P: the reference, which shares only the
+extraction of S, ``_certify`` and ``_Grid`` with the first.
 
 Polynomials here are dense lists of LcNumber by ascending power.
 ``poly_deriv`` and ``poly_divmod_monic`` are the library's arithmetic for
@@ -28,13 +28,16 @@ trimming would shorten the reported unit factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import lcm
 
 from .errors import CertificateError, ResourceCapError
-from .lcnum import Exponent, LcNumber, _Grid, _min_cut, _num, sum_of_products
+from .lcnum import LC, Exponent, LcNumber, _check_terms, _Grid, _min_cut, _num, sum_of_products
 from .polys import pdivmod
 
 _LIFT_CAP = 20000
+_CAP_MESSAGE = ("factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
+                "least residual exponent reached %s")
 _NEWTON_CAP = 200
 
 
@@ -189,7 +192,7 @@ class Factorization:
 
     def residual(self, series_coeffs):
         """S - P*B (S is 0 beyond the cap) below ``achieved_cutoff``: the
-        certificate of ``_lift`` on a fresh grid over S, P and B."""
+        certificate of both lifts, on a fresh grid over S, P and B."""
         cut = self.achieved_cutoff
         polys = [series_coeffs, self.p_coeffs, self.b_coeffs]
         grid = _Grid(cut.mode, polys, cut)
@@ -198,6 +201,7 @@ class Factorization:
 
 
 def _extract_series(ns, degree_cap, cutoff):
+    """(S to the cap, checked; its grid; (S encoded, denominator); the grid cutoff)."""
     pivot = ns.N
     if pivot > degree_cap:
         raise ValueError("degree cap below the normalization pivot")
@@ -216,7 +220,8 @@ def _extract_series(ns, degree_cap, cutoff):
             raise ValueError("coefficient %d above the pivot is not infinitesimal" % n)
     if not (s[pivot].is_exact and s[pivot] == 1):
         raise ValueError("pivot coefficient must be exactly 1")
-    return s
+    grid = _Grid(ns.mode, [s], cutoff)
+    return s, grid, (grid.encode(s, grid.cdens[0]), grid.cdens[0]), grid.cut(cutoff)
 
 
 def _certify(grid, s, p, b, cap):
@@ -228,25 +233,20 @@ def _certify(grid, s, p, b, cap):
                         max(len(s[0]), len(p[0]) + len(b[0]) - 1), cap)
 
 
-def _lift(ns, degree_cap, cutoff, split):
-    """The correction loop on encoded (numbers, denominator) sequences:
-    ``split`` gives Q and R encoded, B += Q and P += R are ``_Grid.merge``,
-    and resid - Q*P - R*B = S - P*B for the new B is one ``_Grid.combine``.
-    The certificate (``_certify``) never reads the loop's residual."""
-    mode, pivot = ns.mode, ns.N
-    s = _extract_series(ns, degree_cap, cutoff)
-    grid = _Grid(mode, [s], cutoff)
-    zero = LcNumber.zero(mode).truncate(cutoff)
-    enc, ds = grid.encode, grid.cdens[0]
-    se = (enc(s, ds), ds)
+def weierstrass_factor_batched(ns, degree_cap, cutoff):
+    """The batched rule, the reference for ``weierstrass_factor``: each round
+    divides the whole residual by P, on encoded (numbers, denominator)
+    sequences by X-degree; B += Q and P += R are ``_Grid.merge``, and
+    resid - Q*P - R*B is one ``_Grid.combine``."""
+    _, grid, se, cap = _extract_series(ns, degree_cap, cutoff)
     one = (grid.const(1), 1)
-    p, b = (se[0][: pivot + 1], ds), one
-    resid = (enc([zero] * (pivot + 1) + [c.truncate(cutoff) for c in s[pivot + 1:]], ds), ds)
-    cap = grid.cut(cutoff)
+    p, b = (se[0][: ns.N + 1], se[1]), one
+    resid = grid.combine([(one, se, 1), (p, b, -1)], degree_cap + 1, cap)  # S - P*B
     for _ in range(_LIFT_CAP):
         if all(not terms for terms, _, _ in resid[0]):
             break
-        (q, dq), (rem, drem) = split(grid, resid, p)
+        (q, dq), (rem, drem) = (grid.encoded(x) for x in poly_divmod_monic(
+            grid.decode_all(resid), grid.decode_all(p), cutoff))
         b = grid.merge(b, (q, dq))
         # 1 on the a side: combine rescales only a, and accumulate's inner loop runs over b
         resid = grid.combine([(one, resid, 1), ((q, dq), p, -1), ((rem, drem), b, -1)],
@@ -255,9 +255,13 @@ def _lift(ns, degree_cap, cutoff, split):
     else:
         left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]
         if left:
-            raise ResourceCapError(
-                "factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
-                "least residual exponent reached %s" % (_LIFT_CAP, cutoff, min(left)))
+            raise ResourceCapError(_CAP_MESSAGE % (_LIFT_CAP, cutoff, min(left)))
+    return _certified(grid, se, p, b, cutoff, degree_cap)
+
+
+def _certified(grid, se, p, b, cutoff, degree_cap):
+    """The Factorization of the encoded P and B, once ``_certify`` passes."""
+    cap = grid.cut(cutoff)
     for n, (terms, _, c) in enumerate(_certify(grid, se, p, b, cap)[0]):
         if terms or c < cap:
             raise CertificateError("residual coefficient %d not certified below the cutoff" % n)
@@ -267,44 +271,80 @@ def _lift(ns, degree_cap, cutoff, split):
 def weierstrass_factor(ns, degree_cap, cutoff):
     """Split a normalized restricted series into monic polynomial x unit.
 
-    Slice rule: divide the residual's slice at its least exponent gamma by
-    st(P) in the residue field; Q and R are quotient and remainder as
-    monomials at gamma (encoded from integers on a rational grid).  The
-    slice cancels, so every round raises the least residual exponent by at
-    least the first slice's exponent, and the loop reaches the cutoff or
-    trips the cap (reachable cutoffs always terminate; hahn-mode cutoffs
-    beyond the reachable range cannot).
-    """
-    pbar = pint = None
+    Slice rule: P and -B map a grid exponent to a slice, the X-polynomial of
+    their terms there.  Each round takes the least pending exponent a,
+    forms r_a = S_a(deg > pivot) + sum P_x*(-B_y) over x + y = a, x, y > 0,
+    from final slices, splits it by st(P) in the residue field, and sets
+    B_a = Q, P_a += R, until the cutoff or the cap (hahn-mode cutoffs beyond
+    the reachable range never end)."""
+    pivot, top = ns.N, degree_cap
+    s, grid, (se, ds), cap = _extract_series(ns, degree_cap, cutoff)
+    sg, zero = _Grid(LC, []), grid.zero  # slices: X-degrees on grid's coefficient path
+    sg.gen, sg.onto, sg.rational, sg.width = grid.gen, grid.onto, grid.rational, grid.width
+    p, hi = {}, {}
+    for k, (terms, _, _) in enumerate(se):
+        for e, c in terms:  # P keeps its terms past the cutoff
+            (p if k <= pivot else hi if e < cap else {}).setdefault(e, []).append((k, c))
+    p, hi = ({e: ([_num(t, None)], ds) for e, t in x.items()} for x in (p, hi))
+    unit, b, pend = (sg.const(1), 1), {zero: (sg.const(-1), 1)}, {e: [] for e in hi}
+    heap = sorted(hi)
 
-    def slice_split(grid, resid, p):
-        nonlocal pbar, pint
-        if pbar is None:
-            # R has positive valuation, so st(P) never changes
-            pbar = [c.standard_part() for c in grid.decode_all(p)]
-            if grid.rational:
-                e = lcm(*[c.as_fraction().denominator for c in pbar])
-                pint = ([int(c.as_fraction() * e) for c in pbar], e)
-        nums, d = resid
-        g = min(terms[0][0] for terms, _, _ in nums if terms)
-        firsts = [terms[:1] if terms and terms[0][0] == g else () for terms, _, _ in nums]
+    def push(x, y):  # the pair P_x*B_y, at positive exponents
+        if x != zero and y != zero and (a := x + y) < cap:
+            if a not in pend:
+                heappush(heap, a)
+            pend.setdefault(a, []).append((x, y))
+
+    bcount, blen, rounds, pint = [1] + [0] * top, 1, 0, None
+    while heap:
+        a = heappop(heap)
+        prods = [(p[x], b[y], 1) for x, y in pend.pop(a)] + ([(hi[a], unit, 1)] if a in hi else [])
+        ((terms, _, _),), d = sg.combine(prods, 1, top + 1)
+        if not terms:
+            continue
+        if rounds == _LIFT_CAP:
+            raise ResourceCapError(_CAP_MESSAGE % (_LIFT_CAP, cutoff, grid.decode([], a, 1).cutoff))
+        rounds, got = rounds + 1, dict(terms)
+        if pint is None:  # R has positive valuation, so st(P) never changes
+            pbar = [c.standard_part() for c in s[: pivot + 1]]
+            e = grid.rational and lcm(*[c.as_fraction().denominator for c in pbar])
+            pint = e and ([e ** i for i in range(top + 1)], [int(c.as_fraction() * e) * e ** (
+                pivot - 1 - i) for i, c in enumerate(pbar[:-1])] + [1])
         if pint:  # on integers: X = Y/e makes st(P) = m/e monic over Z
-            (m, e), n, top = pint, len(pint[0]) - 1, len(firsts) - 1
-            qt, rt = pdivmod([t[0][1] * e ** (top - i) if t else 0 for i, t in enumerate(firsts)],
-                             [c * e ** (n - 1 - i) for i, c in enumerate(m[:-1])] + [1])
-            # Q_j = qt_j e^j / (d e^(top-n)), R_j = rt_j e^j / (d e^top), at g
-            return tuple(([([(g, v * e ** j)], g, None) if v else ([], None, None)
-                           for j, v in enumerate(cs)], d * e ** k)
-                         for cs, k in ((qt, top - n), (rt, top)))
-        gamma = next(grid.decode(t, None, d) for t in firsts if t).terms[0][0]
-        qr = pdivmod([grid.decode(t, None, d).coeff_at(gamma) for t in firsts], pbar)
-        return tuple(grid.encoded([LcNumber.monomial(gamma, c) for c in cs]) for cs in qr)
+            ep = pint[0]
+            qt, rt = pdivmod([got.get(k, 0) * ep[top - k] for k in range(top + 1)], pint[1])
+            # -Q_j = -qt_j e^j / (d e^(top-pivot)), R_j = rt_j e^j / (d e^top)
+            q, r = (sg.primitive([_num([(j, v * ep[j]) for j, v in enumerate(cs) if v], None)],
+                                 d * ep[k])
+                    for cs, k in (([-v for v in qt], top - pivot), (rt, top)))
+        else:
+            x = sg.decode(terms, None, d)
+            qt, rt = pdivmod([x.coeff_at(Exponent.lc(k)) for k in range(top + 1)], pbar)
+            q, r = (sg.encoded([LcNumber(LC, [(Exponent.lc(j), c) for j, c in enumerate(cs)])])
+                    for cs in ([-c for c in qt], rt))
+        blen = max(blen, len(qt))
+        if rt:
+            for y in () if a in p else b:
+                push(a, y)
+            p[a] = sg.combine([(p[a], unit, 1), (r, unit, 1)], 1, top + 1) if a in p else r
+        if qt:
+            b[a] = q
+            for k, _ in q[0][0][0]:
+                bcount[k] += 1
+                _check_terms(bcount[k])
+            for x in p:
+                push(x, a)
+    return _certified(grid, (se, ds), _by_degree(grid, p, 1, [c for _, _, c in se[: pivot + 1]]),
+                      _by_degree(grid, b, -1, [None] * blen), cutoff, degree_cap)
 
-    return _lift(ns, degree_cap, cutoff, slice_split)
 
-
-def weierstrass_factor_batched(ns, degree_cap, cutoff):
-    """Alternate split rule for the uniqueness check: divide the whole
-    residual by P each round instead of one exponent slice."""
-    return _lift(ns, degree_cap, cutoff, lambda grid, resid, p: tuple(
-        grid.encoded(x) for x in poly_divmod_monic(grid.decode_all(resid), grid.decode_all(p), cutoff)))
+def _by_degree(grid, slices, sign, cuts):
+    """sign times a map exponent -> slice as one encoded sequence by X-degree,
+    with the markers ``cuts``, over one denominator."""
+    den, out = lcm(*[d for _, d in slices.values()]), [[] for _ in cuts]
+    for e in sorted(slices):
+        ((t, _, _),), d = slices[e]
+        for k, v in grid.scale([(t, None, None)], sign * den // d)[0][0] if sign * den != d else t:
+            out[k].append((e, v))
+    _check_terms(max(map(len, out)))
+    return [_num(t, c) for t, c in zip(out, cuts)], den

@@ -38,8 +38,9 @@ path a pair's weight scales its a side when encoded, with its share of
 the common denominator, and decoding divides by that denominator.  The
 kernel's encoding, accumulation and decoding are one object, ``_Grid``,
 and the denominators stay inside it.  Its loops encode once and decode
-once at the end: the lift of S = P*B (``hensel._lift``), whose P, B and
-residual are updated with ``_Grid.combine`` and ``_Grid.merge``;
+once at the end: the lifts of S = P*B, ``hensel.weierstrass_factor``
+(each residual slice one ``_Grid.combine`` keyed by X-degree on a second
+grid) and ``weierstrass_factor_batched`` (``combine`` and ``merge``);
 ``_Grid.horner`` (``horner``), each step acc*x + c one accumulation over
 the pairs (acc, x) and (c, 1); ``_Grid.invert`` (``LcNumber.invert``); and
 Newton's iteration (``hensel.newton_root``), which runs on both of the
@@ -71,9 +72,11 @@ _GEOMETRIC_CAP = 10000
 _MAX_TERMS = 1000000  # the most terms one number may hold
 
 
-def _term_cap_error(count):
-    return ResourceCapError("%d terms in one number, past the cap _MAX_TERMS = %d"
-                            % (count, _MAX_TERMS))
+def _check_terms(count):
+    """Raise ResourceCapError when one number holds ``count`` > _MAX_TERMS terms."""
+    if count > _MAX_TERMS:
+        raise ResourceCapError("%d terms in one number, past the cap _MAX_TERMS = %d"
+                               % (count, _MAX_TERMS))
 
 
 class Exponent:
@@ -303,8 +306,7 @@ class LcNumber:
                 raise ValueError("exponent mode %s in a %s-mode number" % (exp.mode, mode))
             checked.append((exp, coeff if isinstance(coeff, RealAlgebraic) else RealAlgebraic(coeff)))
         self.terms = tuple(_merge(checked, cutoff))
-        if len(self.terms) > _MAX_TERMS:
-            raise _term_cap_error(len(self.terms))
+        _check_terms(len(self.terms))
 
     # ------------------------------------------------------------ constructors
 
@@ -758,8 +760,7 @@ class _Grid:
         else:
             reduce = self.gen.reduce
             terms = [(q, v) for q in order if any(v := reduce(acc[q]))]
-        if len(terms) > _MAX_TERMS:
-            raise _term_cap_error(len(terms))
+        _check_terms(len(terms))
         return terms, cut
 
     def decode(self, terms, cut, unit):
@@ -811,8 +812,7 @@ class _Grid:
                         continue
                 ts.insert(j, (q, v))
             del ts[len(ts) if cut is None else bisect_left(ts, cut, key=first):]
-            if len(ts) > _MAX_TERMS:
-                raise _term_cap_error(len(ts))
+            _check_terms(len(ts))
             out[i] = _num(ts, cut)
         return out, m
 

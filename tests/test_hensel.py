@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcivt import hensel, lcnum, rootfind
+from lcivt import hensel, lcnum, polys, rootfind
 from lcivt.errors import CertificateError, ResourceCapError, TruncationError
 from lcivt.hensel import (
     n_poly_root,
@@ -590,53 +590,154 @@ def test_lift_cap_names_itself(monkeypatch):
     assert "least residual exponent reached 3/2" in msg
 
 
+def test_lift_cap_names_itself_in_hahn_mode(monkeypatch):
+    # P = X - 1 + O(eps[1]^(1/2)) takes a round per power of eps[1]^(1/2), and
+    # none of them reaches the cutoff eps[2]
+    one, cut = LcNumber.one(HAHN), Exponent.hahn({2: 1})
+    ns = normalize(PolySeries(HAHN, [-one, one, LcNumber.monomial(Exponent.hahn({1: F(1, 2)}), 1)]),
+                   4, cut)
+    monkeypatch.setattr(hensel, "_LIFT_CAP", 3)
+    with pytest.raises(ResourceCapError) as err:
+        weierstrass_factor(ns, 4, cut)
+    msg = str(err.value)
+    assert "_LIFT_CAP = 3" in msg and "cutoff 2:1" in msg
+    assert "least residual exponent reached 1:2" in msg
+
+
 def test_lift_term_cap_fires_inside_the_loop(monkeypatch):
+    # P or B passes the cap in a round of the loop, before the certificate:
+    # the error comes from the loop's own count, and _certify never runs.
+    # In the second series the X-major residual passed five terms first
     one = LcNumber.one(LC)
-    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
-    # S has one term per coefficient; P and B grow past two in the loop
-    monkeypatch.setattr(lcnum, "_MAX_TERMS", 2)
-    with pytest.raises(ResourceCapError, match="_MAX_TERMS = 2") as err:
-        weierstrass_factor(ns, 4, E(6))
-    assert any(entry.name == "merge" for entry in err.traceback)
-
-
-def test_lift_term_cap_fires_in_the_residual_update(monkeypatch):
-    one = LcNumber.one(LC)
-    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 3)), eps(F(1, 2))]), 4, E(6))
-    # the residual passes five terms before P or B does
-    monkeypatch.setattr(lcnum, "_MAX_TERMS", 5)
-    with pytest.raises(ResourceCapError, match="_MAX_TERMS = 5") as err:
-        weierstrass_factor(ns, 4, E(6))
-    names = [entry.name for entry in err.traceback]
-    assert "combine" in names and "merge" not in names
+    cases = [(normalize(PolySeries(LC, series), 4, E(6)), cap, count) for series, cap, count in (
+        ([-one, one, eps(F(1, 2))], 2, 3), ([-one, one, eps(F(1, 3)), eps(F(1, 2))], 5, 6))]
+    monkeypatch.setattr(hensel, "_certify", lambda *args: pytest.fail("certificate reached"))
+    for ns, cap, count in cases:
+        monkeypatch.setattr(lcnum, "_MAX_TERMS", cap)
+        with pytest.raises(ResourceCapError, match="%d terms in one number, past the cap "
+                           "_MAX_TERMS = %d" % (count, cap)) as err:
+            weierstrass_factor(ns, 4, E(6))
+        assert [entry.name for entry in err.traceback][-2:] == ["weierstrass_factor",
+                                                                "_check_terms"]
 
 
 def test_certificate_recomputes_the_product(monkeypatch):
     one = LcNumber.one(LC)
     ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
-    merge, calls = _Grid.merge, []
+    certify = hensel._certify
 
-    def counted(grid, seq, delta):
-        calls.append(len(calls))
-        return merge(grid, seq, delta)
+    def corrupted(grid, s, p, b, cap):
+        # one wrong term in P[0] after the loop: the loop's residual slices
+        # all cancelled
+        (first, *rest), d = p
+        terms = first[0][:-1] + [(first[0][-1][0], 2 * first[0][-1][1])]
+        return certify(grid, s, ([(terms, terms[0][0], first[2]), *rest], d), b, cap)
 
-    monkeypatch.setattr(_Grid, "merge", counted)
-    weierstrass_factor(ns, 4, E(6))
-    last = len(calls)  # the P += R of the last round
-
-    def corrupted(grid, seq, delta):
-        (first, *rest), d = counted(grid, seq, delta)
-        if len(calls) == last:
-            # one wrong term in P[0] after the loop's residual update:
-            # the residual the loop carries still reads zero
-            terms = first[0][:-1] + [(first[0][-1][0], 2 * first[0][-1][1])]
-            first = (terms, terms[0][0], first[2])
-        return [first, *rest], d
-
-    calls.clear()
-    monkeypatch.setattr(_Grid, "merge", corrupted)
+    monkeypatch.setattr(hensel, "_certify", corrupted)
     with pytest.raises(CertificateError, match="residual coefficient 0"):
         weierstrass_factor(ns, 4, E(6))
+
+
+def xmajor_slice_factor(ns, degree_cap, cutoff):
+    """The slice rule held X-major, as one correction loop: the residual
+    S - P*B is a sequence of numbers by X-degree, each round divides its
+    least exponent slice by st(P) in the residue field, B += Q and P += R
+    are ``_Grid.merge``, and resid - Q*P - R*B is one ``_Grid.combine`` over
+    every coefficient.  It shares ``_certify`` and ``_Grid`` with
+    ``weierstrass_factor``, and nothing else."""
+    mode, pivot = ns.mode, ns.N
+    s = [ns.coeff(n, cutoff) for n in range(degree_cap + 1)]
+    grid = _Grid(mode, [s], cutoff)
+    ds, cap = grid.cdens[0], grid.cut(cutoff)
+    se, one = (grid.encode(s, ds), ds), (grid.const(1), 1)
+    p, b = (se[0][: pivot + 1], ds), one
+    zero = LcNumber.zero(mode).truncate(cutoff)
+    resid = (grid.encode([zero] * (pivot + 1) + [c.truncate(cutoff) for c in s[pivot + 1:]], ds),
+             ds)
+    pbar = [c.standard_part() for c in s[: pivot + 1]]
+    for _ in range(hensel._LIFT_CAP):
+        nums = grid.decode_all(resid)
+        if not any(c.terms for c in nums):
+            break
+        gamma = min(c.terms[0][0] for c in nums if c.terms)
+        qr = polys.pdivmod([c.coeff_at(gamma) for c in nums], pbar)
+        q, rem = (grid.encoded([LcNumber.monomial(gamma, c) for c in cs]) for cs in qr)
+        b = grid.merge(b, q)
+        resid = grid.combine([(one, resid, 1), (q, p, -1), (rem, b, -1)], degree_cap + 1, cap)
+        p = grid.merge(p, rem)
+    else:
+        left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]
+        if left:
+            raise ResourceCapError(
+                "factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
+                "least residual exponent reached %s" % (hensel._LIFT_CAP, cutoff, min(left)))
+    for n, (terms, _, c) in enumerate(hensel._certify(grid, se, p, b, cap)[0]):
+        if terms or c < cap:
+            raise CertificateError("residual coefficient %d not certified below the cutoff" % n)
+    return hensel.Factorization(grid.decode_all(p), grid.decode_all(b), cutoff, degree_cap)
+
+
+def lift_outcome(factor, ns, degree_cap, cutoff):
+    """P and B rendered, with B's length and every cutoff marker; or the error."""
+    try:
+        f = factor(ns, degree_cap, cutoff)
+    except (CertificateError, ResourceCapError, TruncationError) as exc:
+        return type(exc).__name__, str(exc)
+    return ([str(c) for c in f.p_coeffs], [str(c) for c in f.b_coeffs], len(f.b_coeffs),
+            [c.cutoff for c in f.p_coeffs + f.b_coeffs])
+
+
+@st.composite
+def lift_cases(draw):
+    """A series with its pivot coefficient exactly 1, a degree cap and a cutoff:
+    lc or hahn (terms in eps[1], sometimes eps[2]), rational or sqrt(2) and
+    sqrt(3) coefficients, pivot 0-4, low coefficients with terms past the
+    cutoff, and now and then a coefficient truncated below the cutoff."""
+    mode = draw(st.sampled_from([LC, HAHN]))
+    roots = [RealAlgebraic(m).nth_root(2) for m in draw(st.sampled_from([(), (2,), (2, 3)]))]
+    scalars = [F(1), F(-2), F(1, 2), F(-3, 2), F(3)] + [r * k for r in roots for k in (1, -1)]
+    if mode == LC:
+        q = draw(st.sampled_from([F(3, 2), F(3), F(7, 2), F(5)]))
+        cut = E(q)
+        exps = [E(x) for x in (F(1, 2), F(1), F(3, 2), F(2), F(5, 2))]
+        past = [E(q), E(q + F(1, 2)), E(q + 2)]
+    else:
+        q = draw(st.sampled_from([F(3), F(4), F(9, 2), None]))  # None: eps[2], out of reach
+        cut = Exponent.hahn({2: 1} if q is None else {1: q})
+        exps = [Exponent.hahn(d) for d in ({1: F(1, 2)}, {1: 1}, {1: F(3, 2)}, {1: 2},
+                                           {1: 1, 2: 1}, {2: 1})]
+        past = [Exponent.hahn(d) for d in ({2: 1}, {1: -1, 2: 1}, {2: 2})]
+
+    def number(lead, pool, count):
+        x = LcNumber.from_scalar(mode, draw(st.sampled_from(scalars))) if lead else \
+            LcNumber.zero(mode)
+        for e in draw(st.lists(st.sampled_from(pool), max_size=count, unique=True)):
+            x = x + LcNumber.monomial(e, draw(st.sampled_from(scalars)))
+        return x
+
+    pivot = draw(st.integers(0, 4))
+    degree = pivot + draw(st.integers(0, 3))
+    coeffs = [number(draw(st.booleans()), exps + past, 3) for _ in range(pivot)]
+    coeffs += [LcNumber.one(mode)] + [number(False, exps, 2) for _ in range(pivot, degree)]
+    if draw(st.integers(0, 9)) == 5:
+        n = draw(st.integers(0, degree))
+        if n != pivot:
+            coeffs[n] = coeffs[n].truncate(draw(st.sampled_from(exps[1:4])))
+    return PolySeries(mode, coeffs), degree + draw(st.integers(0, 3)), cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_cases())
+def test_slice_major_lift_equals_the_xmajor_slice_rule(case):
+    series, degree_cap, cut = case
+    ns = normalize(series, degree_cap, cut)
+    saved, hensel._LIFT_CAP = hensel._LIFT_CAP, 40  # eps[2] is out of reach of eps[1]'s powers
+    try:
+        got = lift_outcome(weierstrass_factor, ns, degree_cap, cut)
+        want = lift_outcome(xmajor_slice_factor, ns, degree_cap, cut)
+    finally:
+        hensel._LIFT_CAP = saved
+    assert got == want
 
 
 def test_newton_cap_names_itself(monkeypatch):
