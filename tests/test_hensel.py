@@ -621,6 +621,20 @@ def test_lift_term_cap_fires_inside_the_loop(monkeypatch):
                                                                 "_check_terms"]
 
 
+def test_lift_term_cap_fires_in_the_residual_update(monkeypatch):
+    one = LcNumber.one(LC)
+    ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2)), eps(F(1, 2))]), 4, E(6))
+    # a residual slice passes two terms (by X-degree) before any B count does:
+    # the kernel's own check in the slice accumulation fires
+    monkeypatch.setattr(hensel, "_certify", lambda *args: pytest.fail("certificate reached"))
+    monkeypatch.setattr(lcnum, "_MAX_TERMS", 2)
+    with pytest.raises(ResourceCapError, match="3 terms in one number, past the cap "
+                       "_MAX_TERMS = 2") as err:
+        weierstrass_factor(ns, 4, E(6))
+    names = [entry.name for entry in err.traceback]
+    assert names[names.index("weierstrass_factor") + 1] == "combine" and "merge" not in names
+
+
 def test_certificate_recomputes_the_product(monkeypatch):
     one = LcNumber.one(LC)
     ns = normalize(PolySeries(LC, [-one, one, eps(F(1, 2))]), 4, E(6))
