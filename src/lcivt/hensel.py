@@ -8,14 +8,15 @@ step only as deep as Hensel's lemma says that step reaches.
 
 The factorization S = P*B is Hensel's Lemma as a correction loop: from
 P = S[:pivot+1], B = 1, each round splits the residual S - P*B into (Q, R),
-deg R < pivot, and sets P += R, B += Q; a lift is encoded once on the
-kernel's grid (``lcnum._Grid``) and decoded once.  ``weierstrass_factor``
+deg R < pivot, and sets P += R, B += Q.  ``weierstrass_factor`` is
+encoded once on the kernel's grid (``lcnum._Grid``), decoded once, and
 runs slice-major: P and B are held by exponent, and a round forms only the
 least exponent slice of the residual, from slices already final (the
 relaxed product schedule), and splits it by st(P) in the residue field.
-``weierstrass_factor_batched`` holds P, B and the residual by X-degree
-and divides the whole residual by P: the reference, which shares only the
-extraction of S, ``_certify`` and ``_Grid`` with the first.
+``weierstrass_factor_batched`` holds P, B and the residual as LcNumber
+lists by X-degree and divides the whole residual by P: the reference,
+which shares only the extraction of S, ``_certify`` and the kernel's
+``_Grid.accumulate`` with the first.
 
 Polynomials here are dense lists of LcNumber by ascending power.
 ``poly_deriv`` and ``poly_divmod_monic`` are the library's arithmetic for
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import zip_longest
 from math import lcm
 
 from .errors import CertificateError, ResourceCapError
@@ -228,35 +230,34 @@ def _certify(grid, s, p, b, cap):
     """S - P*B below the grid cutoff ``cap``, recomputed from the encoded S,
     P and B: one ``_Grid.combine`` of 1*S - P*B, P and B truncated at
     ``cap``, so that a coefficient of negative valuation fails the check."""
-    p, b = [grid.merge(x, ([([], cap, cap)] * len(x[0]), 1)) for x in (p, b)]  # + O(cap)
+    p, b = [([_num([t for t in ts if t[0] < cap], _min_cut(c, cap)) for ts, _, c in x[0]], x[1])
+            for x in (p, b)]  # + O(cap)
     return grid.combine([((grid.const(1), 1), s, 1), (p, b, -1)],
                         max(len(s[0]), len(p[0]) + len(b[0]) - 1), cap)
 
 
 def weierstrass_factor_batched(ns, degree_cap, cutoff):
-    """The batched rule, the reference for ``weierstrass_factor``: each round
-    divides the whole residual by P, on encoded (numbers, denominator)
-    sequences by X-degree; B += Q and P += R are ``_Grid.merge``, and
-    resid - Q*P - R*B is one ``_Grid.combine``."""
-    _, grid, se, cap = _extract_series(ns, degree_cap, cutoff)
-    one = (grid.const(1), 1)
-    p, b = (se[0][: ns.N + 1], se[1]), one
-    resid = grid.combine([(one, se, 1), (p, b, -1)], degree_cap + 1, cap)  # S - P*B
+    """The batched rule, the reference for ``weierstrass_factor``, on plain
+    LcNumber lists by X-degree: each round divides the whole residual by P
+    (``poly_divmod_monic``), resid - Q*P - R*B is one ``sum_of_products``,
+    and B += Q, P += R are LcNumber sums.  P and B are encoded only for the
+    certificate."""
+    s, grid, se, _ = _extract_series(ns, degree_cap, cutoff)
+    one, zero = [LcNumber.one(ns.mode)], LcNumber.zero(ns.mode)
+    p, b = s[: ns.N + 1], one
+    resid = sum_of_products([(s, one), (p, b)], cutoff, [1, -1])  # S - P*B
     for _ in range(_LIFT_CAP):
-        if all(not terms for terms, _, _ in resid[0]):
+        if not any(c.terms for c in resid):
             break
-        (q, dq), (rem, drem) = (grid.encoded(x) for x in poly_divmod_monic(
-            grid.decode_all(resid), grid.decode_all(p), cutoff))
-        b = grid.merge(b, (q, dq))
-        # 1 on the a side: combine rescales only a, and accumulate's inner loop runs over b
-        resid = grid.combine([(one, resid, 1), ((q, dq), p, -1), ((rem, drem), b, -1)],
-                             degree_cap + 1, cap)
-        p = grid.merge(p, (rem, drem))
+        q, rem = poly_divmod_monic(resid, p, cutoff)
+        b = [x + y for x, y in zip_longest(b, q, fillvalue=zero)]
+        resid = sum_of_products([(resid, one), (q, p), (rem, b)], cutoff, [1, -1, -1])
+        p = [x + r for x, r in zip_longest(p, rem, fillvalue=zero)]
     else:
-        left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]
+        left = [c.terms[0][0] for c in resid if c.terms]
         if left:
             raise ResourceCapError(_CAP_MESSAGE % (_LIFT_CAP, cutoff, min(left)))
-    return _certified(grid, se, p, b, cutoff, degree_cap)
+    return _certified(grid, se, grid.encoded(p), grid.encoded(b), cutoff, degree_cap)
 
 
 def _certified(grid, se, p, b, cutoff, degree_cap):

@@ -23,8 +23,9 @@ Every product and every sum of products goes through one kernel,
 ``sum_of_products``: each coefficient of w_1*a_1*b_1 + w_2*a_2*b_2 + ...,
 with nonzero integer weights w_j, is accumulated once into one dict below a
 cutoff fixed up front.  ``LcNumber.__mul__`` is its one-pair case,
-``hensel.poly_mul`` one call of it, and ``PolyMulSeries._coeff`` and each
-step of the ``RatFunSeries`` recurrence take one call each; a
+``hensel.poly_mul`` one call of it, and ``PolyMulSeries._coeff``, each
+step of the ``RatFunSeries`` recurrence and each residual of the
+reference lift ``hensel.weierstrass_factor_batched`` take one call each; a
 substituted-series coefficient is two
 ``_Grid.accumulate`` calls on its Taylor shift's grid.  Coefficients take
 one of two paths: integers over one denominator when all are rational
@@ -38,12 +39,11 @@ path a pair's weight scales its a side when encoded, with its share of
 the common denominator, and decoding divides by that denominator.  The
 kernel's encoding, accumulation and decoding are one object, ``_Grid``,
 and the denominators stay inside it.  Its loops encode once and decode
-once at the end: the lifts of S = P*B, ``hensel.weierstrass_factor``
+once at the end: the lift of S = P*B, ``hensel.weierstrass_factor``
 (each residual slice one ``_Grid.combine`` keyed by X-degree on a second
-grid) and ``weierstrass_factor_batched`` (``combine`` and ``merge``);
-``_Grid.horner`` (``horner``), each step acc*x + c one accumulation over
-the pairs (acc, x) and (c, 1); ``_Grid.invert`` (``LcNumber.invert``); and
-Newton's iteration (``hensel.newton_root``), which runs on both of the
+grid); ``_Grid.horner`` (``horner``), each step acc*x + c one
+accumulation over the pairs (acc, x) and (c, 1); ``_Grid.invert``
+(``LcNumber.invert``); and Newton's iteration (``hensel.newton_root``), which runs on both of the
 last two and forms each new x with ``_Grid.combine``.
 
 Two numbers are ordered by the first exponent where they differ, as the
@@ -57,9 +57,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .errors import ResourceCapError, TruncationError
 from .realalg import RealAlgebraic, common_field
@@ -643,8 +642,8 @@ class _Grid:
     integer, so products of integer vectors reduce to integer vectors.
     ``cdens`` holds, per scanned sequence, the lcm of its coefficients'
     denominators on ``gen``.  An encoded sequence travels with its
-    denominator as (numbers, denominator); ``combine`` and ``merge`` form
-    the common denominators of sums, so callers do no lcm arithmetic.
+    denominator as (numbers, denominator); ``combine`` forms the common
+    denominators of sums, so callers do no lcm arithmetic.
     """
 
     __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "onto", "width", "exps",
@@ -789,32 +788,6 @@ class _Grid:
         vec = self.gen is not None
         return [([(q, [u * k for u in v] if vec else v * k) for q, v in t], s, c)
                 for t, s, c in nums]
-
-    def merge(self, seq, delta):
-        """seq + delta for encoded sequences (numbers, denominator), over
-        lcm(d, d'): the sum seq*1 + delta*1 that ``combine`` forms, with
-        its cutoffs and _MAX_TERMS check, touching only where delta is
-        not an exact zero and rescaling a side only if its d grows."""
-        (a, da), (b, db) = seq, delta
-        m, vec = lcm(da, db), self.gen is not None
-        a, b = (a if m == da else self.scale(a, m // da)), (b if m == db else self.scale(b, m // db))
-        out, first = a + [([], None, None)] * (len(b) - len(a)), itemgetter(0)
-        for i, (tb, vb, cb) in enumerate(b):
-            if vb is None:
-                continue  # an exact zero
-            ts, cut = list(out[i][0]), _min_cut(out[i][2], cb)
-            for q, v in tb:
-                j = bisect_left(ts, q, key=first)
-                if j < len(ts) and ts[j][0] == q:  # add in place; a zero sum drops q
-                    u = ts.pop(j)[1]
-                    v = [x + y for x, y in zip_longest(u, v, fillvalue=0)] if vec else u + v
-                    if not (any(v) if vec else v):
-                        continue
-                ts.insert(j, (q, v))
-            del ts[len(ts) if cut is None else bisect_left(ts, cut, key=first):]
-            _check_terms(len(ts))
-            out[i] = _num(ts, cut)
-        return out, m
 
     def primitive(self, nums, unit):
         """Encoded numbers over ``unit`` divided by their content, the gcd

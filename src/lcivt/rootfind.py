@@ -182,8 +182,6 @@ def _roots_rec(coeffs, cutoff, acc, lam_floor, out, depth_budget, window=None, b
         # roots indistinguishable from acc at this depth: one summed report,
         # absorbing an exact zero at acc when present
         resid = coeffs[0].val_lb() if zeros == 0 else None
-        if lam_floor is not None and merged_loc_cut.compare(lam_floor) < 0:
-            merged_loc_cut = lam_floor
         out.append(RootReport(acc.truncate(merged_loc_cut), zeros + merged_mult, resid,
                               unresolved=True))
     elif zeros:
@@ -436,29 +434,16 @@ def multiplicity_at(s, c, cutoff):
     value, feas = value_at(s, cutoff)
     if value is None or not value.is_zero_below(feas):
         raise ValueError("not a certified root of the series")
-    a, b = c - Fraction(1, 2), c + Fraction(1, 2)
-    mapped = _series_roots_on_interval(s, a, b, cutoff)
-    target = None
-    for rep in mapped:
+    target, best = None, None
+    for rep in _series_roots_on_interval(s, c - Fraction(1, 2), c + Fraction(1, 2), cutoff):
         diff = rep.root - c
-        lb = diff.val_lb()
-        if lb is None or (diff.cutoff is not None and not diff.terms):
+        if not diff.terms:
             target = rep
             break
-    if target is None:
-        # fall back: nearest root by difference valuation
-        best = None
-        for rep in mapped:
-            try:
-                lb = (rep.root - c).valuation()
-            except (TruncationError, ValueError):
-                target = rep
-                break
-            if best is None or lb.compare(best[0]) > 0:
-                best = (lb, rep)
-        if target is None and best is not None and best[0].compare(
-                default_exponent(s.mode, 1)) > 0:
-            target = best[1]
+        if best is None or diff.valuation().compare(best[0]) > 0:
+            best = (diff.valuation(), rep)
+    if target is None and best is not None and best[0].compare(default_exponent(s.mode, 1)) > 0:
+        target = best[1]
     if target is None:
         raise ValueError("no factor root matches the claimed zero")
     mult = target.multiplicity

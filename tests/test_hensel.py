@@ -516,6 +516,13 @@ def test_lift_schedules_agree(mode):
     for _ in range(10):
         coeffs = _random_normalized_coeffs(rng, pivot_max=3, tail_deg=8, mode=mode)
         _assert_schedules_agree(normalize(PolySeries(mode, coeffs), 10, cut), 10, cut)
+    # st(P) off the integers: the integer split takes X = Y/e with e = 2 and e = 3
+    # (and, in the first, a term of P past the cutoff)
+    exp, one = hahn_or_lc(mode), LcNumber.one(mode)
+    cut, eps_half = exp(6), LcNumber.monomial(exp(F(1, 2)), 1)
+    for coeffs in ([one * F(-1, 2) + LcNumber.monomial(exp(7), 1), one, eps_half],
+                   [one * F(1, 3), one * F(-2, 3), one, LcNumber.monomial(exp(1), 1), eps_half]):
+        _assert_schedules_agree(normalize(PolySeries(mode, coeffs), 10, cut), 10, cut)
 
 
 def _assert_schedules_agree(ns, cap, cut):
@@ -524,6 +531,9 @@ def _assert_schedules_agree(ns, cap, cut):
     series = [ns.coeff(n, cut) for n in range(cap + 1)]
     for f in (f1, f2):
         assert all(c.is_zero_below(cut) for c in f.residual(series))
+    # the slice rule's P keeps S's terms past the cutoff; the batched rule's does not
+    for p, c in zip(f1.p_coeffs, series):
+        assert [t for t in p.terms if t[0] >= cut] == [t for t in c.terms if t[0] >= cut]
     assert len(f1.p_coeffs) == len(f2.p_coeffs)
     # B's lengths may differ; the shorter one is padded with zeros
     nb = max(len(f1.b_coeffs), len(f2.b_coeffs))
@@ -632,7 +642,7 @@ def test_lift_term_cap_fires_in_the_residual_update(monkeypatch):
                        "_MAX_TERMS = 2") as err:
         weierstrass_factor(ns, 4, E(6))
     names = [entry.name for entry in err.traceback]
-    assert names[names.index("weierstrass_factor") + 1] == "combine" and "merge" not in names
+    assert names[names.index("weierstrass_factor") + 1] == "combine"
 
 
 def test_certificate_recomputes_the_product(monkeypatch):
@@ -655,9 +665,9 @@ def test_certificate_recomputes_the_product(monkeypatch):
 def xmajor_slice_factor(ns, degree_cap, cutoff):
     """The slice rule held X-major, as one correction loop: the residual
     S - P*B is a sequence of numbers by X-degree, each round divides its
-    least exponent slice by st(P) in the residue field, B += Q and P += R
-    are ``_Grid.merge``, and resid - Q*P - R*B is one ``_Grid.combine`` over
-    every coefficient.  It shares ``_certify`` and ``_Grid`` with
+    least exponent slice by st(P) in the residue field, and B += Q,
+    P += R and resid - Q*P - R*B are each one ``_Grid.combine`` over every
+    coefficient.  It shares ``_certify`` and ``_Grid`` with
     ``weierstrass_factor``, and nothing else."""
     mode, pivot = ns.mode, ns.N
     s = [ns.coeff(n, cutoff) for n in range(degree_cap + 1)]
@@ -676,9 +686,9 @@ def xmajor_slice_factor(ns, degree_cap, cutoff):
         gamma = min(c.terms[0][0] for c in nums if c.terms)
         qr = polys.pdivmod([c.coeff_at(gamma) for c in nums], pbar)
         q, rem = (grid.encoded([LcNumber.monomial(gamma, c) for c in cs]) for cs in qr)
-        b = grid.merge(b, q)
+        b = grid.combine([(b, one, 1), (q, one, 1)], max(len(b[0]), len(q[0])), None)
         resid = grid.combine([(one, resid, 1), (q, p, -1), (rem, b, -1)], degree_cap + 1, cap)
-        p = grid.merge(p, rem)
+        p = grid.combine([(p, one, 1), (rem, one, 1)], max(len(p[0]), len(rem[0])), None)
     else:
         left = [c.terms[0][0] for c in grid.decode_all(resid) if c.terms]
         if left:

@@ -1,7 +1,6 @@
 import copy
 import operator
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -685,43 +684,6 @@ def test_two_generators_keep_pairwise_strings():
         assert [str(g) for g in got] == [str(w) for w in want]
         assert strings is None or [str(g) for g in got] == strings
         assert all(same_number(g, w) for g, w in zip(got, want))
-
-
-MERGE_PATHS = {"integers": lambda mode: kernel_numbers(mode, algebraic=False),
-               "vectors": lambda mode: generator_numbers(mode, SQRT[2]),
-               "values": kernel_numbers}
-
-
-@pytest.mark.parametrize("mode", [LC, HAHN])
-@pytest.mark.parametrize("path", sorted(MERGE_PATHS))
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_grid_merge_matches_collect(mode, path, data):
-    numbers = st.lists(MERGE_PATHS[path](mode), min_size=1, max_size=4)
-    a, b = data.draw(numbers), data.draw(numbers)
-    # sums that cancel: delta takes some of seq's numbers back out
-    b = [data.draw(st.sampled_from([y, -x, y - x])) for x, y in zip(a, b)] + b[len(a):]
-    zero = Exponent.zero(mode)
-    if path == "vectors":
-        a.append(LcNumber.monomial(zero, SQRT[2] + 1))
-    elif path == "values":
-        a.append(LcNumber.monomial(zero, SQRT[2]))
-        b.append(LcNumber.monomial(zero, SQRT[3]))
-    grid = lcnum._Grid(mode, [a, b])
-    # "values": sqrt 2 and sqrt 3, encoded on their compositum of degree 4
-    assert grid.rational == (path == "integers")
-    assert grid.rational or len(grid.gen.minpoly) - 1 == (2 if path == "vectors" else 4)
-    # each side over a multiple of its denominator, so that d' need not divide d
-    ka, kb = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    da, db = grid.cdens[0] * ka, grid.cdens[1] * kb
-    seq, delta = (grid.encode(a, da), da), (grid.encode(b, db), db)
-    before = copy.deepcopy(seq)
-    got = grid.merge(seq, delta)
-    one = (grid.const(1), 1)
-    want = grid.combine([(seq, one, 1), (delta, one, 1)], max(len(a), len(b)), None)
-    assert got[1] == lcm(da, db) and seq == before
-    assert len(got[0]) == len(want[0])
-    assert all(same_number(g, w) for g, w in zip(grid.decode_all(got), grid.decode_all(want)))
 
 
 # ----------------------------------------------------------- lazy comparison
