@@ -81,17 +81,17 @@ class _Scanner:
             self.error("expected digits")
         return int(self.text[j:self.i])
 
+    def integer(self):
+        """Digits, with an optional leading minus sign."""
+        neg = self.peek() == "-" and self.take()
+        return -self.digits() if neg else self.digits()
+
     def rational(self, signed=False):
-        sign = 1
-        if signed and self.peek() == "-":
-            self.take()
-            sign = -1
-        num = self.digits()
+        num = self.integer() if signed else self.digits()
         if self.peek() == "/":
             self.take()
-            den = self.digits()
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return Fraction(num, self.digits())
+        return Fraction(num)
 
 
 def _parse_eps_power(sc, mode):
@@ -113,12 +113,7 @@ def _parse_eps_power(sc, mode):
             power = sc.rational(signed=True)
             sc.expect(")")
         else:
-            neg = sc.peek() == "-"
-            if neg:
-                sc.take()
-            power = Fraction(sc.digits())
-            if neg:
-                power = -power
+            power = Fraction(sc.integer())
     if mode == LC:
         return Exponent.lc(power)
     if index == 0:
@@ -277,8 +272,7 @@ def _parse_term_line(body, mode, line):
     else:
         expo = ("poly", _parse_npoly(expo_text, line))
     sc = _Scanner(fields.get("offset", "0"), line)
-    neg = sc.peek() == "-" and sc.take()
-    offset = -sc.digits() if neg else sc.digits()
+    offset = sc.integer()
     if not sc.done():
         sc.error("offset must be an integer")
     return TermRuleSeries(mode, sign, prefactor, expo, offset)

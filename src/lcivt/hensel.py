@@ -19,11 +19,12 @@ which shares only the extraction of S, ``_certify`` and the kernel's
 ``_Grid.accumulate`` with the first.
 
 Polynomials here are dense lists of LcNumber by ascending power.
-``poly_deriv`` and ``poly_divmod_monic`` are the library's arithmetic for
-them, and ``lcnum.horner`` evaluates them; ``poly_mul``, one kernel pair,
-serves the tests and ``lcbench``.  All three skip only exact zeros and
-never trim: ``== 0`` on a truncated number raises TruncationError, and
-trimming would shorten the reported unit factor.
+``poly_divmod_monic`` divides them and ``lcnum.horner`` evaluates them;
+``poly_mul``, one kernel pair, serves the tests and ``lcbench``.  Both
+skip only exact zeros and never trim: ``== 0`` on a truncated number
+raises TruncationError, and trimming would shorten the reported unit
+factor.  The one derivative is ``pseries.DerivativeSeries``, also of a
+partial sum: (S_n)' is the partial sum of S' to n - 1.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ _LIFT_CAP = 20000
 _CAP_MESSAGE = ("factorization lifting hit _LIFT_CAP = %d rounds before the cutoff %s; "
                 "least residual exponent reached %s")
 _NEWTON_CAP = 200
-
-
-def poly_deriv(coeffs):
-    return [coeffs[i] * i for i in range(1, len(coeffs))]
 
 
 def poly_mul(a, b, cutoff=None):
@@ -191,15 +188,6 @@ class Factorization:
     b_coeffs: list
     achieved_cutoff: Exponent
     degree_cap: int
-
-    def residual(self, series_coeffs):
-        """S - P*B (S is 0 beyond the cap) below ``achieved_cutoff``: the
-        certificate of both lifts, on a fresh grid over S, P and B."""
-        cut = self.achieved_cutoff
-        polys = [series_coeffs, self.p_coeffs, self.b_coeffs]
-        grid = _Grid(cut.mode, polys, cut)
-        s, p, b = [(grid.encode(poly, d), d) for poly, d in zip(polys, grid.cdens)]
-        return grid.decode_all(_certify(grid, s, p, b, grid.cut(cut)))
 
 
 def _extract_series(ns, degree_cap, cutoff):

@@ -61,7 +61,7 @@ from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import ResourceCapError, TruncationError
-from .realalg import RealAlgebraic, common_field
+from .realalg import Ordered, RealAlgebraic, common_field
 
 LC = "lc"
 HAHN = "hahn"
@@ -78,7 +78,7 @@ def _check_terms(count):
                                % (count, _MAX_TERMS))
 
 
-class Exponent:
+class Exponent(Ordered):
     """An element of the value group, tagged with its mode.
 
     lc: a rational.  hahn: a finitely supported map index -> rational stored
@@ -193,18 +193,6 @@ class Exponent:
     def __eq__(self, other):
         return isinstance(other, Exponent) and self.mode == other.mode and self.data == other.data
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __hash__(self):
         try:
             return self._hash
@@ -284,7 +272,7 @@ class Classification:
     topologically_nilpotent: bool
 
 
-class LcNumber:
+class LcNumber(Ordered):
     """A finite-support element of the field, possibly truncated.
 
     ``terms``: (Exponent, RealAlgebraic) pairs sorted by ascending exponent,
@@ -502,18 +490,6 @@ class LcNumber:
             return NotImplemented
         return self.compare(other) == 0
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     __hash__ = None
 
     def __abs__(self):
@@ -611,6 +587,19 @@ class LcNumber:
 
     def __repr__(self):
         return "LcNumber(%s)" % self
+
+
+def as_number(mode, x):
+    """x itself when it is an LcNumber, else the exact scalar x in ``mode``."""
+    return x if isinstance(x, LcNumber) else LcNumber.from_scalar(mode, x)
+
+
+def as_poly(mode, xs):
+    """``as_number`` of each of ``xs``, less the trailing exact zeros."""
+    cs = [as_number(mode, x) for x in xs]
+    while cs and cs[-1].is_exact_zero:
+        cs.pop()
+    return cs
 
 
 # ---------------------------------------------------- sum-of-products kernel

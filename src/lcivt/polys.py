@@ -8,9 +8,10 @@ support +, -, *, /, exact equality with 0, and comparison against 0 (directly
 or through a ``sign()`` method).
 
 Truncated ``LcNumber`` coefficients cannot decide ``== 0``, so their lists are
-served by the ``poly_*`` helpers in ``hensel``, which skip only exact zeros
-and never trim; their Taylor shift is ``pseries.SubstitutedSeries`` with
-h = 1.
+served elsewhere, skipping only exact zeros and never trimming: division by
+``hensel.poly_divmod_monic``, evaluation by ``lcnum.horner``, the derivative
+of a partial sum by ``pseries.DerivativeSeries`` and the Taylor shift by
+``pseries.SubstitutedSeries`` with h = 1.
 """
 
 from __future__ import annotations
@@ -98,10 +99,7 @@ def pgcd(a, b):
     while b:
         _, r = pdivmod(a, b)
         a, b = b, r
-    if a and a[-1] != 1:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    return monic(a)
 
 
 def pderiv(a):

@@ -32,7 +32,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import CertificateError, ResourceCapError, TruncationError
-from .lcnum import LC, Exponent, LcNumber, _Grid, _num, horner, sum_of_products
+from .lcnum import (LC, Exponent, LcNumber, _Grid, _num, as_number, as_poly, horner,
+                    sum_of_products)
 from .polys import (_variations_at, cauchy_bound, padd, pdivmod, pderiv, peval, pshift,
                     sturm_chain, trim)
 from .realalg import RealAlgebraic
@@ -147,11 +148,7 @@ class PolySeries(PSeries):
 
     def __init__(self, mode, coeffs):
         super().__init__(mode)
-        cs = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
-              for c in coeffs]
-        while cs and cs[-1].is_exact_zero:
-            cs.pop()
-        self.coeffs = cs
+        self.coeffs = as_poly(mode, coeffs)
 
     def _coeff(self, n, cutoff):
         if n < len(self.coeffs):
@@ -256,14 +253,7 @@ class RatFunSeries(PSeries):
 
     def __init__(self, mode, num, den):
         super().__init__(mode)
-        self.num = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
-                    for c in num]
-        self.den = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(mode, c)
-                    for c in den]
-        while self.num and self.num[-1].is_exact_zero:
-            self.num.pop()
-        while self.den and self.den[-1].is_exact_zero:
-            self.den.pop()
+        self.num, self.den = as_poly(mode, num), as_poly(mode, den)
         if not self.den:
             raise ZeroDivisionError("zero denominator")
         d0 = self.den[0]
@@ -364,12 +354,9 @@ class PolyMulSeries(PSeries):
 
     def __init__(self, poly, inner):
         super().__init__(inner.mode)
-        self.poly = [c if isinstance(c, LcNumber) else LcNumber.from_scalar(self.mode, c)
-                     for c in poly]
-        if any(c.mode != self.mode for c in self.poly):
+        if any(as_number(self.mode, c).mode != self.mode for c in poly):
             raise ValueError("mode mismatch in polynomial multiple")
-        while self.poly and self.poly[-1].is_exact_zero:
-            self.poly.pop()
+        self.poly = as_poly(self.mode, poly)
         self.inner = inner
 
     def _coeff(self, n, cutoff):
@@ -590,8 +577,7 @@ def evaluate(s, x, cutoff):
     certified below cutoff - n*val(x); TruncationError when a coefficient's
     own truncation leaves the value uncertified below the cutoff.
     """
-    if not isinstance(x, LcNumber):
-        x = LcNumber.from_scalar(s.mode, x)
+    x = as_number(s.mode, x)
     if x.mode != s.mode:
         raise ValueError("mode mismatch between series and point")
     if x.is_exact_zero:
@@ -606,10 +592,7 @@ def evaluate(s, x, cutoff):
 
 def transform_interval(s, a, b):
     """The series T with T(Z) = S((b-a)Z + (2a-b)), mapping [a,b] onto [1,2]."""
-    if not isinstance(a, LcNumber):
-        a = LcNumber.from_scalar(s.mode, a)
-    if not isinstance(b, LcNumber):
-        b = LcNumber.from_scalar(s.mode, b)
+    a, b = as_number(s.mode, a), as_number(s.mode, b)
     if a.compare(b) >= 0:
         raise ValueError("interval endpoints must satisfy a < b")
     zero = Exponent.zero(s.mode)
@@ -636,8 +619,6 @@ def normalize(s, degree_cap, cutoff):
         raise CertificateError("normalization pivot not determined below the degree cap")
 
     scan_to = max(nstar, 1)
-    extended = False
-    vmin = None
     while True:
         vmin = None
         for n in range(scan_to):
@@ -648,9 +629,8 @@ def normalize(s, degree_cap, cutoff):
                     vmin = v
         if vmin is None:
             ncut = s.tail_index(zero, cutoff)
-            if not extended and ncut > scan_to:
+            if ncut > scan_to:  # once: the memoized ncut then equals scan_to
                 scan_to = ncut
-                extended = True
                 continue
             raise CertificateError("all coefficients vanish below the cutoff")
         n2 = s.tail_index(zero, vmin, strict=True)

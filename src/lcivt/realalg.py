@@ -14,8 +14,11 @@ n-th roots, roots of polynomials with algebraic coefficients) is chosen by
 one rule, ``_select_root``: factor an integer polynomial that vanishes at
 the target, then narrow a rational enclosure of the target until exactly
 one factor has exactly one root in it; ``_root_of`` interns one generator
-per root.  Mixed-field sums and products, ``algebraic_roots`` and the
-kernel's grids first bring values onto their compositum (``common_field``).
+per root.  For a root of a polynomial over a generator's field, that
+integer polynomial is one elimination, ``_eliminate``: a resultant against
+the generator's minimal polynomial (Loos, "Computing in algebraic
+extensions", 1983).  Mixed-field sums and products, ``algebraic_roots`` and
+the kernel's grids first bring values onto their compositum (``common_field``).
 
 ``_factor_int_poly`` divides out rational roots first: sympy's
 ``factor_list`` sees only a remainder of degree 4 or more, or an input past
@@ -198,7 +201,26 @@ def _poly_invert_mod(rep, m):
     return [c / lead for c in s0]
 
 
-class RealAlgebraic:
+class Ordered:
+    """<, <=, > and >= from ``compare`` (-1, 0 or +1) for RealAlgebraic,
+    Exponent and LcNumber; empty slots keep their instances dict-free."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self.compare(other) < 0
+
+    def __le__(self, other):
+        return self.compare(other) <= 0
+
+    def __gt__(self, other):
+        return self.compare(other) > 0
+
+    def __ge__(self, other):
+        return self.compare(other) >= 0
+
+
+class RealAlgebraic(Ordered):
     """An exact real algebraic number."""
 
     __slots__ = ("_frac", "_gen", "_rep", "_minpoly")
@@ -405,18 +427,6 @@ class RealAlgebraic:
             return NotImplemented
         return self.compare(other) == 0
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     __hash__ = None
 
     # ------------------------------------------------------------------- roots
@@ -563,17 +573,21 @@ def _resultant_y(A, B, j=0):
     return [_poly_det([r[:size - j - 1] + [r[size - 1 - k]] for r in rows]) for k in range(j + 1)]
 
 
+def _eliminate(gen, reps, j=0):
+    """The j-th subresultant in t (``_resultant_y``; j = 0 the resultant)
+    of gen's minimal polynomial m(t) and the sum over i of reps[i](t)*z^i,
+    each rep ascending in t: for j = 0 a polynomial in z that vanishes
+    wherever the sum does with t at gen's root.  Both sides go by powers
+    of t, with polys in z as entries."""
+    return _resultant_y([[Fraction(c)] if c else [] for c in gen.minpoly],
+                        [trim([Fraction(r[k] if k < len(r) else 0) for r in reps])
+                         for k in range(max(map(len, reps)))], j)
+
+
 def _minpoly_of_rep(gen, rep):
-    """Integer minimal polynomial of rep(alpha) over the rationals."""
-    m = [Fraction(c) for c in gen.minpoly]
-    A = [[c] if c else [] for c in m]
-    B = []
-    for i, c in enumerate(rep):
-        if i == 0:
-            B.append([-Fraction(c), Fraction(1)])
-        else:
-            B.append([-Fraction(c)] if c else [])
-    cand = (_resultant_y(B, A) if len(B) > len(A) else _resultant_y(A, B))[0]
+    """Integer minimal polynomial of rep(alpha) over the rationals: the
+    elimination of t from z - rep(t)."""
+    cand = _eliminate(gen, [[-c for c in rep], [1]])[0]
     fac, _, _ = _select_root(
         cand, lambda: _interval_eval(rep, gen.lo, gen.hi), gen.refine)
     return fac
@@ -661,17 +675,14 @@ def _compose(a, b):
     t = 0
     while True:
         t += 1
-        B = [[] for _ in a.minpoly]  # m_alpha(z - t*y) by powers of y, polys in z
-        for k, ak in enumerate(a.minpoly):
-            for j in range(k + 1):
-                B[j].extend([Fraction(0)] * (k - j + 1 - len(B[j])))
-                B[j][k - j] += ak * comb(k, j) * (-t) ** j
-        B, A = [trim(e) for e in B], [[Fraction(c)] if c else [] for c in b.minpoly]
-        z = _root_of(*_select_root(_resultant_y(A, B)[0], lambda t=t: (
+        # m_alpha(z - t*y): z^i has coefficient sum over j of a_(i+j)*C(i+j, j)*(-t*y)^j
+        reps = [[ak * comb(i + j, j) * (-t) ** j for j, ak in enumerate(a.minpoly[i:])]
+                for i in range(len(a.minpoly))]
+        z = _root_of(*_select_root(_eliminate(b, reps)[0], lambda t=t: (
             a.lo + t * b.lo, a.hi + t * b.hi), lambda: (a.refine(), b.refine())))
         # the gcd has degree 1 exactly when the first subresultant s1*y + s0
         # keeps s1(gamma) != 0, and is then that subresultant at z = gamma
-        s0, s1 = (peval(c, z) for c in _resultant_y(A, B, 1))
+        s0, s1 = (peval(c, z) for c in _eliminate(b, reps, 1))
         if not s1.is_zero:
             beta = -s0 / s1
             return z._gen, {a: z - beta * t, b: beta}
@@ -760,12 +771,8 @@ def algebraic_roots(coeffs, interval=None):
             for r, _ in isolate_real_roots([c.as_fraction() for c in factor], interval):
                 out.append((r, mult))
             continue
-        # eliminate the generator: C(z) = Res_t(minpoly(t), sum rep_i(t) z^i),
-        # both sides by powers of t with polys in z as entries
-        reps = [(c._frac,) if c._frac is not None else c._rep for c in factor]
-        cand = _resultant_y([[Fraction(c)] if c else [] for c in gen.minpoly],
-                            [trim([r[i] if i < len(r) else Fraction(0) for r in reps])
-                             for i in range(max(map(len, reps)))])[0]
+        cand = _eliminate(gen, [(c._frac,) if c._frac is not None else c._rep
+                                for c in factor])[0]
         if not trim(cand):
             raise ArithmeticError("degenerate elimination for algebraic coefficients")
         for lo, hi in _isolate_generic(factor, interval):

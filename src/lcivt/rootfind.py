@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateError, ResourceCapError, TruncationError
-from .hensel import newton_root, poly_deriv, weierstrass_factor
-from .lcnum import LC, Exponent, LcNumber
+from .hensel import newton_root, weierstrass_factor
+from .lcnum import LC, Exponent, LcNumber, as_number
 from .pseries import (PolySeries, SubstitutedSeries, evaluate, normalize, partial_sum,
                       transform_interval)
 from .realalg import RealAlgebraic, algebraic_roots
@@ -364,10 +364,7 @@ def ivt_root(s, a, b, cutoff, degree_cap=None):
     of the monic factor on [1, 2], mapped back.  The returned root has a
     certified residual: valuation(S(root)) >= cutoff.
     """
-    if not isinstance(a, LcNumber):
-        a = LcNumber.from_scalar(s.mode, a)
-    if not isinstance(b, LcNumber):
-        b = LcNumber.from_scalar(s.mode, b)
+    a, b = as_number(s.mode, a), as_number(s.mode, b)
     sa = certified_sign(s, a)
     sb = certified_sign(s, b)
     if sa * sb != -1:
@@ -407,10 +404,7 @@ def count_zeros(s, a, b, cutoff, degree_cap=None):
     The unit factor never vanishes, so the zeros of the series are exactly
     the roots of the monic factor.
     """
-    if not isinstance(a, LcNumber):
-        a = LcNumber.from_scalar(s.mode, a)
-    if not isinstance(b, LcNumber):
-        b = LcNumber.from_scalar(s.mode, b)
+    a, b = as_number(s.mode, a), as_number(s.mode, b)
     mapped = _series_roots_on_interval(s, a, b, cutoff, degree_cap)
     return len(mapped), mapped
 
@@ -418,8 +412,7 @@ def count_zeros(s, a, b, cutoff, degree_cap=None):
 def multiplicity_at(s, c, cutoff):
     """Order of the series zero at c, from the monic-factor structure on
     [c - 1/2, c + 1/2], cross-checked against derivative vanishing."""
-    if not isinstance(c, LcNumber):
-        c = LcNumber.from_scalar(s.mode, c)
+    c = as_number(s.mode, c)
 
     def value_at(series, cut):
         """(value at c, the cutoff it holds to): ``cut`` halved on each
@@ -481,36 +474,40 @@ def _poly_roots_in_window(coeffs, cutoff, lo, hi):
     return out
 
 
-def _distance_valuation(x, target):
-    diff = x - target
-    if diff.terms:
-        return diff.terms[0][0]
-    return None  # certified equal below the working cutoff
+def _track(s, target, n_list, window, kind):
+    """One TrackRecord per n: the roots in the window of S_n (``kind`` None)
+    or of (S_n)', the partial sum of S' to n - 1, where ``kind(S_n, root,
+    cutoff)`` is not None, each with the exact valuation of its distance to
+    the target root (None: a difference certified zero below the cutoff)."""
+    lo, hi = window
+    cutoff = target.root.cutoff
+    cutoff = default_exponent(s.mode, 50) if cutoff is None else cutoff
+    records = []
+    for n in n_list:
+        cut = None if _exact_coeffs(s) else cutoff
+        coeffs = partial_sum(s, n, cut)
+        searched = coeffs if kind is None else partial_sum(s.derivative(), n - 1, cut)
+        items = []
+        for h in _poly_roots_in_window(searched, cutoff, lo, hi):
+            k = "zero" if kind is None else kind(coeffs, h.root, cutoff)
+            if k is not None:
+                diff = h.root - target.root
+                items.append((k, h.root, diff.terms[0][0] if diff.terms else None))
+        records.append(TrackRecord(n, items))
+    return records
 
 
 def track_partial_sum_zeros(s, target, n_list, window):
     """Zeros of the partial sums near an odd-order root of the series.
 
     For each n, isolates the zeros of S_n in the window and records the
-    exact valuation of their distance to the target root (None marks a
-    difference certified zero below the cutoff).
+    exact valuation of their distance to the target root.
     """
     if target.multiplicity % 2 == 0:
         raise ValueError("target root must have odd order")
-    lo, hi = window
-    if target.root.compare(lo) < 0 or target.root.compare(hi) > 0:
+    if target.root.compare(window[0]) < 0 or target.root.compare(window[1]) > 0:
         raise ValueError("window excludes the target root")
-    cutoff = target.root.cutoff
-    if cutoff is None:
-        cutoff = default_exponent(s.mode, 50)
-    records = []
-    for n in n_list:
-        coeffs = partial_sum(s, n, None if _exact_coeffs(s) else cutoff)
-        hits = _poly_roots_in_window(coeffs, cutoff, lo, hi)
-        items = [("zero", h.root, _distance_valuation(h.root, target.root))
-                 for h in hits]
-        records.append(TrackRecord(n, items))
-    return records
+    return _track(s, target, n_list, window, None)
 
 
 def _exact_coeffs(s):
@@ -542,23 +539,7 @@ def track_extremes(s, target, n_list, window):
     """
     if target.multiplicity % 2 != 0:
         raise ValueError("target root must have even order")
-    lo, hi = window
-    cutoff = target.root.cutoff
-    if cutoff is None:
-        cutoff = default_exponent(s.mode, 50)
-    records = []
-    for n in n_list:
-        coeffs = partial_sum(s, n, None if _exact_coeffs(s) else cutoff)
-        dcoeffs = poly_deriv(coeffs)
-        hits = _poly_roots_in_window(dcoeffs, cutoff, lo, hi)
-        items = []
-        for h in hits:
-            kind = _classify_extreme(coeffs, h.root, cutoff)
-            if kind is None:
-                continue
-            items.append((kind, h.root, _distance_valuation(h.root, target.root)))
-        records.append(TrackRecord(n, items))
-    return records
+    return _track(s, target, n_list, window, _classify_extreme)
 
 
 def target_extreme_kind(s, target, cutoff=None):

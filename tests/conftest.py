@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from lcivt.dsl import parse_literal
-from lcivt.lcnum import LC, Exponent, LcNumber
+from lcivt.hensel import _certify
+from lcivt.lcnum import LC, Exponent, LcNumber, _Grid
 
 
 def L(text):
@@ -14,6 +15,22 @@ def L(text):
 def E(q):
     """lc-mode exponent."""
     return Exponent.lc(Fraction(q))
+
+
+def poly_deriv(coeffs):
+    """The derivative of a dense LcNumber list: coeffs[i]*i at X^(i-1)."""
+    return [coeffs[i] * i for i in range(1, len(coeffs))]
+
+
+def residual(fact, series_coeffs):
+    """S - P*B (S is 0 beyond the cap) below ``fact.achieved_cutoff``: the
+    certificate of both lifts, ``hensel._certify``, on a fresh grid over S,
+    P and B."""
+    cut = fact.achieved_cutoff
+    polys = [series_coeffs, fact.p_coeffs, fact.b_coeffs]
+    grid = _Grid(cut.mode, polys, cut)
+    s, p, b = [(grid.encode(poly, d), d) for poly, d in zip(polys, grid.cdens)]
+    return grid.decode_all(_certify(grid, s, p, b, grid.cut(cut)))
 
 
 @pytest.fixture

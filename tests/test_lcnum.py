@@ -60,6 +60,17 @@ def test_compare_examples():
     assert eps_n(2).compare(eps_n(1).pow_int(7)) == -1
 
 
+def test_ordered_numbers_hold_no_instance_dict():
+    # the shared order operators come from one mixin; without its empty
+    # __slots__ every number would carry a __dict__
+    values = [Exponent.lc(F(1, 2)), Exponent.hahn({2: 1}), eps(), eps_n(2).truncate(
+        Exponent.hahn({2: 3})), RealAlgebraic(F(1, 3)), RealAlgebraic(2).nth_root(2)]
+    for x in values:
+        assert not hasattr(x, "__dict__"), type(x).__name__
+    assert eps(2) < eps() <= eps() and eps() > eps(2) >= eps(2)
+    assert Exponent.lc(1) < Exponent.lc(2) and RealAlgebraic(2).nth_root(2) > 1
+
+
 def test_compare_truncated_undecidable():
     a = L("1").truncate(E(3))
     b = L("1").truncate(E(3))

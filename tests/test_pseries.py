@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lcivt import lcnum, pseries
 from lcivt.dsl import parse_series
 from lcivt.errors import CertificateError, ResourceCapError, TruncationError
-from lcivt.hensel import poly_deriv, poly_mul
+from lcivt.hensel import poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, sum_of_products
 from lcivt.polys import pshift
 from lcivt.pseries import (
@@ -26,7 +26,7 @@ from lcivt.pseries import (
 )
 from lcivt.realalg import RealAlgebraic
 
-from conftest import E, L
+from conftest import E, L, poly_deriv
 
 
 def alternating_square_series():

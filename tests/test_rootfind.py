@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from lcivt import cli, rootfind
 from lcivt.dsl import parse_series
-from lcivt.errors import ResourceCapError, TruncationError
-from lcivt.hensel import poly_deriv, poly_mul
+from lcivt.errors import LcivtError, ResourceCapError, TruncationError
+from lcivt.hensel import poly_mul
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, horner
 from lcivt.polys import pmul
 from lcivt.pseries import (
@@ -21,6 +21,7 @@ from lcivt.pseries import (
     evaluate,
     partial_sum,
 )
+from lcivt.realalg import RealAlgebraic
 from lcivt.rootfind import (
     RootReport,
     _in_range,
@@ -34,7 +35,7 @@ from lcivt.rootfind import (
     track_partial_sum_zeros,
 )
 
-from conftest import E, L
+from conftest import E, L, poly_deriv
 
 ONE = LcNumber.one(LC)
 ZERO = LcNumber.zero(LC)
@@ -330,6 +331,128 @@ def test_ivt_failing_at_every_working_cutoff_raises_the_last_error(monkeypatch, 
     assert code == 4 and payload["ok"] is False and payload["results"] is None
     assert payload["failures"] == [{"error": "TruncationError",
                                     "message": "no root at extra = 24"}]
+
+
+# ----------------------------------------- the theorem, checked outside the kernel
+#
+# A reference evaluator on plain dicts {exponent key: (Exponent, coefficient)}
+# with a cutoff (None: exact): schoolbook products and sums, each cut at the
+# tightest cutoff its operands certify.  It shares no _Grid, sum_of_products,
+# horner or coefficient memo with the library; it takes the coefficients of a
+# PolySeries, whose tail index is its length, so no tail certificate is shared.
+
+
+def _ref(x):
+    return {e.key: (e, c) for e, c in x.terms}, x.cutoff
+
+
+def _ref_cut(*cuts):
+    """The least cutoff; None is past every exponent."""
+    return min((c for c in cuts if c is not None), key=lambda e: e.key, default=None)
+
+
+def _ref_below(terms, cut):
+    return {k: t for k, t in terms.items()
+            if not t[1].is_zero and (cut is None or k < cut.key)}, cut
+
+
+def _ref_add(a, b):
+    out = dict(a[0])
+    for k, (e, c) in b[0].items():
+        out[k] = (e, out[k][1] + c) if k in out else (e, c)
+    return _ref_below(out, _ref_cut(a[1], b[1]))
+
+
+def _ref_neg(a):
+    return {k: (e, -c) for k, (e, c) in a[0].items()}, a[1]
+
+
+def _ref_mul(a, b):
+    if not a[0] and a[1] is None or not b[0] and b[1] is None:
+        return {}, None  # an exact zero
+
+    def val(x):  # a lower bound: the least exponent, else the cutoff
+        return min((e for e, _ in x[0].values()), key=lambda e: e.key, default=x[1])
+
+    cut = _ref_cut(None if a[1] is None else a[1] + val(b),
+                   None if b[1] is None else b[1] + val(a))
+    out = {}
+    for ea, ca in a[0].values():
+        for eb, cb in b[0].values():
+            e = ea + eb
+            if cut is None or e.key < cut.key:
+                out[e.key] = (e, out[e.key][1] + ca * cb) if e.key in out else (e, ca * cb)
+    return _ref_below(out, cut)
+
+
+def _ref_value(coeffs, x, cut=None):
+    """The sum of coeffs[n] * x^n, each power a schoolbook product, with x
+    cut at ``cut`` first: for coefficients of nonnegative valuation and x
+    of valuation 0, x's terms at or past ``cut`` reach no term below it."""
+    one, x = Exponent.zero(x.mode), _ref_below(_ref(x)[0], _ref_cut(x.cutoff, cut))
+    acc, power = ({}, None), ({one.key: (one, RealAlgebraic(1))}, None)
+    for c in coeffs:
+        acc = _ref_add(acc, _ref_mul(_ref(c), power))
+        power = _ref_mul(power, x)
+    return acc
+
+
+def _ref_sign(a):
+    """The sign of the least term; 0 for an exact zero, None when undecided."""
+    if a[0]:
+        return a[0][min(a[0])][1].sign()
+    return 0 if a[1] is None else None
+
+
+_INSIDE = sorted({F(p, q) for q in (1, 2, 3, 4) for p in range(1, 2 * q)})
+
+
+@st.composite
+def planted_sign_change(draw):
+    """(mode, coefficients, cutoff, simple): c * prod (X - r)^m over rational
+    roots r in (0, 2) of odd total multiplicity, plus up to three terms
+    a*t*X^j with t an infinitesimal: eps^e in lc mode, eps[1]^e or eps[2]^e
+    in hahn mode.  ``simple``: every m is 1."""
+    mode = draw(st.sampled_from((LC, HAHN)))
+    roots = draw(st.lists(st.sampled_from(_INSIDE), min_size=1, max_size=3, unique=True))
+    mults = draw(st.lists(st.integers(1, 2), min_size=len(roots), max_size=len(roots)))
+    mults[0] += 1 - sum(mults) % 2
+    poly = reduce(pmul, [[-r, 1] for r, m in zip(roots, mults) for _ in range(m)],
+                  [draw(st.sampled_from((F(1), F(-1), F(2), F(-3), F(1, 2))))])
+    coeffs = [LcNumber.from_scalar(mode, c) for c in poly]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from((-2, -1, 1, 3)))
+        if mode == LC:
+            tiny = eps(draw(st.sampled_from((F(1, 2), 1, F(3, 2), 2, 5))))
+        else:
+            tiny = eps_n(draw(st.sampled_from((1, 1, 2))), draw(st.sampled_from((1, 2, 3))))
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += tiny * a
+    return mode, coeffs, E(8) if mode == LC else Exponent.hahn({1: 6}), max(mults) == 1
+
+
+@given(planted_sign_change())
+@settings(max_examples=60, deadline=None)
+def test_ivt_root_is_a_root_of_the_reference_value(case):
+    # where the reference certifies opposite signs at 0 and 2, ivt_root
+    # raises a typed error or returns a root strictly inside whose value,
+    # formed apart from the kernel, has no term below the cutoff.  With
+    # simple residue roots Hensel's lemma lifts each one and leaves no
+    # cluster to resolve, so there a typed error is a failure too.
+    mode, coeffs, cut, simple = case
+    lo, hi = LcNumber.zero(mode), LcNumber.from_scalar(mode, 2)
+    signs = [_ref_sign(_ref_value(coeffs, x)) for x in (lo, hi)]
+    if None in signs or signs[0] * signs[1] != -1:
+        return
+    try:
+        rep = ivt_root(PolySeries(mode, coeffs), lo, hi, cut)
+    except LcivtError:
+        assert not simple
+        return
+    root = _ref(rep.root)
+    assert _ref_sign(root) == 1 and _ref_sign(_ref_add(_ref(hi), _ref_neg(root))) == 1
+    terms, rcut = _ref_value(coeffs, rep.root, cut)
+    assert all(k >= cut.key for k in terms), (str(rep.root), terms)
+    assert rcut is None or rcut.key >= cut.key, (str(rep.root), str(rcut))
 
 
 # ------------------------------------------------------------------ count_zeros
