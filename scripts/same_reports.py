@@ -109,6 +109,13 @@ RAW_ARGV = (
                       "term: sign=(-1)^n scale=1 expo=seq(n) offset=2",
                       "ratfun: (2 - 2*eps[1]*X - eps[2]*X) / (1 - eps[1]*X)\npolymul: 1, -2, 1"),
     ("mult", "--inline", RATFUN + "\nsubst: h=1 k=1/2", "--at", "1/2", "--cutoff", "6"),
+    # the DSL's one stack check and one end-of-text check, and factor with
+    # both of its options, through the shared factoring step
+    ("eval", "--inline", "poly: 1\nsum:", "--at", "1"),
+    ("eval", "--inline", "subst: h=1 k=0", "--at", "1"),
+    ("eval", "--inline", GAPPY + " offset=2x", "--at", "1"),
+    ("eval", "--mode", "hahn", "--inline", "poly: 1", "--at", "1", "--cutoff", "1:4x"),
+    ("factor", "--inline", "poly: -1, 1, eps", "--interval", "0,2", "--degree-cap", "6"),
 )
 _TIMING = re.compile(r'(timing_seconds"?: )[-+.e0-9]+')
 

@@ -3,10 +3,14 @@ JSON/CSV/text reports.
 
 Commands: eval, factor, ivt, zeros, mult, track-zeros, track-extremes, and
 ``example`` (named experiment fixtures: nilpotent-signs, nilpotent-roots,
-hahn-signs, double-zero).  Exit code 0 means every asserted property held;
-1 means an assertion failed (a machine-readable failure record is in the
-report); 4 means the run raised an error of any kind, I/O, a resource cap
-and a command line the parser rejects included.
+hahn-signs, double-zero, whose series are the DSL sources ``NILPOTENT``,
+``HAHN_ALTERNATING`` and ``DOUBLE_ZERO``).  A subcommand takes only the
+shared options its handler reads (``build_parser``); --degree-cap goes to
+``rootfind.factor_series``, the one normalize-then-lift step.  Exit code 0
+means every asserted property held; 1 means an assertion failed (a
+machine-readable failure record is in the report); 4 means the run raised
+an error of any kind, I/O, a resource cap and a command line the parser
+rejects included.
 
 A report has the keys config, results, certificates, failures, ok and
 timing_seconds, in that order.  config echoes the parsed options named in
@@ -27,23 +31,16 @@ from fractions import Fraction
 
 from .dsl import parse_exponent, parse_literal, parse_series
 from .errors import LcivtError, UsageError
-from .hensel import Factorization, weierstrass_factor
+from .hensel import Factorization
 from .lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, horner
-from .pseries import (
-    PolyMulSeries,
-    RatFunSeries,
-    TermRuleSeries,
-    evaluate,
-    normalize,
-    partial_sum,
-    transform_interval,
-)
+from .pseries import evaluate, partial_sum, transform_interval
 from .realalg import RealAlgebraic
 from .rootfind import (
     RootReport,
     TrackRecord,
     count_zeros,
     default_exponent,
+    factor_series,
     ivt_root,
     multiplicity_at,
     poly_roots,
@@ -118,8 +115,8 @@ def jsonable(value):
     return value
 
 
-def emit_report(payload, fmt, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def emit_report(payload, fmt):
+    stream = sys.stdout
     payload = jsonable(payload)
     if fmt == "json":
         json.dump(payload, stream, indent=2)
@@ -179,12 +176,7 @@ def cmd_factor(cfg):
     if cfg.interval is not None:
         a, b = _pair(cfg, cfg.interval, "--interval")
         s = transform_interval(s, a, b)
-    zero = Exponent.zero(cfg.mode)
-    cap = cfg.degree_cap
-    if cap is None:
-        cap = max(s.tail_index(zero, cut), 4)
-    ns = normalize(s, cap, cut)
-    fact = weierstrass_factor(ns, cap, cut)
+    ns, fact = factor_series(s, cut, cfg.degree_cap)
     results = {
         "pivot": ns.N,
         "scale": ns.d,
@@ -247,29 +239,18 @@ def cmd_track_extremes(cfg):
 # ---------------------------------------------------------------- experiments
 
 
-def nilpotent_series():
-    """Alternating eps^(n^2) coefficients; defined on the whole field."""
-    return TermRuleSeries(LC, -1, [1], ("poly", [0, 0, 1]))
-
-
-def hahn_series():
-    """Alternating eps_n coefficients in hahn mode."""
-    return TermRuleSeries(HAHN, -1, [1], ("seq", 0))
-
-
-def double_zero_series():
-    """(X-1)^2 * F with F = 2 - sum_{n>=1} eps^(n+1) X^n."""
-    one = LcNumber.one(LC)
-    num = [LcNumber.from_scalar(LC, 2), -(eps() * 2) - eps(2)]
-    den = [one, -eps()]
-    f = RatFunSeries(LC, num, den)
-    return PolyMulSeries([1, -2, 1], f)
+# The example series, as DSL sources: alternating eps^(n^2) coefficients,
+# defined on the whole field; alternating eps_n coefficients (hahn mode); and
+# (X-1)^2 * F with F = 2 - sum_{n>=1} eps^(n+1) X^n.
+NILPOTENT = "term: sign=(-1)^n scale=1 expo=n^2"
+HAHN_ALTERNATING = "term: sign=(-1)^n scale=1 expo=seq(n)"
+DOUBLE_ZERO = "ratfun: (2 - 2*eps*X - eps^2*X) / (1 - eps*X)\npolymul: 1, -2, 1"
 
 
 def example_nilpotent_signs(cfg):
     if not 1 <= cfg.l_max <= 5:
         raise LcivtError("l out of the documented range (1..5)")
-    s = nilpotent_series()
+    s = parse_series(NILPOTENT, LC)
     cut = _cutoff(cfg, 1)
     rows, failures = [], []
     for l in range(1, cfg.l_max + 1):
@@ -287,7 +268,7 @@ def example_nilpotent_signs(cfg):
 def example_nilpotent_roots(cfg):
     if not 1 <= cfg.l_max <= 5:
         raise LcivtError("l out of the documented range (1..5)")
-    s = nilpotent_series()
+    s = parse_series(NILPOTENT, LC)
     cut = _cutoff(cfg, 25)
     rows, failures = [], []
     for l in range(1, min(cfg.l_max, 2) + 1):
@@ -304,7 +285,7 @@ def example_nilpotent_roots(cfg):
 def example_hahn_signs(cfg):
     if not 2 <= cfg.h_max <= 8:
         raise LcivtError("h out of the documented range (2..8)")
-    s = hahn_series()
+    s = parse_series(HAHN_ALTERNATING, HAHN)
     cut = parse_exponent(cfg.cutoff, HAHN) if cfg.cutoff else Exponent.hahn({1: 1})
     rows, failures = [], []
     for h in range(2, cfg.h_max + 1):
@@ -323,7 +304,7 @@ def example_double_zero(cfg):
         raise LcivtError("n out of the documented range (2..30)")
     n_list = _parse_n_list(cfg.n_list) if cfg.n_list else [5, 10, 20]
     n_list = [n for n in n_list if n <= cfg.n_cap] or [cfg.n_cap]
-    t = double_zero_series()
+    t = parse_series(DOUBLE_ZERO, LC)
     one = LcNumber.one(LC)
     target = RootReport(root=one, multiplicity=2, residual_valuation=None,
                         interval=(LcNumber.from_scalar(LC, Fraction(3, 4)),
@@ -371,8 +352,7 @@ EXAMPLES = {"nilpotent-signs": example_nilpotent_signs, "nilpotent-roots": examp
 
 
 def cmd_example(cfg):
-    if cfg.example == "hahn-signs":
-        cfg.mode = HAHN
+    cfg.mode = HAHN if cfg.example == "hahn-signs" else LC
     return EXAMPLES[cfg.example](cfg)
 
 
@@ -403,17 +383,22 @@ def build_parser():
                     "ordered fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--mode", choices=(LC, HAHN), default=LC)
+    def common(p, series=True, cap=True):
+        """The shared options the subcommand's handler reads: --degree-cap
+        where it factors, the mode and source where it reads a given series."""
+        if series:
+            p.add_argument("--mode", choices=(LC, HAHN), default=LC)
         p.add_argument("--cutoff", help="rational (lc) or i:q,... (hahn)")
-        p.add_argument("--degree-cap", type=int, dest="degree_cap")
-        p.add_argument("--series", dest="series_source", help="series DSL file")
-        p.add_argument("--inline", help="series DSL text")
+        if cap:
+            p.add_argument("--degree-cap", type=int, dest="degree_cap")
+        if series:
+            p.add_argument("--series", dest="series_source", help="series DSL file")
+            p.add_argument("--inline", help="series DSL text")
         p.add_argument("--output", choices=("json", "csv", "text"), default="json")
 
     for name in ("eval", "mult"):
         p = sub.add_parser(name)
-        common(p)
+        common(p, cap=False)
         p.add_argument("--at", required=True, help="evaluation point literal")
     for name in ("ivt", "zeros"):
         p = sub.add_parser(name)
@@ -428,12 +413,12 @@ def build_parser():
     p.add_argument("--n-list", dest="n_list", required=True, help="e.g. 1,2,3")
     p.add_argument("--window", help="defaults to the interval")
     p = sub.add_parser("track-extremes")
-    common(p)
+    common(p, cap=False)
     p.add_argument("--target", required=True, help="even-order root literal")
     p.add_argument("--n-list", dest="n_list", required=True)
     p.add_argument("--window", required=True)
     p = sub.add_parser("example")
-    common(p)
+    common(p, series=False, cap=False)
     p.add_argument("example", choices=EXAMPLES)
     p.add_argument("--l", dest="l_max", type=int, default=3)
     p.add_argument("--h", dest="h_max", type=int, default=6)

@@ -73,6 +73,12 @@ class _Scanner:
     def done(self):
         return self.i >= len(self.text)
 
+    def end(self, msg, value=None):
+        """``value``, read from the whole text; ParseError ``msg`` if any is left."""
+        if not self.done():
+            self.error(msg)
+        return value
+
     def digits(self):
         j = self.i
         while self.i < len(self.text) and self.text[self.i].isdigit():
@@ -182,18 +188,14 @@ def parse_literal(text, mode, line=None):
     sc = _Scanner(text, line)
     if sc.done():
         sc.error("empty literal")
-    parts = _parse_sum(sc, mode, None)
-    if not sc.done():
-        sc.error("trailing input after literal")
+    parts = sc.end("trailing input after literal", _parse_sum(sc, mode, None))
     return LcNumber(mode, [(exp, coeff) for coeff, exp, _ in parts])
 
 
 def _parse_poly(text, mode, var, line):
     """A sum of terms in ``var``, bucketed by its power: lists of (Exponent, coeff)."""
     sc = _Scanner(text, line)
-    parts = _parse_sum(sc, mode, var)
-    if not sc.done():
-        sc.error("trailing input after polynomial")
+    parts = sc.end("trailing input after polynomial", _parse_sum(sc, mode, var))
     buckets = [[] for _ in range(max(k for _, _, k in parts) + 1)]
     for coeff, exp, k in parts:
         buckets[k].append((exp, coeff))
@@ -210,26 +212,22 @@ def _parse_npoly(text, line=None):
     return [sum((c for _, c in b), Fraction(0)) for b in _parse_poly(text, LC, "n", line)]
 
 
-def parse_exponent(text, mode, line=None):
+def parse_exponent(text, mode):
     """Cutoff literal: a rational (lc) or comma list ``i:q`` pairs (hahn)."""
     text = text.strip()
     if mode == LC:
-        sc = _Scanner(text, line)
-        q = sc.rational(signed=True)
-        if not sc.done():
-            sc.error("trailing input after exponent")
-        return Exponent.lc(q)
+        sc = _Scanner(text)
+        return Exponent.lc(sc.end("trailing input after exponent", sc.rational(signed=True)))
     items = {}
     for chunk in text.split(","):
         if not chunk.strip():
             continue
         if ":" not in chunk:
-            raise ParseError("hahn exponent entries look like index:rational", line)
+            raise ParseError("hahn exponent entries look like index:rational")
         idx, q = chunk.split(":", 1)
-        sc = _Scanner(q, line)
+        sc = _Scanner(q)
         items[int(idx)] = sc.rational(signed=True)
-        if not sc.done():
-            sc.error("trailing input in exponent entry")
+        sc.end("trailing input in exponent entry")
     return Exponent.hahn(items)
 
 
@@ -260,9 +258,7 @@ def _parse_term_line(body, mode, line):
         prefactor = _parse_npoly(fields["prefactor"], line)
     else:
         sc = _Scanner(fields.get("scale", "1"), line)
-        prefactor = [sc.rational(signed=True)]
-        if not sc.done():
-            sc.error("bad scale")
+        prefactor = [sc.end("bad scale", sc.rational(signed=True))]
     if "expo" not in fields:
         raise ParseError("term rule needs expo=", line)
     expo_text = fields["expo"]
@@ -272,9 +268,7 @@ def _parse_term_line(body, mode, line):
     else:
         expo = ("poly", _parse_npoly(expo_text, line))
     sc = _Scanner(fields.get("offset", "0"), line)
-    offset = sc.integer()
-    if not sc.done():
-        sc.error("offset must be an integer")
+    offset = sc.end("offset must be an integer", sc.integer())
     return TermRuleSeries(mode, sign, prefactor, expo, offset)
 
 
@@ -296,6 +290,10 @@ def _split_commas(text):
     return out
 
 
+# How many series each combinator pops off the stack.
+_POPS = {"sum": 2, "scale": 1, "polymul": 1, "subst": 1}
+
+
 def parse_series(text, mode):
     """Parse a series source (possibly multi-line) into a PSeries."""
     stack = []
@@ -308,6 +306,9 @@ def parse_series(text, mode):
         head, body = line.split(":", 1)
         head = head.strip()
         body = body.strip()
+        if len(stack) < _POPS.get(head, 0):
+            raise ParseError("%s: needs %s on the stack"
+                             % (head, "two series" if _POPS[head] == 2 else "a series"), lineno)
         if head == "poly":
             coeffs = [parse_literal(c, mode, lineno) for c in _split_commas(body)]
             stack.append(PolySeries(mode, coeffs))
@@ -321,23 +322,15 @@ def parse_series(text, mode):
         elif head == "term":
             stack.append(_parse_term_line(body, mode, lineno))
         elif head == "sum":
-            if len(stack) < 2:
-                raise ParseError("sum: needs two series on the stack", lineno)
             b = stack.pop()
             a = stack.pop()
             stack.append(SumSeries(a, b))
         elif head == "scale":
-            if not stack:
-                raise ParseError("scale: needs a series on the stack", lineno)
             stack.append(PolyMulSeries([parse_literal(body, mode, lineno)], stack.pop()))
         elif head == "polymul":
-            if not stack:
-                raise ParseError("polymul: needs a series on the stack", lineno)
             coeffs = [parse_literal(c, mode, lineno) for c in _split_commas(body)]
             stack.append(PolyMulSeries(coeffs, stack.pop()))
         elif head == "subst":
-            if not stack:
-                raise ParseError("subst: needs a series on the stack", lineno)
             m = re.match(r"^h=(.*?)\s+k=(.*)$", body)
             if not m:
                 raise ParseError("subst body looks like h=<literal> k=<literal>", lineno)

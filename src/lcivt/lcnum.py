@@ -632,7 +632,11 @@ class _Grid:
     ``cdens`` holds, per scanned sequence, the lcm of its coefficients'
     denominators on ``gen``.  An encoded sequence travels with its
     denominator as (numbers, denominator); ``combine`` forms the common
-    denominators of sums, so callers do no lcm arithmetic.
+    denominators of sums, and a reduction by ``gen``'s minimal polynomial
+    adds none.  Callers that scale or multiply encoded sequences themselves
+    track the denominators of the results: ``SubstitutedSeries``' Taylor
+    shift (factorials and powers of h and k), the lift's residue division
+    and ``hensel._by_degree``'s common denominator of slices.
     """
 
     __slots__ = ("mode", "lc", "den", "cdens", "rational", "gen", "onto", "width", "exps",

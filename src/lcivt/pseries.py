@@ -261,16 +261,11 @@ class RatFunSeries(PSeries):
             raise CertificateError("denominator constant term must be an exact monomial")
         self._v0 = d0.valuation()
         self._inv_d0 = d0.invert(Exponent.zero(mode))  # exact for a monomial
-        delta = None
-        for c in self.den[1:]:
-            if c.is_exact_zero:
-                continue
-            dv = c.valuation() - self._v0
-            if dv.sign() <= 0:
-                raise CertificateError(
-                    "denominator tail must be infinitesimal against its constant term")
-            delta = dv if delta is None or dv.compare(delta) < 0 else delta
-        self._delta = delta  # None means the denominator is a monomial
+        dvs = [c.valuation() - self._v0 for c in self.den[1:] if not c.is_exact_zero]
+        if any(dv.sign() <= 0 for dv in dvs):
+            raise CertificateError(
+                "denominator tail must be infinitesimal against its constant term")
+        self._delta = min(dvs, default=None)  # None means the denominator is a monomial
         self._rec = []  # the coefficients so far, the recurrence's state
 
     def _coeff(self, n, cutoff):
@@ -293,12 +288,8 @@ class RatFunSeries(PSeries):
         """(L1, K, N_base): val(c_n) >= L1 + delta*floor((n-N_base-1)/K)."""
         k = len(self.den) - 1
         nb = self._base_len()
-        l1 = None
-        for n in range(nb + 1, nb + k + 1):
-            v = self.coeff(n).val_lb()
-            if v is not None:
-                l1 = v if l1 is None or v.compare(l1) < 0 else l1
-        return l1, k, nb
+        vals = (self.coeff(n).val_lb() for n in range(nb + 1, nb + k + 1))
+        return min((v for v in vals if v is not None), default=None), k, nb
 
     def _tail_index(self, xval, target, strict):
         """The least N from which every window of K indices passes: class
@@ -620,13 +611,8 @@ def normalize(s, degree_cap, cutoff):
 
     scan_to = max(nstar, 1)
     while True:
-        vmin = None
-        for n in range(scan_to):
-            c = s.coeff(n, cutoff)
-            if c.terms:
-                v = c.terms[0][0]
-                if vmin is None or v.compare(vmin) < 0:
-                    vmin = v
+        vmin = min((c.terms[0][0] for n in range(scan_to) if (c := s.coeff(n, cutoff)).terms),
+                   default=None)
         if vmin is None:
             ncut = s.tail_index(zero, cutoff)
             if ncut > scan_to:  # once: the memoized ncut then equals scan_to

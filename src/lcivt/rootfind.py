@@ -244,7 +244,6 @@ def poly_roots(coeffs, cutoff, window=None):
     box = [_residue_end(x) for x in window] if window is not None else None
     out = []
     _roots_rec(coeffs, cutoff, LcNumber.zero(mode), None, out, _BRANCH_CAP, window, box)
-    out = [h for h in out if h.multiplicity > 0]
     return sort_roots(out)
 
 
@@ -311,18 +310,22 @@ def _needed_root_depth(s, vx, cutoff):
     of valuation val(a_n) + (n-1)*vx + g, so g must clear the worst term.
     """
     n1 = s.tail_index(vx, cutoff)
-    sens = None
-    for n in range(1, n1):
-        c = s.coeff(n, cutoff - vx.scale(n))
-        vlb = c.val_lb()
-        if vlb is None:
-            continue
-        v = vlb + vx.scale(n - 1)
-        if sens is None or v.compare(sens) < 0:
-            sens = v
+    vlbs = ((n, s.coeff(n, cutoff - vx.scale(n)).val_lb()) for n in range(1, n1))
+    sens = min((vlb + vx.scale(n - 1) for n, vlb in vlbs if vlb is not None), default=None)
     if sens is None or sens.sign() >= 0:
         return cutoff
     return cutoff - sens
+
+
+def factor_series(s, cutoff, degree_cap=None):
+    """(normalized series, Factorization) of a restricted series at ``cutoff``.
+
+    The degree cap defaults to max(tail index at the cutoff, 4).
+    """
+    if degree_cap is None:
+        degree_cap = max(s.tail_index(Exponent.zero(s.mode), cutoff), 4)
+    ns = normalize(s, degree_cap, cutoff)
+    return ns, weierstrass_factor(ns, degree_cap, cutoff)
 
 
 def _series_roots_on_interval(s, a, b, cutoff, degree_cap=None, extra=0):
@@ -335,11 +338,7 @@ def _series_roots_on_interval(s, a, b, cutoff, degree_cap=None, extra=0):
     zero = Exponent.zero(mode)
     vh = h.valuation()
     work = cutoff + (-vh if vh.sign() < 0 else zero) + default_exponent(mode, 4 + extra)
-    ncut = sub.tail_index(zero, work)
-    cap = degree_cap if degree_cap is not None else max(ncut, 4)
-    if cap + 1 < ncut:
-        raise CertificateError("degree cap too small for the requested cutoff")
-    fact = weierstrass_factor(normalize(sub, cap, work), cap, work)
+    _, fact = factor_series(sub, work, degree_cap)
     roots = monic_real_roots(fact.p_coeffs, LcNumber.one(mode), LcNumber.from_scalar(mode, 2), work)
     return [RootReport(
         root=h * r.root + k,
@@ -369,11 +368,7 @@ def ivt_root(s, a, b, cutoff, degree_cap=None):
     sb = certified_sign(s, b)
     if sa * sb != -1:
         raise ValueError("no sign change on the interval")
-    vals = [v for v in (a.val_lb(), b.val_lb()) if v is not None]
-    vx = vals[0]
-    for v in vals[1:]:
-        if v.compare(vx) < 0:
-            vx = v
+    vx = min(v for v in (a.val_lb(), b.val_lb()) if v is not None)
     depth = _needed_root_depth(s, vx, cutoff)
     last_err = None
     for extra in (0, 8, 24):
@@ -542,12 +537,11 @@ def track_extremes(s, target, n_list, window):
     return _track(s, target, n_list, window, _classify_extreme)
 
 
-def target_extreme_kind(s, target, cutoff=None):
+def target_extreme_kind(s, target):
     """min/max type of an even-order series zero from its 2p-th derivative."""
     p2 = target.multiplicity
     deriv = s
     for _ in range(p2):
         deriv = deriv.derivative()
-    cut = cutoff if cutoff is not None else default_exponent(s.mode, 8)
-    v = evaluate(deriv, target.root, cut)
+    v = evaluate(deriv, target.root, default_exponent(s.mode, 8))
     return "min" if v.standard_part().sign() > 0 else "max"

@@ -4,7 +4,8 @@ import pytest
 
 from lcivt.dsl import parse_literal
 from lcivt.hensel import _certify
-from lcivt.lcnum import LC, Exponent, LcNumber, _Grid
+from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, _Grid, eps
+from lcivt.pseries import PolyMulSeries, RatFunSeries, TermRuleSeries
 
 
 def L(text):
@@ -15,6 +16,28 @@ def L(text):
 def E(q):
     """lc-mode exponent."""
     return Exponent.lc(Fraction(q))
+
+
+def num(q):
+    """lc-mode scalar."""
+    return LcNumber.from_scalar(LC, q)
+
+
+def alternating_square_series():
+    """sum (-1)^n eps^(n^2) X^n: converges on the whole field."""
+    return TermRuleSeries(LC, -1, [1], ("poly", [0, 0, 1]))
+
+
+def hahn_alternating_series():
+    """sum (-1)^n eps_n X^n in hahn mode."""
+    return TermRuleSeries(HAHN, -1, [1], ("seq", 0))
+
+
+def double_zero_series():
+    """(X-1)^2 * F with F = 2 - sum_{n>=1} eps^(n+1) X^n."""
+    num_ = [num(2), -(eps() * 2) - eps(2)]
+    den = [LcNumber.one(LC), -eps()]
+    return PolyMulSeries([1, -2, 1], RatFunSeries(LC, num_, den))
 
 
 def poly_deriv(coeffs):

@@ -14,15 +14,7 @@ import pytest
 from lcivt.hensel import weierstrass_factor
 from lcivt.lcnum import HAHN, LC, Exponent, LcNumber, eps, eps_n, horner
 from lcivt.polys import count_roots_open, degree, monic, pderiv, pdivmod, peval, pgcd
-from lcivt.pseries import (
-    PolyMulSeries,
-    PolySeries,
-    RatFunSeries,
-    TermRuleSeries,
-    evaluate,
-    normalize,
-    partial_sum,
-)
+from lcivt.pseries import PolyMulSeries, PolySeries, evaluate, normalize, partial_sum
 from lcivt.realalg import RealAlgebraic, isolate_real_roots
 from lcivt.rootfind import (
     RootReport,
@@ -34,14 +26,11 @@ from lcivt.rootfind import (
     track_extremes,
 )
 
-from conftest import residual
+from conftest import (alternating_square_series, double_zero_series, hahn_alternating_series,
+                      num, residual)
 
 ONE = LcNumber.one(LC)
 ZERO = LcNumber.zero(LC)
-
-
-def num(q):
-    return LcNumber.from_scalar(LC, q)
 
 
 def E(q):
@@ -51,20 +40,6 @@ def E(q):
 def report(criterion, ok, detail):
     print("criterion %2d: %s  (%s)" % (criterion, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d failed: %s" % (criterion, detail)
-
-
-def alternating_square_series():
-    return TermRuleSeries(LC, -1, [1], ("poly", [0, 0, 1]))
-
-
-def hahn_alternating_series():
-    return TermRuleSeries(HAHN, -1, [1], ("seq", 0))
-
-
-def double_zero_series():
-    num_ = [num(2), -(eps() * 2) - eps(2)]
-    den = [ONE, -eps()]
-    return PolyMulSeries([1, -2, 1], RatFunSeries(LC, num_, den))
 
 
 def test_criterion_1_nilpotent_sign_table():

@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 from lcivt import cli, lcnum
-from lcivt.dsl import parse_literal
-from lcivt.lcnum import LC, eps
+from lcivt.dsl import parse_literal, parse_series
+from lcivt.hensel import weierstrass_factor
+from lcivt.lcnum import HAHN, LC, Exponent, eps
+from lcivt.pseries import normalize, transform_interval
+from lcivt.rootfind import default_exponent
+
+from conftest import (E, alternating_square_series, double_zero_series, hahn_alternating_series,
+                      num)
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +98,37 @@ def test_factor_reports_factorization(capsys):
     assert fact["p_coeffs"][1] == "1"
     assert fact["p_coeffs"][0].startswith("-1 + eps - 2*eps^2")
     assert fact["achieved_cutoff"] == "3"
+
+
+@pytest.mark.parametrize("options", [("--interval", "0,2"), ("--degree-cap", "6")],
+                         ids=["interval", "degree-cap"])
+def test_factor_is_the_library_factoring_step(capsys, options):
+    code, payload = run_json(capsys, "factor", "--inline", "poly: -1, 1, eps", "--cutoff", "8",
+                             *options)
+    s, cut = parse_series("poly: -1, 1, eps", LC), E(8)
+    if options[0] == "--interval":
+        s = transform_interval(s, num(0), num(2))
+        cap = max(s.tail_index(Exponent.zero(LC), cut), 4)
+    else:
+        cap = 6
+    ns = normalize(s, cap, cut)
+    fact = weierstrass_factor(ns, cap, cut)
+    assert code == 0
+    assert payload["results"] == cli.jsonable(
+        {"pivot": ns.N, "scale": ns.d, "factorization": fact})
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("zeros", ()), ("ivt", ()), ("track-zeros", ("--n-list", "1"))])
+def test_too_small_degree_cap_is_the_lift_certificate_error(capsys, command, extra):
+    # the lift's own check of the normalized series, the series it certifies
+    code, payload = run_json(capsys, command, "--inline", "poly: -1, 1, eps",
+                             "--interval", "0,2", "--degree-cap", "1", *extra)
+    assert code == 4
+    assert payload["failures"] == [{
+        "error": "CertificateError",
+        "message": "degree cap too small: coefficients beyond it are not certified below "
+                   "the cutoff"}]
 
 
 def test_track_zeros_csv(capsys):
@@ -332,6 +369,19 @@ def test_no_series_given_is_an_error(capsys):
         {"error": "LcivtError", "message": "no series given: use --series FILE or --inline DSL"}]
 
 
+@pytest.mark.parametrize("source, mode, build", [
+    (cli.NILPOTENT, LC, alternating_square_series),
+    (cli.HAHN_ALTERNATING, HAHN, hahn_alternating_series),
+    (cli.DOUBLE_ZERO, LC, double_zero_series),
+], ids=["nilpotent", "hahn-alternating", "double-zero"])
+def test_example_sources_match_the_reference_builders(source, mode, build):
+    s, ref = parse_series(source, mode), build()
+    for cut in (None, default_exponent(mode, 12)):
+        for n in range(20):
+            got, want = s.coeff(n, cut), ref.coeff(n, cut)
+            assert (got.terms, got.cutoff) == (want.terms, want.cutoff), (n, cut)
+
+
 def test_double_zero_example(capsys):
     code, payload = run_json(capsys, "example", "double-zero", "--n-list", "5,10")
     assert code == 0
@@ -371,7 +421,20 @@ def test_text_output(capsys):
     (["ivt", "--inline", "poly: -1, 1"], "required: --interval"),
     (["nope"], "invalid choice: 'nope'"),
     (["eval", "--mode", "weird", "--inline", "poly: 1", "--at", "1"], "argument --mode"),
-], ids=["missing-flag", "unknown-command", "bad-mode"])
+    # options a subcommand's handler does not read are not taken
+    (["eval", "--inline", "poly: 1", "--at", "1", "--degree-cap", "0"],
+     "unrecognized arguments: --degree-cap 0"),
+    (["mult", "--inline", "poly: 1, -2, 1", "--at", "1", "--degree-cap", "0"],
+     "unrecognized arguments: --degree-cap 0"),
+    (["track-extremes", "--inline", "poly: 1, -2, 1", "--target", "1", "--window", "0,2",
+      "--n-list", "2", "--degree-cap", "0"], "unrecognized arguments: --degree-cap 0"),
+    (["example", "double-zero", "--degree-cap", "0"], "unrecognized arguments: --degree-cap 0"),
+    (["example", "nilpotent-signs", "--series", "s.dsl"], "unrecognized arguments: --series"),
+    (["example", "nilpotent-signs", "--inline", "poly: 1"], "unrecognized arguments: --inline"),
+    (["example", "nilpotent-signs", "--mode", "hahn"], "unrecognized arguments: --mode hahn"),
+], ids=["missing-flag", "unknown-command", "bad-mode", "eval-degree-cap", "mult-degree-cap",
+        "track-extremes-degree-cap", "example-degree-cap", "example-series", "example-inline",
+        "example-mode"])
 def test_usage_error_is_exit_4_with_a_record(capsys, argv, text):
     code = cli.main(argv)
     captured = capsys.readouterr()

@@ -194,3 +194,59 @@ def test_series_repr_names_the_class_and_its_rule_fields():
             s.coeff(i, cut)  # fills the memos, which the repr leaves out
         assert repr(s) == text == repr(build(src, mode, order))
     assert seen == set(FIELDS)
+
+
+# (reader, text, mode, message, line, column): every ParseError path, so a
+# reader's checks can be merged or rerouted without changing what it reports.
+PARSE_ERRORS = [
+    (parse_series, "poly 1, 2", LC, "expected '<rule>: ...'", 1, None),
+    (parse_series, "poly: 1\npoly: 2", LC, "2 series left on the stack; missing sum:?", None, None),
+    (parse_series, "frob: 1", LC, "unknown rule 'frob'", 1, None),
+    (parse_series, "", LC, "empty series source", None, None),
+    (parse_series, "# only a comment\n\n", LC, "empty series source", None, None),
+    (parse_series, "ratfun: 1 / (1 - eps*X)", LC, "ratfun body looks like (num) / (den)", 1, None),
+    (parse_series, "ratfun: (1 + X Y) / (1 - eps*X)", LC,
+     "trailing input after polynomial", 1, 4),
+    (parse_series, "poly: 1\nsubst: h=1", LC,
+     "subst body looks like h=<literal> k=<literal>", 2, None),
+    (parse_series, "sum:", LC, "sum: needs two series on the stack", 1, None),
+    (parse_series, "poly: 1\nsum:", LC, "sum: needs two series on the stack", 2, None),
+    (parse_series, "scale: eps", LC, "scale: needs a series on the stack", 1, None),
+    (parse_series, "polymul: 1, -2, 1", LC, "polymul: needs a series on the stack", 1, None),
+    (parse_series, "# one\nsubst: h=1 k=0", LC, "subst: needs a series on the stack", 2, None),
+    (parse_series, "poly: 1, eps)", LC, "trailing input after literal", 1, 4),
+    (parse_series, "poly: 1\nscale: ", LC, "empty literal", 2, 1),
+    (parse_series, "term: sign (-1)^n expo=n", LC, "term fields look like key=value", 1, None),
+    (parse_series, "term: expo=n bogus=1", LC, "unknown term field 'bogus'", 1, None),
+    (parse_series, "term: expo=n expo=n", LC, "term field 'expo' given twice", 1, None),
+    (parse_series, "term: prefactor=n scale=1 expo=n", LC,
+     "term fields 'prefactor' and 'scale' exclude each other", 1, None),
+    (parse_series, "term: sign=(-2)^n expo=n", LC, "sign must be (+1)^n or (-1)^n", 1, None),
+    (parse_series, "term: scale=3/2x expo=n", LC, "bad scale", 1, 4),
+    (parse_series, "term: sign=(-1)^n scale=1", LC, "term rule needs expo=", 1, None),
+    (parse_series, "term: expo=n^2x", LC, "trailing input after polynomial", 1, 4),
+    (parse_series, "term: expo=n offset=2x", LC, "offset must be an integer", 1, 2),
+    (parse_series, "term: expo=n offset=--2", LC, "expected digits", 1, 2),
+    (parse_literal, "  ", LC, "empty literal", None, 1),
+    (parse_literal, "1 + eps)", LC, "trailing input after literal", None, 6),
+    (parse_literal, "1 + ", LC, "expected a number, eps factor", None, 3),
+    (parse_literal, "eps[2", HAHN, "expected ']'", None, 6),
+    (parse_literal, "eps^(1/2", LC, "expected ')'", None, 9),
+    (parse_literal, "eps[2]", LC, "eps[k] literals need hahn mode", None, 7),
+    (parse_literal, "eps", HAHN, "bare eps literals need lc mode", None, 4),
+    (parse_exponent, "3/2x", LC, "trailing input after exponent", None, 4),
+    (parse_exponent, "x", LC, "expected digits", None, 1),
+    (parse_exponent, "1:2x", HAHN, "trailing input in exponent entry", None, 2),
+    (parse_exponent, "1:2/", HAHN, "expected digits", None, 3),
+    (parse_exponent, "1:2,3", HAHN, "hahn exponent entries look like index:rational", None, None),
+]
+
+
+@pytest.mark.parametrize("reader, text, mode, message, line, column", PARSE_ERRORS,
+                         ids=["%s-%d" % (row[0].__name__, i) for i, row in enumerate(PARSE_ERRORS)])
+def test_parse_error_table(reader, text, mode, message, line, column):
+    with pytest.raises(ParseError) as err:
+        reader(text, mode)
+    loc = "" if line is None else "line %d: " % line if column is None else (
+        "line %d, column %d: " % (line, column))
+    assert (str(err.value), err.value.line, err.value.column) == (loc + message, line, column)

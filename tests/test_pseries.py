@@ -26,12 +26,7 @@ from lcivt.pseries import (
 )
 from lcivt.realalg import RealAlgebraic
 
-from conftest import E, L, poly_deriv
-
-
-def alternating_square_series():
-    """sum (-1)^n eps^(n^2) X^n: converges on the whole field."""
-    return TermRuleSeries(LC, -1, [1], ("poly", [0, 0, 1]))
+from conftest import E, L, alternating_square_series, hahn_alternating_series, poly_deriv
 
 
 def geometric_tail_ratfun():
@@ -40,10 +35,6 @@ def geometric_tail_ratfun():
     num = [LcNumber.from_scalar(LC, 2), -(eps() * 2) - eps(2)]
     den = [one, -eps()]
     return RatFunSeries(LC, num, den)
-
-
-def hahn_alternating_series():
-    return TermRuleSeries(HAHN, -1, [1], ("seq", 0))
 
 
 def assert_normalized(ns, up_to):

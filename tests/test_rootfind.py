@@ -35,14 +35,10 @@ from lcivt.rootfind import (
     track_partial_sum_zeros,
 )
 
-from conftest import E, L, poly_deriv
+from conftest import E, L, double_zero_series, num, poly_deriv
 
 ONE = LcNumber.one(LC)
 ZERO = LcNumber.zero(LC)
-
-
-def num(q):
-    return LcNumber.from_scalar(LC, q)
 
 
 def binomial_sqrt(u, order):
@@ -52,12 +48,6 @@ def binomial_sqrt(u, order):
         pw = pw * u
         acc = acc + pw * coeff
     return acc
-
-
-def double_zero_series():
-    num_ = [num(2), -(eps() * 2) - eps(2)]
-    den = [ONE, -eps()]
-    return PolyMulSeries([1, -2, 1], RatFunSeries(LC, num_, den))
 
 
 # ------------------------------------------------------------- monic poly roots
